@@ -1,0 +1,150 @@
+"""Golden sha256s of the CLI outputs.
+
+Every command runs on both tank presets and on the drift chain, and the
+sha256 of its output file and of its stdout must equal the recorded pair.
+The hashes were recorded with the per-run scalar simulation loops that
+preceded the batched kernels, so they pin the batched path to the same
+bytes. ``stats-p2-two-blocks`` uses more reference runs than one
+``run_moments`` accumulation block, so the block fold is pinned too.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from evtl.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
+P1 = ["--config", str(REPO / "presets" / "three-tanks-scenario-1.cfg")]
+P2 = ["--config", str(REPO / "presets" / "three-tanks-scenario-2.cfg")]
+DRIFT = ["--set", "model=chain", "--set", f"chain.file={REPO / 'chains' / 'drift.json'}"]
+FAST = ["--set", "model=chain", "--set", f"chain.file={REPO / 'chains' / 'drift-fast.json'}"]
+SETTLE = ["--formula", str(REPO / "properties" / "settle-on-goal.evtl")]
+OVERFLOW = ["--formula", str(REPO / "properties" / "recover-from-overflow-risk.evtl")]
+
+CASES: dict[str, list[str]] = {
+    "simulate-p1": ["simulate", *P1, "--steps", "40"],
+    "simulate-p1-run3": ["simulate", *P1, "--steps", "40", "--run", "3"],
+    "simulate-p2": ["simulate", *P2, "--steps", "40", "--seed", "5"],
+    "simulate-drift": ["simulate", *DRIFT, "--steps", "30"],
+    "simulate-drift-run3": ["simulate", *DRIFT, "--steps", "30", "--run", "3"],
+    "estimate-p1": ["estimate", *P1, "--steps", "15", "--runs", "24"],
+    "estimate-p2": ["estimate", *P2, "--steps", "15", "--runs", "24"],
+    "estimate-drift": ["estimate", *DRIFT, "--steps", "10", "--runs", "20"],
+    "distance-p1-p2": [
+        "distance", *P1, "--against", P2[1], "--penalty", "rho3",
+        "--steps", "20", "--runs", "30", "--ell", "2",
+    ],
+    "distance-p2-p1": [
+        "distance", *P2, "--against", P1[1], "--penalty", "rho1",
+        "--steps", "20", "--runs", "30", "--ell", "2",
+    ],
+    "check-p1-settle": ["check", *P1, *SETTLE, "--steps", "60", "--runs", "30", "--ell", "2"],
+    "check-p2-overflow": [
+        "check", *P2, *OVERFLOW, "--steps", "70", "--runs", "20", "--ell", "2", "--seed", "3",
+    ],
+    "check-drift": [
+        "check", *DRIFT, "--formula", str(REPO / "bench" / "inputs" / "long-horizon.evtl"),
+        "--steps", "40", "--runs", "20", "--ell", "2",
+    ],
+    "stats-p1": ["stats", *P1, "--steps", "12", "--runs", "30", "--reference-runs", "60"],
+    "stats-p2-two-blocks": [
+        "stats", *P2, "--steps", "10", "--runs", "20", "--reference-runs", "1500",
+    ],
+    "stats-drift": ["stats", *DRIFT, "--steps", "8", "--runs", "30", "--reference-runs", "50"],
+}
+
+# name -> (sha256 of the --out file, sha256 of stdout)
+GOLDEN: dict[str, tuple[str, str]] = {
+    "check-drift": (
+        "9fc6308a77e602053ca5079b095bbba65c86cab3a671da4c8092eb2ee7851e28",
+        "4cde123d9576d924eb7950d6795eb6637726f1856cfce7c9966b13c6b3b5c67e",
+    ),
+    "check-p1-settle": (
+        "5d3aade87676b604e181392d971b7535750529da7983bdeb4240afd282eb0669",
+        "cdcd216c6620b47eb6592af0ac39a0bd49c4b1fabbaf137dfd0a5f1da68f785f",
+    ),
+    "check-p2-overflow": (
+        "7db193b38f4b7045ce3b3af62971acdd80fec4496547511a4c6cba83dbd2c414",
+        "9e2bb91b18376d2c25658437a81b6278ae17bdd20613172e426a8c0c69a4dcbc",
+    ),
+    "distance-p1-p2": (
+        "012372f125697e7ed1950dabbe03676544839a53446fd8fee88fc011010f31d4",
+        "4f1318c6a1f6b899e67f295c4d161b53bbd891b67cd1cf9ff4b497b8d1951982",
+    ),
+    "distance-p2-p1": (
+        "51bf6e64586e0f2eeaba5754023e09a9652d168a9b781fbc5941b2214376dab1",
+        "96974aaf53cca63fff30bdf92f2de6b34bce4a6b2dbad1df72f024d6d9282ff2",
+    ),
+    "estimate-drift": (
+        "8487f6e77da44dc4065aaa16169726a6c7b32310e354ddb53c212a4f0fae378c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "estimate-p1": (
+        "5df5fa3b95c0637c1446a2a379287de7bbc44c6efb308ddeea6985a91075b5ae",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "estimate-p2": (
+        "6750bb2731c85afb6daf4d0efd2d5aaffd970808033b1a3e1238710e5ea1a43b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "simulate-drift": (
+        "a4ab878a8d152b7602ed9da4e32085b1bef4af8cc20efc63a9de254e23934ade",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "simulate-drift-run3": (
+        "afb6198a16867d6430ddf030340cd0702d462879d75e997e67864c15a2bd0f3b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "simulate-p1": (
+        "bea3533a3f7e43be88e6c5118b68cb714f4919e7228feec888bb6f4bebf0c4bd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "simulate-p1-run3": (
+        "f6e6a7a2eb719cd4941c7ace818b85480a72362c3280c44396220eaf2361c5be",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "simulate-p2": (
+        "0a9a8832f3c2537059396475715c7ead5adf47cb5293c8333a06875b6639aa8e",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "stats-drift": (
+        "0a4996f54c063465a40bc7e96c4884a54e223e0c443b2af0b2d4e0d469e71afd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "stats-p1": (
+        "17df582ec32fe185ac55a3031a4f9b9740da73006d1ae130e7a554f310a83d8f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "stats-p2-two-blocks": (
+        "3bd8dc4e88e1571edccd0304d5c806df6cb8861b1161846cfb6672cd6a60178b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+# cases rerun with --workers 4; the flag must not change a byte
+WORKER_CASES = ("estimate-p1", "stats-p2-two-blocks", "check-drift")
+
+
+def _hashes(argv: list[str], out: Path, capsys) -> tuple[str, str]:
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return (
+        hashlib.sha256(out.read_bytes()).hexdigest(),
+        hashlib.sha256(captured.out.encode()).hexdigest(),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path, capsys):
+    assert _hashes(CASES[name], tmp_path / "out.csv", capsys) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", WORKER_CASES)
+def test_workers_flag_does_not_change_bytes(name, tmp_path, capsys):
+    argv = [*CASES[name], "--workers", "4"]
+    assert _hashes(argv, tmp_path / "out.csv", capsys) == GOLDEN[name]
