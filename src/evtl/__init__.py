@@ -19,7 +19,6 @@ from .simulation import (
     EvolutionEstimate,
     MarkovKernel,
     RandomnessPlan,
-    Trajectory,
     empirical_measure,
     estimate,
     simulate,
@@ -62,7 +61,6 @@ __all__ = [
     "EvolutionEstimate",
     "MarkovKernel",
     "RandomnessPlan",
-    "Trajectory",
     "empirical_measure",
     "estimate",
     "simulate",

@@ -92,21 +92,6 @@ class FiniteChain:
             array_fn=lambda arr, tau: np.array([table[x] for x in arr[:, col]]),
         )
 
-    def __reduce__(self):
-        # the penalty closures defeat pickle; rebuild from constructor args
-        # so kernels can cross process boundaries for parallel estimation
-        return (
-            FiniteChain,
-            (
-                self.variable,
-                self.values,
-                self.transition,
-                self.initial,
-                self.penalty_values,
-                self.penalty.name,
-            ),
-        )
-
     @property
     def n_states(self) -> int:
         return len(self.values)
@@ -128,20 +113,33 @@ class FiniteChain:
         return scores, np.asarray(weights, dtype=np.float64)
 
 
-@dataclass(frozen=True)
 class ChainKernel:
-    """Simulation view of a chain: one step samples the next state's row."""
+    """Simulation view of a chain: one step samples each run's next state from its row."""
 
-    chain: FiniteChain
+    def __init__(self, chain: FiniteChain):
+        self.chain = chain
+        self._values = np.asarray(chain.values)
+        self._order = np.argsort(self._values)
+        self._sorted = self._values[self._order]
+        # inverse-CDF sampling as Generator.choice does it, dividing each
+        # cumulative row by its last entry: a row summing to 1 - 1 ulp must
+        # still pick the same state as choice for every uniform draw
+        cdf = np.cumsum(chain.transition, axis=1)
+        self._cdf = cdf / cdf[:, -1:]
 
     @property
     def space(self) -> DataSpace:
         return self.chain.space
 
-    def step(self, state: DataState, rng: np.random.Generator) -> DataState:
-        i = self.chain.state_index(state.values[0])
-        j = rng.choice(self.chain.n_states, p=self.chain.transition[i])
-        return DataState(self.chain.space, (self.chain.values[j],))
+    def noise(self, rng: np.random.Generator, steps: int) -> np.ndarray:
+        """One uniform draw per step, the one ``Generator.choice`` would consume."""
+        return rng.random(steps)
+
+    def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        rows = self._order[np.searchsorted(self._sorted, values[:, 0])]
+        # searchsorted(cdf_row, u, side="right"), one row per run
+        nxt = np.count_nonzero(self._cdf[rows] <= noise[:, None], axis=1)
+        return self._values[nxt][:, None]
 
 
 def load_chain(path: str) -> FiniteChain:

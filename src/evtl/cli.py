@@ -8,9 +8,9 @@ Five subcommands, all driven by the same flat configuration:
 * ``check``     robustness series of a formula file, verdict as JSON
 * ``stats``     per-step moment statistics, optionally against a reference
 
-Outputs are deterministic: same arguments, same bytes, regardless of the
-worker count. Exit codes: 0 success, 2 configuration or usage problem,
-3 formula error, 4 numeric failure.
+Outputs are deterministic: same arguments, same bytes. ``--workers`` is
+accepted for compatibility and has no effect. Exit codes: 0 success,
+2 configuration or usage problem, 3 formula error, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -45,7 +45,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--runs", type=int, metavar="N", help="shortcut for --set runs=N")
     sub.add_argument("--ell", type=int, metavar="L", help="shortcut for --set ell=L")
     sub.add_argument("--seed", type=int, metavar="S", help="shortcut for --set seed=S")
-    sub.add_argument("--workers", type=int, metavar="W", help="shortcut for --set workers=W")
+    sub.add_argument(
+        "--workers", type=int, metavar="W", help="accepted for compatibility; has no effect"
+    )
     sub.add_argument("--out", metavar="FILE", help="output file (default: stdout)")
 
 
@@ -77,9 +79,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _config(args)
     kernel, init, _ = build_model(cfg)
-    est = estimate(
-        kernel, init, cfg.require_steps(), cfg.runs, RandomnessPlan(cfg.seed), workers=cfg.workers
-    )
+    est = estimate(kernel, init, cfg.require_steps(), cfg.runs, RandomnessPlan(cfg.seed))
     save_estimate(args.out, est)
     return 0
 
@@ -101,10 +101,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
         raise ConfigError(f"unknown penalty {name!r} (one of {', '.join(sorted(penalties))})")
     steps = cfg.require_steps()
     plan = RandomnessPlan(cfg.seed)
-    est_a = estimate(kernel_a, init_a, steps, cfg.runs, plan.scoped(3, 0), workers=cfg.workers)
-    est_b = estimate(
-        kernel_b, init_b, steps, cfg.ratio * cfg.runs, plan.scoped(3, 1), workers=cfg.workers
-    )
+    est_a = estimate(kernel_a, init_a, steps, cfg.runs, plan.scoped(3, 0))
+    est_b = estimate(kernel_b, init_b, steps, cfg.ratio * cfg.runs, plan.scoped(3, 1))
     report = evolution_divergence(est_a, est_b, penalties[name], cfg.discount, cfg.times)
     with open_sink(args.out) as fh:
         fh.write("time,divergence\n")
@@ -140,7 +138,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         steps=cfg.steps,
         discount=cfg.discount,
         until_mode=cfg.until_mode,
-        workers=cfg.workers,
     )
     if args.out:
         save_series(args.out, result.series)
@@ -172,18 +169,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     plan = RandomnessPlan(cfg.seed)
     reference = None
     if args.reference_runs:
-        reference, _ = run_moments(
-            kernel, init, steps, args.reference_runs, plan.scoped(2), workers=cfg.workers
-        )
+        reference, _ = run_moments(kernel, init, steps, args.reference_runs, plan.scoped(2))
     if args.sweep:
         if not args.out or not args.out.endswith(".csv"):
             raise ConfigError("--sweep needs --out ending in .csv to derive per-N file names")
         stem = args.out[: -len(".csv")]
         for n in SWEEP_RUNS:
-            est = estimate(kernel, init, steps, n, plan, workers=cfg.workers)
+            est = estimate(kernel, init, steps, n, plan)
             save_error_report(f"{stem}-n{n}.csv", error_report(est, reference))
         return 0
-    est = estimate(kernel, init, steps, cfg.runs, plan, workers=cfg.workers)
+    est = estimate(kernel, init, steps, cfg.runs, plan)
     save_error_report(args.out, error_report(est, reference))
     return 0
 

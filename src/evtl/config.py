@@ -46,7 +46,6 @@ class RunConfig:
     runs: int = 100
     ratio: int = 10
     seed: int = 0
-    workers: int = 1
     until_mode: str = "semantics"
     discount: Discount = field(default_factory=Discount)
     penalty: str | None = None
@@ -126,7 +125,10 @@ def apply_setting(cfg: RunConfig, key: str, value: str) -> RunConfig:
         if key == "seed":
             return replace(cfg, seed=_positive_int(key, value, minimum=0))
         if key == "workers":
-            return replace(cfg, workers=_positive_int(key, value))
+            # accepted for compatibility with older configs; simulation is
+            # one batched array path, so the worker count changes nothing
+            _positive_int(key, value)
+            return cfg
         if key == "until-mode":
             if value not in ("semantics", "figure"):
                 raise ConfigError("until-mode: must be 'semantics' or 'figure'")

@@ -225,7 +225,6 @@ def check_formula(
     steps: int | None = None,
     discount: Discount = Discount(),
     until_mode: UntilMode = "semantics",
-    workers: int = 1,
 ) -> CheckResult:
     """Estimate the system for ratio * N runs and score the formula.
 
@@ -235,7 +234,7 @@ def check_formula(
     if ratio < 1:
         raise ValueError("oversampling ratio must be >= 1")
     k = horizon(formula) if steps is None else steps
-    est = estimate(kernel, initial, k, ratio * base_runs, plan, workers=workers)
+    est = estimate(kernel, initial, k, ratio * base_runs, plan)
     series = evaluate(est, formula, base_runs, plan, discount, until_mode)
     return CheckResult(series, formula, base_runs, ratio, est)
 

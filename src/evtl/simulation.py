@@ -1,18 +1,19 @@
-"""Trajectory simulation of discrete-time Markov kernels.
+"""Batched simulation of discrete-time Markov kernels.
 
-A kernel owns a data space and knows how to draw one successor state from the
-current one. Everything stochastic flows through a :class:`RandomnessPlan`,
+A kernel owns a data space and steps many runs at once: ``noise`` draws all
+of one run's randomness from that run's generator, and ``step_batch`` maps
+the (N, dim) states of N runs, given one noise value per run, to their
+successors. Everything stochastic flows through a :class:`RandomnessPlan`,
 which derives independent, reproducible generator streams from a single
 master seed and a structured purpose key. Run j of an estimate always draws
-from stream ``(0, j)``, so results are identical no matter how runs are
-scheduled across workers.
+from stream ``(0, j)``, so a run's states do not depend on which other runs
+share its batch.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .spaces import DataSpace, DataState, SampleSet
 __all__ = [
     "MarkovKernel",
     "RandomnessPlan",
-    "Trajectory",
     "EvolutionEstimate",
     "simulate",
     "estimate",
@@ -35,12 +35,18 @@ __all__ = [
 
 @runtime_checkable
 class MarkovKernel(Protocol):
-    """One-step stochastic transition function over a data space."""
+    """One-step stochastic transition function over a data space, for a batch of runs."""
 
     @property
     def space(self) -> DataSpace: ...
 
-    def step(self, state: DataState, rng: np.random.Generator) -> DataState: ...
+    def noise(self, rng: np.random.Generator, steps: int) -> np.ndarray:
+        """One run's draws for ``steps`` steps, one value per step."""
+        ...
+
+    def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Successors of the (N, dim) states, run j consuming ``noise[j]``."""
+        ...
 
 
 @dataclass(frozen=True)
@@ -70,33 +76,6 @@ class RandomnessPlan:
 
     def substream(self, *key: int) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.seed_sequence(*key)))
-
-
-class Trajectory:
-    """States of one simulation run, indices 0..steps."""
-
-    __slots__ = ("space", "values")
-
-    def __init__(self, space: DataSpace, values: np.ndarray):
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != space.dim:
-            raise ValueError(f"expected (steps+1, {space.dim}) array, got {arr.shape}")
-        self.space = space
-        self.values = arr
-
-    @property
-    def steps(self) -> int:
-        return self.values.shape[0] - 1
-
-    def state(self, i: int) -> DataState:
-        return DataState(self.space, tuple(float(x) for x in self.values[i]))
-
-    @property
-    def states(self) -> list[DataState]:
-        return [self.state(i) for i in range(self.steps + 1)]
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.space.index(name)]
 
 
 class EvolutionEstimate:
@@ -133,8 +112,40 @@ class EvolutionEstimate:
         """(steps+1, runs) slice of one variable."""
         return self.values[:, :, self.space.index(name)]
 
-    def trajectory(self, run: int) -> Trajectory:
-        return Trajectory(self.space, self.values[:, run, :])
+
+def _run_noise(kernel: MarkovKernel, plan: RandomnessPlan, steps: int, runs: range) -> np.ndarray:
+    """(len(runs), steps) noise; row j holds the draws of run runs[j], from stream (0, run)."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    noise = np.empty((len(runs), steps))
+    for row, j in enumerate(runs):
+        noise[row] = kernel.noise(plan.substream(0, j), steps)
+    return noise
+
+
+def _paths(kernel: MarkovKernel, initial: DataState, noise: np.ndarray) -> Iterator[np.ndarray]:
+    """States of a batch of runs at steps 0..steps, one (runs, dim) array per step.
+
+    ``noise`` is (runs, steps): row j holds run j's draws, column i the draws
+    the step to i+1 consumes. A run's states depend only on its own row, so
+    any batching of runs gives the same bits.
+    """
+    if initial.space != kernel.space:
+        raise ValueError("initial state space differs from kernel space")
+    values = np.tile(np.asarray(initial.values, dtype=np.float64), (noise.shape[0], 1))
+    yield values
+    for z in noise.T:
+        values = kernel.step_batch(values, z)
+        yield values
+
+
+def _collect(kernel: MarkovKernel, initial: DataState, noise: np.ndarray) -> EvolutionEstimate:
+    """Every state of the runs whose noise is given, as an estimate."""
+    runs, steps = noise.shape
+    values = np.empty((steps + 1, runs, kernel.space.dim))
+    for i, step_values in enumerate(_paths(kernel, initial, noise)):
+        values[i] = step_values
+    return EvolutionEstimate(kernel.space, values)
 
 
 def simulate(
@@ -142,37 +153,11 @@ def simulate(
     initial: DataState,
     steps: int,
     rng: np.random.Generator,
-) -> Trajectory:
-    """Roll the kernel forward ``steps`` times from ``initial``."""
+) -> EvolutionEstimate:
+    """Roll the kernel forward ``steps`` times from ``initial``, as a one-run estimate."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    space = kernel.space
-    if initial.space != space:
-        raise ValueError("initial state space differs from kernel space")
-    out = np.empty((steps + 1, space.dim))
-    out[0] = initial.values
-    state = initial
-    for i in range(1, steps + 1):
-        state = kernel.step(state, rng)
-        out[i] = state.values
-    return Trajectory(space, out)
-
-
-def _run_block(
-    kernel: MarkovKernel,
-    initial_values: tuple[float, ...],
-    steps: int,
-    plan: RandomnessPlan,
-    first_run: int,
-    n_runs: int,
-) -> np.ndarray:
-    space = kernel.space
-    initial = DataState(space, initial_values)
-    block = np.empty((steps + 1, n_runs, space.dim))
-    for j in range(n_runs):
-        rng = plan.substream(0, first_run + j)
-        block[:, j, :] = simulate(kernel, initial, steps, rng).values
-    return block
+    return _collect(kernel, initial, kernel.noise(rng, steps)[None, :])
 
 
 def estimate(
@@ -181,56 +166,19 @@ def estimate(
     steps: int,
     runs: int,
     plan: RandomnessPlan,
-    workers: int = 1,
 ) -> EvolutionEstimate:
     """Simulate ``runs`` independent trajectories and collect them per step.
 
-    Run j always uses stream ``(0, j)`` of the plan, so the result is
-    bit-identical for any worker count.
+    Run j always uses stream ``(0, j)`` of the plan, so the first N runs of
+    any larger estimate equal the N-run estimate.
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    space = kernel.space
-    if workers <= 1 or runs == 1:
-        values = _run_block(kernel, initial.values, steps, plan, 0, runs)
-        return EvolutionEstimate(space, values)
-    workers = min(workers, runs)
-    bounds = np.linspace(0, runs, workers + 1).astype(int)
-    values = np.empty((steps + 1, runs, space.dim))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(_run_block, kernel, initial.values, steps, plan, int(a), int(b - a)): (a, b)
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a
-        }
-        for fut in concurrent.futures.as_completed(futures):
-            a, b = futures[fut]
-            values[:, a:b, :] = fut.result()
-    return EvolutionEstimate(space, values)
+    return _collect(kernel, initial, _run_noise(kernel, plan, steps, range(runs)))
 
 
-def _moment_block(
-    kernel: MarkovKernel,
-    initial_values: tuple[float, ...],
-    steps: int,
-    plan: RandomnessPlan,
-    first_run: int,
-    n_runs: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    space = kernel.space
-    initial = DataState(space, initial_values)
-    total = np.zeros((steps + 1, space.dim))
-    total_sq = np.zeros((steps + 1, space.dim))
-    for j in range(n_runs):
-        rng = plan.substream(0, first_run + j)
-        vals = simulate(kernel, initial, steps, rng).values
-        total += vals
-        total_sq += vals * vals
-    return total, total_sq
-
-
-# fixed accumulation block for run_moments; must not depend on the worker
-# count, or the float fold order (and so the last bits) would change with it
+# fixed accumulation block for run_moments; the float fold order, and so the
+# last bits, depend on it
 _MOMENT_BLOCK = 1024
 
 
@@ -240,36 +188,26 @@ def run_moments(
     steps: int,
     runs: int,
     plan: RandomnessPlan,
-    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Streaming per-step mean and sample std over ``runs`` trajectories.
 
     Returns (mean, std), each (steps+1, dim). Uses running sums instead of
     materializing the estimate, so reference runs with very large N stay at
-    constant memory. Uses the same ``(0, run)`` streams as :func:`estimate`,
-    and accumulates over fixed-size blocks folded in block order, so the
-    result is bit-identical for any worker count.
+    constant memory. Uses the same ``(0, run)`` streams as :func:`estimate`.
+    Each block of runs is summed per step in run order, and the block sums
+    are added to the totals in block order.
     """
     if runs < 2:
         raise ValueError("need at least two runs for a sample std")
-    blocks = [(a, min(_MOMENT_BLOCK, runs - a)) for a in range(0, runs, _MOMENT_BLOCK)]
     total = np.zeros((steps + 1, kernel.space.dim))
     total_sq = np.zeros((steps + 1, kernel.space.dim))
-    if workers <= 1 or len(blocks) == 1:
-        for a, n in blocks:
-            t, ts = _moment_block(kernel, initial.values, steps, plan, a, n)
-            total += t
-            total_sq += ts
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
-            futures = [
-                pool.submit(_moment_block, kernel, initial.values, steps, plan, a, n)
-                for a, n in blocks
-            ]
-            for fut in futures:
-                t, ts = fut.result()
-                total += t
-                total_sq += ts
+    for a in range(0, runs, _MOMENT_BLOCK):
+        noise = _run_noise(kernel, plan, steps, range(a, min(a + _MOMENT_BLOCK, runs)))
+        for i, values in enumerate(_paths(kernel, initial, noise)):
+            # a sum over the outer axis adds the rows one after another, so
+            # each block sum is a fold in run order
+            total[i] += values.sum(axis=0)
+            total_sq[i] += (values * values).sum(axis=0)
     mean = total / runs
     var = np.maximum(total_sq / runs - mean * mean, 0.0) * (runs / (runs - 1))
     return mean, np.sqrt(var)
@@ -281,12 +219,14 @@ def empirical_measure(samples: SampleSet, predicate: Callable[[DataState], bool]
     return hits / len(samples)
 
 
-def save_trajectory(dest, traj: Trajectory) -> None:
-    """CSV with a time column followed by one column per variable."""
+def save_trajectory(dest, traj: EvolutionEstimate) -> None:
+    """CSV of a one-run estimate: a time column, then one column per variable."""
+    if traj.runs != 1:
+        raise ValueError(f"a trajectory is one run, got {traj.runs}")
     with open_sink(dest) as fh:
         fh.write("time," + ",".join(traj.space.names) + "\n")
         for i in range(traj.steps + 1):
-            fh.write(str(i) + "," + ",".join("%.17g" % x for x in traj.values[i]) + "\n")
+            fh.write(str(i) + "," + ",".join("%.17g" % x for x in traj.values[i, 0]) + "\n")
 
 
 def save_estimate(dest, est: EvolutionEstimate) -> None:

@@ -130,19 +130,6 @@ class DataSpace:
                 raise ValueError(f"value {x} out of domain for variable {name!r}")
         return DataState(self, vec)
 
-    def state_from_vector(self, vec: Sequence[float], check: bool = True) -> "DataState":
-        tup = tuple(float(x) for x in vec)
-        if len(tup) != self.dim:
-            raise ValueError(f"expected {self.dim} values, got {len(tup)}")
-        if check:
-            for name, dom, x in zip(self.names, self.domains, tup):
-                if not dom.contains(x):
-                    raise ValueError(f"value {x} out of domain for variable {name!r}")
-        return DataState(self, tup)
-
-    def contains_vector(self, vec: Sequence[float]) -> bool:
-        return all(dom.contains(float(x)) for dom, x in zip(self.domains, vec))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, DataSpace)
@@ -207,15 +194,6 @@ class SampleSet:
             raise ValueError(f"expected an (N, {space.dim}) array, got shape {arr.shape}")
         self.space = space
         self.values = arr
-
-    @classmethod
-    def from_states(cls, states: Sequence[DataState]) -> "SampleSet":
-        if not states:
-            raise ValueError("empty sample set")
-        space = states[0].space
-        if any(s.space != space for s in states):
-            raise ValueError("mixed spaces in one sample set")
-        return cls(space, np.array([s.values for s in states], dtype=np.float64))
 
     def __len__(self) -> int:
         return self.values.shape[0]

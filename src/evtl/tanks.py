@@ -14,6 +14,7 @@ from tank 3). Levels clamp to the tank range, flows to [0, max flow].
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -49,6 +50,9 @@ class TankParams:
     gravity: float = 9.81
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not self.level_min < self.goal < self.level_max:
             raise ValueError("need level_min < goal < level_max")
         if self.flow_max <= 0 or not 0 < self.flow_step <= self.flow_max:
@@ -78,6 +82,13 @@ def initial_state(params: TankParams, space: DataSpace | None = None) -> DataSta
     return space.state(l1=m, l2=m, l3=m, q1=0.0, q2=0.0, q0=0.0)
 
 
+def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``min(hi, max(lo, x))`` per element, keeping Python's choice between
+    equal values, so that signed zeros come out as a scalar clamp gives them."""
+    x = np.where(x > lo, x, lo)
+    return np.where(x < hi, x, hi)
+
+
 class TankKernel:
     """One-step transition of the plant under scenario 1 or 2."""
 
@@ -87,7 +98,7 @@ class TankKernel:
         self.params = params
         self.scenario = scenario
         self._space = tank_space(params)
-        # flattened coefficients; the step runs a few million times per check
+        # flattened coefficients, computed once instead of on every batch step
         p = params
         self._c12 = p.loss12 * p.pipe_area
         self._c23 = p.loss23 * p.pipe_area
@@ -107,50 +118,39 @@ class TankKernel:
     def initial_state(self) -> DataState:
         return initial_state(self.params, self._space)
 
-    def step(self, state: DataState, rng: np.random.Generator) -> DataState:
-        l1, l2, l3, q1, q2, q0 = state.values
-        z = float(rng.standard_normal())
+    def noise(self, rng: np.random.Generator, steps: int) -> np.ndarray:
+        """One standard normal draw per step, for the stochastic inflow."""
+        return rng.standard_normal(steps)
+
+    def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        l1, l2, l3, q1, q2, q0 = values.T
 
         d12 = l1 - l2
-        q12 = math.copysign(self._c12 * math.sqrt(self._two_g * abs(d12)), d12)
+        q12 = np.copysign(self._c12 * np.sqrt(self._two_g * np.abs(d12)), d12)
         d23 = l2 - l3
-        q23 = math.copysign(self._c23 * math.sqrt(self._two_g * abs(d23)), d23)
+        q23 = np.copysign(self._c23 * np.sqrt(self._two_g * np.abs(d23)), d23)
 
         s = self._scale
-        nl1 = min(self._hi, max(self._lo, l1 + (q1 - q12) * s))
-        nl2 = min(self._hi, max(self._lo, l2 + (q12 - q23) * s))
-        nl3 = min(self._hi, max(self._lo, l3 + (q2 + q23 - q0) * s))
+        out = np.empty_like(values)
+        out[:, 0] = _clamp(l1 + (q1 - q12) * s, self._lo, self._hi)
+        out[:, 1] = _clamp(l2 + (q12 - q23) * s, self._lo, self._hi)
+        out[:, 2] = _clamp(l3 + (q2 + q23 - q0) * s, self._lo, self._hi)
 
         if self.scenario == 1:
-            nq2 = self.params.inflow_mean + self._inflow_std * z
+            nq2 = self.params.inflow_mean + self._inflow_std * noise
         else:
-            nq2 = q2 + z
+            nq2 = q2 + noise
 
-        # controllers read the pre-update levels
-        if l1 > self._hi_band:
-            nq1 = max(0.0, q1 - self._qstep)
-        elif l1 < self._lo_band:
-            nq1 = min(self._qmax, q1 + self._qstep)
-        else:
-            nq1 = q1
-        if l3 > self._hi_band:
-            nq0 = min(self._qmax, q0 + self._qstep)
-        elif l3 < self._lo_band:
-            nq0 = max(0.0, q0 - self._qstep)
-        else:
-            nq0 = q0
+        # controllers read the pre-update levels; the final clamp into
+        # [0, flow_max] also bounds each controller branch
+        qs = self._qstep
+        nq1 = np.where(l1 > self._hi_band, q1 - qs, np.where(l1 < self._lo_band, q1 + qs, q1))
+        nq0 = np.where(l3 > self._hi_band, q0 + qs, np.where(l3 < self._lo_band, q0 - qs, q0))
 
-        return DataState(
-            self._space,
-            (
-                nl1,
-                nl2,
-                nl3,
-                min(self._qmax, max(0.0, nq1)),
-                min(self._qmax, max(0.0, nq2)),
-                min(self._qmax, max(0.0, nq0)),
-            ),
-        )
+        out[:, 3] = _clamp(nq1, 0.0, self._qmax)
+        out[:, 4] = _clamp(nq2, 0.0, self._qmax)
+        out[:, 5] = _clamp(nq0, 0.0, self._qmax)
+        return out
 
 
 def tank_penalties(params: TankParams) -> dict[str, Penalty]:

@@ -79,7 +79,45 @@ def test_kernel_follows_deterministic_transitions():
     # 0 -> 1 -> 0 -> ... deterministically
     flip = FiniteChain("x", [0.0, 1.0], np.array([[0.0, 1.0], [1.0, 0.0]]), [1, 0], [0, 1])
     traj = simulate(ChainKernel(flip), flip.initial_state(), 6, RandomnessPlan(0).substream(0, 0))
-    assert traj.values[:, 0].tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+    assert traj.values[:, 0, 0].tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+
+
+def test_kernel_batch_step_equals_one_row_steps():
+    rng = np.random.default_rng(3)
+    # values listed out of order, so the value-to-row lookup is exercised
+    chain = random_chain(rng, 4, values=[0.75, 0.0, 1.0, 0.25])
+    kernel = ChainKernel(chain)
+    values = rng.choice(chain.values, 50)[:, None]
+    noise = rng.random(50)
+    batch = kernel.step_batch(values, noise)
+    for j in range(50):
+        assert np.array_equal(batch[j : j + 1], kernel.step_batch(values[j : j + 1], noise[j : j + 1]))
+
+
+def test_kernel_step_matches_generator_choice():
+    # one uniform per step, mapped as Generator.choice(n, p=row) maps it
+    rng = np.random.default_rng(8)
+    for n_states in (1, 2, 5):
+        chain = random_chain(rng, n_states)
+        kernel = ChainKernel(chain)
+        for i, value in enumerate(chain.values):
+            for seed in range(20):
+                want = np.random.default_rng(seed).choice(n_states, p=chain.transition[i])
+                u = kernel.noise(np.random.default_rng(seed), 1)
+                got = kernel.step_batch(np.array([[value]]), u)
+                assert got[0, 0] == chain.values[want]
+
+
+def test_kernel_normalises_the_cdf_like_choice():
+    # row 0 of drift.json sums to 1 - 1 ulp; dividing the cumulative row by
+    # its last entry moves the first cut just above 0.6, so u = 0.6 stays in
+    # state 0, where the raw cumulative row would move on to state 1
+    drift = load_chain(str(REPO / "chains" / "drift.json"))
+    row = drift.transition[0]
+    assert row.sum() == 0.9999999999999999
+    assert np.cumsum(row).searchsorted(0.6, "right") == 1
+    got = ChainKernel(drift).step_batch(np.array([[0.0]]), np.array([0.6]))
+    assert got[0, 0] == drift.values[0]
 
 
 def test_kernel_frequencies_approach_transients():
@@ -260,20 +298,6 @@ def test_load_shipped_chains():
     assert np.array_equal(drift.penalty_values, fast.penalty_values)
     fwd, rev = exact_divergence(drift, fast, steps=10)
     assert max(fwd.value, rev.value) > 0.1
-
-
-def test_chain_kernel_crosses_process_boundaries():
-    # parallel estimation pickles the kernel; the rebuilt chain must keep
-    # its penalty table
-    import pickle
-
-    chain = two_state_chain(0.3, 0.1)
-    clone = pickle.loads(pickle.dumps(ChainKernel(chain))).chain
-    assert clone.values == chain.values
-    assert clone.penalty(clone.state(1.0)) == 1.0
-    a = estimate(ChainKernel(chain), chain.initial_state(), 5, 30, RandomnessPlan(3), workers=1)
-    b = estimate(ChainKernel(chain), chain.initial_state(), 5, 30, RandomnessPlan(3), workers=3)
-    assert np.array_equal(a.values, b.values)
 
 
 def test_load_chain_reports_missing_fields(tmp_path):

@@ -266,6 +266,16 @@ def test_exit_codes(tmp_path, capsys):
     assert run(capsys, "stats", *CHAIN, "--steps", "2", "--runs", "1")[0] == 4
 
 
+@pytest.mark.parametrize("setting", ["tanks.dt=nan", "tanks.gravity=inf", "tanks.l_M=-inf"])
+def test_non_finite_tank_parameters_exit_2(setting, tmp_path, capsys):
+    prop = tmp_path / "prop.evtl"
+    prop.write_text("F[0,3] target(normal(l3; 10, 0.25), rho3, 0.2)\n")
+    code, stdout, err = run(
+        capsys, "check", "--set", setting, "--formula", str(prop), "--runs", "5", "--ell", "1"
+    )
+    assert code == 2 and stdout == "" and "must be finite" in err
+
+
 def test_exit_code_messages_go_to_stderr(capsys):
     code, stdout, err = run(capsys, "simulate", *CHAIN)
     assert code == 2 and stdout == "" and err.startswith("error:")

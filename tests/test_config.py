@@ -37,7 +37,7 @@ def test_parse_basic_settings():
         """
     )
     assert cfg.scenario == 2 and cfg.steps == 150
-    assert cfg.runs == 250 and cfg.ratio == 4 and cfg.seed == 7 and cfg.workers == 3
+    assert cfg.runs == 250 and cfg.ratio == 4 and cfg.seed == 7
     assert cfg.until_mode == "figure"
     assert cfg.discount == Discount.exponential(0.9)
     assert cfg.penalty == "rho3"
@@ -80,6 +80,13 @@ def test_errors_carry_line_numbers():
         parse_config("runs = -4")
     with pytest.raises(ConfigError):
         parse_config("discount = linear:2")
+
+
+def test_workers_key_is_validated_and_changes_nothing():
+    # kept for older configs and command lines; simulation is one batched path
+    assert parse_config("workers = 3") == RunConfig()
+    with pytest.raises(ConfigError):
+        parse_config("workers = 0")
 
 
 def test_later_settings_override_earlier():

@@ -25,7 +25,7 @@ from evtl.monitor import (
     until_combine,
 )
 from evtl.simulation import RandomnessPlan, estimate
-from evtl.spaces import DataSpace, DataState, Interval, identity_penalty
+from evtl.spaces import DataSpace, Interval, identity_penalty
 
 from test_simulation import WalkKernel
 
@@ -39,8 +39,11 @@ class HoldKernel:
     def __init__(self, space: DataSpace):
         self.space = space
 
-    def step(self, state: DataState, rng: np.random.Generator) -> DataState:
-        return state
+    def noise(self, rng: np.random.Generator, steps: int) -> np.ndarray:
+        return np.zeros(steps)
+
+    def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        return values
 
 
 @pytest.fixture

@@ -1,20 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from evtl.simulation import RandomnessPlan, estimate
+from evtl.spaces import DataState
 from evtl.tanks import TankKernel, TankParams, initial_state, tank_penalties, tank_space
 
 
-class FixedZ:
-    """Stand-in generator feeding a preset sequence of normal draws."""
-
-    def __init__(self, *draws: float):
-        self.draws = list(draws)
-
-    def standard_normal(self) -> float:
-        return self.draws.pop(0) if self.draws else 0.0
+def step(kernel, state, z=0.0):
+    """One-row ``step_batch`` call with normal draw ``z``, read back as a state."""
+    row = kernel.step_batch(np.array([state.values]), np.array([z]))[0]
+    return DataState(kernel.space, tuple(float(x) for x in row))
 
 
 def mk_state(space, **kw):
@@ -43,6 +41,14 @@ def test_param_validation():
         TankKernel(TankParams(), scenario=3)
 
 
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(TankParams)])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_param_validation_rejects_non_finite(field, value):
+    # NaN slips past every ordering guard, so finiteness is checked first
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        TankParams(**{field: value})
+
+
 def test_space_and_initial_state(kernel):
     assert kernel.space.names == ("l1", "l2", "l3", "q1", "q2", "q0")
     s0 = kernel.initial_state()
@@ -53,10 +59,10 @@ def test_space_and_initial_state(kernel):
 def test_first_steps_from_empty_plant_frozen(kernel):
     # step 1: all levels equal so no pipe flow; the controller opens q1 by
     # one step and q2 takes its fresh draw (z = 0 -> the mean inflow)
-    s1 = kernel.step(kernel.initial_state(), FixedZ(0.0))
+    s1 = step(kernel, kernel.initial_state(), 0.0)
     assert s1.values == pytest.approx((0.0, 0.0, 0.0, 1.2, 3.0, 0.0), abs=1e-15)
     # step 2: q1 fills tank 1, q2 fills tank 3, controller opens q1 further
-    s2 = kernel.step(s1, FixedZ(0.0))
+    s2 = step(kernel, s1, 0.0)
     assert s2.values == pytest.approx((0.12, 0.0, 0.3, 2.4, 3.0, 0.0), abs=1e-15)
 
 
@@ -64,7 +70,7 @@ def test_pipe_flow_follows_torricelli(kernel):
     space = kernel.space
     # level difference of 2 into an equal-level pair below: only the 1->2
     # pipe moves water, at loss * area * sqrt(2 g dh) = 0.375 * sqrt(39.24)
-    s = kernel.step(mk_state(space, l1=11.0, l2=9.0, l3=9.0), FixedZ(0.0))
+    s = step(kernel, mk_state(space, l1=11.0, l2=9.0, l3=9.0), 0.0)
     q12 = 0.375 * math.sqrt(2.0 * 9.81 * 2.0)
     assert q12 == pytest.approx(2.349069, abs=1e-6)
     assert s["l1"] == pytest.approx(11.0 - 0.1 * q12, abs=1e-12)
@@ -76,14 +82,14 @@ def test_pipe_flow_follows_torricelli(kernel):
 
 def test_pipe_flow_is_signed(kernel):
     # higher downstream level pushes water back
-    s = kernel.step(mk_state(kernel.space, l1=9.0, l2=11.0, l3=11.0), FixedZ(0.0))
+    s = step(kernel, mk_state(kernel.space, l1=9.0, l2=11.0, l3=11.0), 0.0)
     q12 = 0.375 * math.sqrt(2.0 * 9.81 * 2.0)
     assert s["l1"] == pytest.approx(9.0 + 0.1 * q12, abs=1e-12)
     assert s["l2"] < 11.0
 
 
 def test_closed_system_conserves_volume(kernel):
-    s = kernel.step(mk_state(kernel.space, l1=12.0, l2=9.0, l3=7.0, q2=0.0), FixedZ(-100.0))
+    s = step(kernel, mk_state(kernel.space, l1=12.0, l2=9.0, l3=7.0, q2=0.0), -100.0)
     # q2 clamps to 0 under the huge negative draw, q1/q0 stay shut, so the
     # pipes only move water around
     assert s["q1"] == 0.0 and s["q2"] == 0.0 and s["q0"] == 0.0
@@ -93,32 +99,32 @@ def test_closed_system_conserves_volume(kernel):
 
 def test_levels_clamp_to_tank_range():
     kernel = TankKernel(TankParams(), scenario=1)
-    s = kernel.step(mk_state(kernel.space, l1=19.99, l2=19.99, q1=6.0), FixedZ(0.0))
+    s = step(kernel, mk_state(kernel.space, l1=19.99, l2=19.99, q1=6.0), 0.0)
     assert s["l1"] == 20.0
-    s = kernel.step(mk_state(kernel.space, l1=0.005, l2=0.0, l3=0.0), FixedZ(0.0))
+    s = step(kernel, mk_state(kernel.space, l1=0.005, l2=0.0, l3=0.0), 0.0)
     assert s["l1"] == 0.0 and s["l2"] > 0.0
 
 
 def test_controller_band_and_steps(kernel):
     space = kernel.space
     # l1 above the band: inflow backs off, floored at zero
-    assert kernel.step(mk_state(space, l1=10.6, q1=1.0), FixedZ())["q1"] == 0.0
-    assert kernel.step(mk_state(space, l1=10.6, q1=3.0), FixedZ())["q1"] == pytest.approx(1.8)
+    assert step(kernel, mk_state(space, l1=10.6, q1=1.0))["q1"] == 0.0
+    assert step(kernel, mk_state(space, l1=10.6, q1=3.0))["q1"] == pytest.approx(1.8)
     # l1 below the band: inflow opens, capped at flow_max
-    assert kernel.step(mk_state(space, l1=9.2, q1=3.0), FixedZ())["q1"] == pytest.approx(4.2)
-    assert kernel.step(mk_state(space, l1=9.2, q1=5.5), FixedZ())["q1"] == 6.0
+    assert step(kernel, mk_state(space, l1=9.2, q1=3.0))["q1"] == pytest.approx(4.2)
+    assert step(kernel, mk_state(space, l1=9.2, q1=5.5))["q1"] == 6.0
     # inside the dead band: unchanged
-    assert kernel.step(mk_state(space, l1=10.3, q1=3.0), FixedZ())["q1"] == 3.0
+    assert step(kernel, mk_state(space, l1=10.3, q1=3.0))["q1"] == 3.0
     # the outflow controller mirrors it on tank 3
-    assert kernel.step(mk_state(space, l3=10.6, q0=3.0), FixedZ())["q0"] == pytest.approx(4.2)
-    assert kernel.step(mk_state(space, l3=9.2, q0=3.0), FixedZ())["q0"] == pytest.approx(1.8)
-    assert kernel.step(mk_state(space, l3=10.0, q0=3.0), FixedZ())["q0"] == 3.0
+    assert step(kernel, mk_state(space, l3=10.6, q0=3.0))["q0"] == pytest.approx(4.2)
+    assert step(kernel, mk_state(space, l3=9.2, q0=3.0))["q0"] == pytest.approx(1.8)
+    assert step(kernel, mk_state(space, l3=10.0, q0=3.0))["q0"] == 3.0
 
 
 def test_controllers_read_pre_update_levels(kernel):
     # l1 starts inside the band but a big inflow pushes it out during the
     # step; the controller still sees the old level and leaves q1 alone
-    s = kernel.step(mk_state(kernel.space, l1=10.4, l2=10.4, q1=6.0), FixedZ(0.0))
+    s = step(kernel, mk_state(kernel.space, l1=10.4, l2=10.4, q1=6.0), 0.0)
     assert s["l1"] == pytest.approx(11.0)
     assert s["q1"] == 6.0
 
@@ -130,14 +136,38 @@ def test_scenario_inflows_differ():
     walk = TankKernel(p, scenario=2)
     st = mk_state(space, q2=6.0)
     # scenario 1 forgets the current inflow, scenario 2 carries it
-    assert fresh.step(st, FixedZ(0.0))["q2"] == 3.0
-    assert walk.step(st, FixedZ(0.0))["q2"] == 6.0
+    assert step(fresh, st, 0.0)["q2"] == 3.0
+    assert step(walk, st, 0.0)["q2"] == 6.0
     # scenario 1 scales the draw by sqrt(variance)
-    assert fresh.step(st, FixedZ(2.0))["q2"] == pytest.approx(3.0 + 2.0 * math.sqrt(0.5))
-    assert walk.step(st, FixedZ(-2.0))["q2"] == 4.0
+    assert step(fresh, st, 2.0)["q2"] == pytest.approx(3.0 + 2.0 * math.sqrt(0.5))
+    assert step(walk, st, -2.0)["q2"] == 4.0
     # both clamp into [0, flow_max]
-    assert fresh.step(st, FixedZ(80.0))["q2"] == 6.0
-    assert walk.step(mk_state(space, q2=0.5), FixedZ(-3.0))["q2"] == 0.0
+    assert step(fresh, st, 80.0)["q2"] == 6.0
+    assert step(walk, mk_state(space, q2=0.5), -3.0)["q2"] == 0.0
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_batch_step_equals_one_row_steps(scenario):
+    kernel = TankKernel(TankParams(), scenario)
+    rng = np.random.default_rng(scenario)
+    n = 64
+    levels = rng.uniform(0.0, 20.0, (n, 3))
+    flows = rng.uniform(0.0, 6.0, (n, 3))
+    # rows on the clamp bounds and the controller band edges too
+    levels[:8] = [[0.0, 0.0, 20.0], [20.0, 20.0, 0.0], [10.5, 9.5, 10.5], [9.5, 10.5, 9.5]] * 2
+    flows[:4] = [[0.0, 6.0, 0.0], [6.0, 0.0, 6.0]] * 2
+    values = np.hstack([levels, flows])
+    noise = rng.standard_normal(n) * 3.0
+    batch = kernel.step_batch(values, noise)
+    for j in range(n):
+        one = kernel.step_batch(values[j : j + 1], noise[j : j + 1])
+        assert np.array_equal(batch[j : j + 1], one)
+
+
+def test_noise_is_one_normal_draw_per_step(kernel):
+    a = kernel.noise(RandomnessPlan(4).substream(0, 2), 5)
+    rng = RandomnessPlan(4).substream(0, 2)
+    assert np.array_equal(a, [rng.standard_normal() for _ in range(5)])
 
 
 def test_penalties_measure_goal_distance():
