@@ -6,6 +6,9 @@ The hashes were recorded with the per-run scalar simulation loops that
 preceded the batched kernels, so they pin the batched path to the same
 bytes. ``stats-p2-two-blocks`` uses more reference runs than one
 ``run_moments`` accumulation block, so the block fold is pinned too.
+The ``-left`` cases use formulas from ``tests/data`` whose untils have a
+left operand other than ``true``, so the left running minimum and both
+until modes are pinned; the ``-exp`` cases pin a decaying discount.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ P2 = ["--config", str(REPO / "presets" / "three-tanks-scenario-2.cfg")]
 DRIFT = ["--set", "model=chain", "--set", f"chain.file={REPO / 'chains' / 'drift.json'}"]
 FAST = ["--set", "model=chain", "--set", f"chain.file={REPO / 'chains' / 'drift-fast.json'}"]
 SETTLE = ["--formula", str(REPO / "properties" / "settle-on-goal.evtl")]
+LEFT_CHAIN = ["--formula", str(REPO / "tests" / "data" / "until-left-chain.evtl")]
+LEFT_TANKS = ["--formula", str(REPO / "tests" / "data" / "until-left-tanks.evtl")]
 OVERFLOW = ["--formula", str(REPO / "properties" / "recover-from-overflow-risk.evtl")]
 
 CASES: dict[str, list[str]] = {
@@ -38,6 +43,10 @@ CASES: dict[str, list[str]] = {
         "distance", *P1, "--against", P2[1], "--penalty", "rho3",
         "--steps", "20", "--runs", "30", "--ell", "2",
     ],
+    "distance-p1-p2-exp": [
+        "distance", *P1, "--against", P2[1], "--penalty", "rho2",
+        "--steps", "20", "--runs", "30", "--ell", "3", "--set", "discount=exp:0.9",
+    ],
     "distance-p2-p1": [
         "distance", *P2, "--against", P1[1], "--penalty", "rho1",
         "--steps", "20", "--runs", "30", "--ell", "2",
@@ -49,6 +58,24 @@ CASES: dict[str, list[str]] = {
     "check-drift": [
         "check", *DRIFT, "--formula", str(REPO / "bench" / "inputs" / "long-horizon.evtl"),
         "--steps", "40", "--runs", "20", "--ell", "2",
+    ],
+    "check-drift-left": ["check", *DRIFT, *LEFT_CHAIN, "--steps", "40", "--runs", "20", "--ell", "2"],
+    "check-drift-left-figure": [
+        "check", *DRIFT, *LEFT_CHAIN, "--steps", "40", "--runs", "20", "--ell", "2",
+        "--set", "until-mode=figure",
+    ],
+    "check-p1-left": ["check", *P1, *LEFT_TANKS, "--steps", "45", "--runs", "30", "--ell", "3"],
+    "check-p1-left-figure": [
+        "check", *P1, *LEFT_TANKS, "--steps", "45", "--runs", "30", "--ell", "3",
+        "--set", "until-mode=figure",
+    ],
+    "check-drift-exp": [
+        "check", *DRIFT, "--formula", str(REPO / "bench" / "inputs" / "long-horizon.evtl"),
+        "--steps", "40", "--runs", "20", "--ell", "2", "--set", "discount=exp:0.98",
+    ],
+    "check-p1-exp": [
+        "check", *P1, *SETTLE, "--steps", "60", "--runs", "30", "--ell", "2",
+        "--set", "discount=exp:0.98",
     ],
     "stats-p1": ["stats", *P1, "--steps", "12", "--runs", "30", "--reference-runs", "60"],
     "stats-p2-two-blocks": [
@@ -63,6 +90,30 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "9fc6308a77e602053ca5079b095bbba65c86cab3a671da4c8092eb2ee7851e28",
         "4cde123d9576d924eb7950d6795eb6637726f1856cfce7c9966b13c6b3b5c67e",
     ),
+    "check-drift-exp": (
+        "2efabd5424dcd5d347d08f53e3673916c5c70849014ec8b2315668fe351cbc94",
+        "b9a4e0480341cc5d184f459a49fb8e055418193c043273f983b3c7e9b38e4b4e",
+    ),
+    "check-drift-left": (
+        "ee92de5fd5193edb364ce568c3bfeac34d5ed7baf8fd399b1b6ad806bd833dbe",
+        "8b8249e38a3fddad6ad6ccb4e2b6ce051f45b1662ebe7a9e076195b1e02ddc01",
+    ),
+    "check-drift-left-figure": (
+        "cd021a2d51f6524e73b2f5c50e2c0853f06121d042d50fa5efa4a16563db3ef4",
+        "70793e5ddc2cd116bb79708999e627b4bd350a0a536749947a3965fdcc308585",
+    ),
+    "check-p1-exp": (
+        "b7ff79a894bb816bcad3f7c33fac6c67fa85546ce1461316c7da94380a691d2b",
+        "a85120eaef0fcfcae3e59bbd48840169ae5a2b0a0c619423797d07054f9f9f9b",
+    ),
+    "check-p1-left": (
+        "0d575a9b0b4d39190fba66d0d71669e1520e23fb5da4102001320862c5d01482",
+        "e90079e677274662e901b2b85965af1830b9eaa29afa4b795c109393d1fc621e",
+    ),
+    "check-p1-left-figure": (
+        "f519843d00ec3b46487a2e0d7d3e5472a367e37a03fea9202f5c68cf2cbfea5f",
+        "c9f6f68d7e2da51d76a77ca4e49c5b1239aed1202d35d5c67aa029b1d4f0f12c",
+    ),
     "check-p1-settle": (
         "5d3aade87676b604e181392d971b7535750529da7983bdeb4240afd282eb0669",
         "cdcd216c6620b47eb6592af0ac39a0bd49c4b1fabbaf137dfd0a5f1da68f785f",
@@ -74,6 +125,10 @@ GOLDEN: dict[str, tuple[str, str]] = {
     "distance-p1-p2": (
         "012372f125697e7ed1950dabbe03676544839a53446fd8fee88fc011010f31d4",
         "4f1318c6a1f6b899e67f295c4d161b53bbd891b67cd1cf9ff4b497b8d1951982",
+    ),
+    "distance-p1-p2-exp": (
+        "9558fec3539ce81295825a808dcdf0063ee2d68bf2d28d9983065037d7c34a67",
+        "321cb9aa362c2f33c7feb4e1321c861574b6caf2aefaf98f23e84bf84f37d709",
     ),
     "distance-p2-p1": (
         "51bf6e64586e0f2eeaba5754023e09a9652d168a9b781fbc5941b2214376dab1",
