@@ -3,8 +3,9 @@
 Evaluation walks the formula tree once per node, producing a robustness
 value in [-1, 1] for every start index 0..k of the estimate. Atom values
 come from one-sided distances between freshly sampled reference
-distributions and the estimated per-step samples; Boolean and temporal
-structure is pure array algebra on the children's series.
+distributions and the estimated per-step samples, computed in blocks of
+time indices; Boolean and temporal structure is pure array algebra on the
+children's series, with one array pass per until window offset.
 
 Atom sampling draws from RNG streams keyed by the atom's printed form and
 the time index, never by its position in the tree. Two consequences, both
@@ -19,8 +20,9 @@ times) but are flagged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .formulas import (
     Hazard,
     Not,
     Or,
+    PointMass,
     Target,
     Truth,
     Until,
@@ -39,13 +42,16 @@ from .formulas import (
     validate,
 )
 from .simulation import EvolutionEstimate, MarkovKernel, RandomnessPlan, estimate
-from .spaces import DataState
-from .wasserstein import one_sided_wasserstein
+from .spaces import DataState, SampleSet
+
+# one_sided_wasserstein is not called here; bench/run.py traces this name
+from .wasserstein import one_sided_rows, one_sided_wasserstein  # noqa: F401
 
 __all__ = [
     "UntilMode",
     "RobustnessSeries",
     "until_combine",
+    "fold",
     "evaluate",
     "CheckResult",
     "check_formula",
@@ -102,51 +108,62 @@ def until_combine(
     The two modes differ in the left-min's range: ``semantics`` uses the
     half-open [i+lo, tau') (empty at the first offset), ``figure`` uses the
     inclusive [i, tau'].
+
+    Cost: one array pass over all start indices per window offset, O(w)
+    passes for width w. Min and max keep Python's tie rules (``min(a, b)``
+    is ``a`` unless ``b < a``), not numpy's, so signed zeros stay as-is.
     """
     if left.shape != right.shape:
         raise ValueError("series lengths differ")
-    k = len(left) - 1
-    out = np.full(k + 1, -1.0)
-    for i in range(k + 1):
-        best = -1.0
+    if mode not in ("semantics", "figure"):
+        raise ValueError(f"unknown until mode {mode!r}")
+    n = len(left)
+    best, run = np.full(n, -1.0), np.ones(n)
+    for d in range(lo if mode == "semantics" else 0, min(hi, n - 1) + 1):
+        # views onto start indices 0..n-1-d, whose offset-d time is i + d
+        b, r, x, y = best[: n - d], run[: n - d], left[d:], right[d:]
+        if mode == "figure":
+            np.copyto(r, x, where=x < r)
+        if d >= lo:
+            cand = np.where(r < y, r, y)
+            np.copyto(b, cand, where=cand > b)
         if mode == "semantics":
-            run = 1.0
-            for j in range(i + lo, min(i + hi, k) + 1):
-                best = max(best, min(float(right[j]), run))
-                run = min(run, float(left[j]))
-        elif mode == "figure":
-            run = 1.0
-            for j in range(i, min(i + hi, k) + 1):
-                run = min(run, float(left[j]))
-                if j >= i + lo:
-                    best = max(best, min(float(right[j]), run))
-        else:
-            raise ValueError(f"unknown until mode {mode!r}")
-        out[i] = best
-    return out
+            np.copyto(r, x, where=x < r)
+    return best
+
+
+# penalty values per block of time indices; bounds every block temporary
+_BLOCK_VALUES = 1 << 14
 
 
 def _atom_values(
-    atom: Target | Hazard,
     est: EvolutionEstimate,
     base_runs: int,
     plan: RandomnessPlan,
     discount: Discount,
+    atom: Target | Hazard,
 ) -> np.ndarray:
-    ratio = est.runs // base_runs
-    words = content_words(atom)
-    out = np.empty(est.steps + 1)
-    for i in range(est.steps + 1):
-        rng = plan.substream(1, *words, i)
-        if isinstance(atom, Target):
-            ref = atom.dist.sample(est.space, base_runs, rng)
-            dist = one_sided_wasserstein(ref, est.at(i), atom.penalty, i)
-            out[i] = atom.threshold - discount(i) * dist
+    target = isinstance(atom, Target)
+    n_ref, n_obs = (base_runs, est.runs) if target else (est.runs, base_runs)
+    space, pen, words = est.space, atom.penalty, content_words(atom)
+    # a point mass draws nothing: it is sampled once, without a stream
+    fixed = atom.dist.sample(space, n_ref, None) if isinstance(atom.dist, PointMass) else None
+    # a block is one projection, so a time-dependent penalty gets one-index blocks
+    width = 1 if pen.time_dependent else max(1, _BLOCK_VALUES // est.runs)
+    dist = np.empty(est.steps + 1)
+    for t0 in range(0, est.steps + 1, width):
+        t1 = min(t0 + width, est.steps + 1)
+        if fixed is None:
+            rows = range(t0, t1)
+            draws = (atom.dist.sample(space, n_ref, plan.substream(1, *words, i)) for i in rows)
+            ref = np.stack([pen.project(sample, i) for i, sample in zip(rows, draws)])
         else:
-            ref = atom.dist.sample(est.space, ratio * base_runs, rng)
-            dist = one_sided_wasserstein(est.at(i).take(base_runs), ref, atom.penalty, i)
-            out[i] = discount(i) * dist - atom.threshold
-    return out
+            ref = np.broadcast_to(pen.project(fixed, t0), (t1 - t0, n_ref))
+        block = est.values[t0:t1, :n_obs].reshape(-1, space.dim)
+        obs = pen.project(SampleSet(space, block), t0).reshape(t1 - t0, n_obs)
+        dist[t0:t1] = one_sided_rows(ref, obs) if target else one_sided_rows(obs, ref)
+    scale = np.array([discount(i) for i in range(est.steps + 1)])
+    return atom.threshold - scale * dist if target else scale * dist - atom.threshold
 
 
 def evaluate(
@@ -167,20 +184,29 @@ def evaluate(
     if base_runs < 1 or est.runs % base_runs != 0:
         raise ValueError(f"estimate holds {est.runs} runs, not a multiple of N={base_runs}")
     validate(formula, est.space)
-    cache: dict[Formula, np.ndarray] = {}
+    atom_fn = functools.partial(_atom_values, est, base_runs, plan, discount)
+    return fold(formula, est.steps, atom_fn, until_mode)
 
+
+def fold(
+    formula: Formula,
+    steps: int,
+    atom_fn: Callable[[Target | Hazard], np.ndarray],
+    until_mode: UntilMode = "semantics",
+) -> RobustnessSeries:
+    """Robustness series over start indices 0..steps from each atom's series.
+
+    The series algebra shared by the sampled and the exact atom routes;
+    repeated subformulas are computed once.
+    """
+
+    @functools.cache
     def walk(f: Formula) -> np.ndarray:
-        got = cache.get(f)
-        if got is None:
-            cache[f] = got = compute(f)
-        return got
-
-    def compute(f: Formula) -> np.ndarray:
         match f:
             case Truth():
-                return np.ones(est.steps + 1)
+                return np.ones(steps + 1)
             case Target() | Hazard():
-                return _atom_values(f, est, base_runs, plan, discount)
+                return atom_fn(f)
             case Not(child=c):
                 return -walk(c)
             case Or(left=l, right=r):

@@ -26,6 +26,7 @@ from .formulas import Discount
 
 __all__ = [
     "exact_one_sided_wasserstein",
+    "one_sided_rows",
     "one_sided_wasserstein",
     "DivergenceReport",
     "evolution_divergence",
@@ -72,6 +73,21 @@ def _checked(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     return v[order], w[order]
 
 
+def one_sided_rows(omega: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Row-wise one-sided distance from A to B, given penalty projections.
+
+    Row t of ``omega`` (T, n) and ``nu`` (T, l*n) is one comparison: the h-th
+    smallest of ``nu[t]`` is paired against the ceil(h/l)-th smallest of
+    ``omega[t]`` and the positive parts are averaged, the same bits per row
+    as a one-row call.
+    """
+    (t, n), (t_nu, m) = omega.shape, nu.shape
+    if t != t_nu or n == 0 or m == 0 or m % n != 0:
+        raise ValueError(f"sample sizes {m} vs {n}: need an integer ratio")
+    lower = np.repeat(np.sort(omega, axis=1), m // n, axis=1)
+    return np.mean(np.maximum(np.sort(nu, axis=1) - lower, 0.0), axis=1)
+
+
 def one_sided_wasserstein(
     a: SampleSet,
     b: SampleSet,
@@ -80,19 +96,12 @@ def one_sided_wasserstein(
 ) -> float:
     """Estimate the one-sided distance from A to B through a penalty.
 
-    ``b`` must hold an integer multiple of ``a``'s samples; with N and l*N
-    samples the estimate pairs the h-th smallest of B against the
-    ceil(h/l)-th smallest of A and averages the positive parts. Agrees
-    exactly with :func:`exact_one_sided_wasserstein` on the corresponding
-    uniform empirical distributions.
+    ``b`` must hold an integer multiple of ``a``'s samples; this is the
+    one-row case of :func:`one_sided_rows`. Agrees exactly with
+    :func:`exact_one_sided_wasserstein` on the corresponding uniform
+    empirical distributions.
     """
-    n, m = len(a), len(b)
-    if n == 0 or m == 0 or m % n != 0:
-        raise ValueError(f"sample sizes {m} vs {n}: need an integer ratio")
-    ell = m // n
-    omega = np.sort(penalty.project(a, tau))
-    nu = np.sort(penalty.project(b, tau))
-    return float(np.mean(np.maximum(nu - np.repeat(omega, ell), 0.0)))
+    return float(one_sided_rows(penalty.project(a, tau)[None], penalty.project(b, tau)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -137,7 +146,6 @@ def evolution_divergence(
             raise ValueError(f"observation times outside 0..{steps}")
     if not times:
         raise ValueError("no observation times")
-    vals = tuple(
-        discount(t) * one_sided_wasserstein(a.at(t), b.at(t), penalty, t) for t in times
-    )
-    return DivergenceReport(times, vals)
+    omega, nu = (np.stack([penalty.project(e.at(t), t) for t in times]) for e in (a, b))
+    dist = one_sided_rows(omega, nu)
+    return DivergenceReport(times, tuple(discount(t) * float(d) for t, d in zip(times, dist)))

@@ -300,6 +300,32 @@ def test_load_shipped_chains():
     assert max(fwd.value, rev.value) > 0.1
 
 
+@pytest.mark.parametrize("name", ["drift.json", "drift-fast.json"])
+def test_array_penalty_equals_scalar_penalty_in_any_state_order(name):
+    chain = load_chain(str(REPO / "chains" / name))
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        perm = rng.permutation(chain.n_states)
+        shuffled = FiniteChain(
+            chain.variable,
+            [chain.values[i] for i in perm],
+            chain.transition[np.ix_(perm, perm)],
+            chain.initial[perm],
+            chain.penalty_values[perm],
+        )
+        states = rng.permutation(np.repeat(shuffled.values, 4))
+        got = shuffled.penalty.project(SampleSet(shuffled.space, states[:, None]))
+        want = [shuffled.penalty(shuffled.state(v)) for v in states]
+        assert got.tolist() == want
+
+
+def test_array_penalty_rejects_a_value_that_is_no_state():
+    chain = two_state_chain(0.3, 0.2)
+    for stray in (0.5, 7.0, np.nan):
+        with pytest.raises(KeyError):
+            chain.penalty.project(SampleSet(chain.space, np.array([[0.0], [stray]])))
+
+
 def test_load_chain_reports_missing_fields(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"variable": "x", "values": [0, 1]}')

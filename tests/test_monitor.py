@@ -2,7 +2,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from evtl import monitor
 from evtl.formulas import (
     Discount,
     Hazard,
@@ -14,6 +16,7 @@ from evtl.formulas import (
     Truth,
     Until,
     conj,
+    content_words,
     eventually,
     horizon,
 )
@@ -25,7 +28,8 @@ from evtl.monitor import (
     until_combine,
 )
 from evtl.simulation import RandomnessPlan, estimate
-from evtl.spaces import DataSpace, Interval, identity_penalty
+from evtl.spaces import DataSpace, Interval, Penalty, identity_penalty
+from evtl.wasserstein import one_sided_wasserstein
 
 from test_simulation import WalkKernel
 
@@ -96,6 +100,54 @@ def test_until_rejects_mismatched_series():
         until_combine(LEFT, RIGHT[:3], 0, 1)
     with pytest.raises(ValueError):
         until_combine(LEFT, RIGHT, 0, 1, mode="strict")
+
+
+def scalar_until(left, right, lo, hi, mode):
+    """The per-cell Python loop that until_combine replaced, kept as its oracle."""
+    k = len(left) - 1
+    out = np.full(k + 1, -1.0)
+    for i in range(k + 1):
+        best = -1.0
+        run = 1.0
+        if mode == "semantics":
+            for j in range(i + lo, min(i + hi, k) + 1):
+                best = max(best, min(float(right[j]), run))
+                run = min(run, float(left[j]))
+        else:
+            for j in range(i, min(i + hi, k) + 1):
+                run = min(run, float(left[j]))
+                if j >= i + lo:
+                    best = max(best, min(float(right[j]), run))
+        out[i] = best
+    return out
+
+
+# ties and signed zeros are where np.minimum/np.maximum and Python's
+# min/max part ways, so the values come mostly from a small pool
+_SERIES_VALUE = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0]) | st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_SERIES_VALUE, _SERIES_VALUE), min_size=1, max_size=14),
+    lo=st.integers(0, 16),
+    width=st.integers(-1, 16),
+    mode=st.sampled_from(["semantics", "figure"]),
+)
+def test_until_matches_the_scalar_loop_bit_for_bit(pairs, lo, width, mode):
+    # lo past the series end, hi past it and empty windows (width -1) included
+    left = np.array([a for a, _ in pairs])
+    right = np.array([b for _, b in pairs])
+    got = until_combine(left, right, lo, lo + width, mode)
+    assert got.tobytes() == scalar_until(left, right, lo, lo + width, mode).tobytes()
+
+
+def test_until_keeps_python_tie_rules_on_signed_zeros():
+    # min(-0.0, run=0.0) keeps -0.0 and max(-1.0, -0.0) takes it
+    left = np.array([0.0, 0.0])
+    right = np.array([-0.0, 0.0])
+    out = until_combine(left, right, 0, 1, "semantics")
+    assert out.tobytes() == np.array([-0.0, 0.0]).tobytes()
 
 
 # --- atom values on a deterministic system ---------------------------------
@@ -218,6 +270,79 @@ def test_evaluate_validates_variables(unit):
     stray = Target(ProductNormal((("z", 0.0, 1.0),)), pen, 0.5)
     with pytest.raises(KeyError):
         evaluate(est, stray, 8, RandomnessPlan(0))
+
+
+# --- batched atom route against the per-index route -------------------------
+
+
+def per_index_atom(atom, est, base_runs, plan, discount):
+    """One reference draw and one one-sided distance per time index."""
+    words = content_words(atom)
+    out = np.empty(est.steps + 1)
+    for i in range(est.steps + 1):
+        rng = plan.substream(1, *words, i)
+        if isinstance(atom, Target):
+            ref = atom.dist.sample(est.space, base_runs, rng)
+            dist = one_sided_wasserstein(ref, est.at(i), atom.penalty, i)
+            out[i] = atom.threshold - discount(i) * dist
+        else:
+            ref = atom.dist.sample(est.space, est.runs, rng)
+            dist = one_sided_wasserstein(est.at(i).take(base_runs), ref, atom.penalty, i)
+            out[i] = discount(i) * dist - atom.threshold
+    return out
+
+
+DISCOUNTS = [Discount(), Discount.constant(0.7), Discount.exponential(0.9)]
+
+
+@pytest.mark.parametrize("block_values", [monitor._BLOCK_VALUES, 70])
+@pytest.mark.parametrize("ell", [1, 3])
+@pytest.mark.parametrize("discount", DISCOUNTS, ids=lambda d: d.spec())
+@pytest.mark.parametrize("kind", [Target, Hazard])
+def test_atom_series_equals_the_per_index_route(kind, discount, ell, block_values, monkeypatch):
+    # 70 penalty values per block splits the horizon into uneven blocks
+    monkeypatch.setattr(monitor, "_BLOCK_VALUES", block_values)
+    base_runs = 12
+    est, _, _ = stochastic_setup(steps=20, runs=ell * base_runs)
+    pen = identity_penalty(est.space, "x", name="px")
+    plan = RandomnessPlan(5)
+    for dist in (ProductNormal((("x", 0.4, 0.05),)), PointMass((("x", 0.3),))):
+        atom = kind(dist, pen, 0.2)
+        got = evaluate(est, atom, base_runs, plan, discount).values
+        assert np.array_equal(got, per_index_atom(atom, est, base_runs, plan, discount))
+
+
+def test_point_mass_atom_is_sampled_once_without_streams(monkeypatch):
+    est, _, _ = stochastic_setup(steps=15, runs=24)
+    pen = identity_penalty(est.space, "x", name="px")
+    plan = RandomnessPlan(5)
+    atoms = [kind(PointMass((("x", 0.6),)), pen, 0.1) for kind in (Target, Hazard)]
+    want = [per_index_atom(a, est, 12, plan, Discount()) for a in atoms]
+    streams = []
+    real = RandomnessPlan.substream
+    monkeypatch.setattr(RandomnessPlan, "substream", lambda self, *k: streams.append(k) or real(self, *k))
+    for atom, series in zip(atoms, want):
+        assert np.array_equal(evaluate(est, atom, 12, plan).values, series)
+    assert streams == []
+
+
+@pytest.mark.parametrize("vectorised", [True, False])
+def test_time_dependent_penalty_sees_each_rows_tau(vectorised, monkeypatch):
+    monkeypatch.setattr(monitor, "_BLOCK_VALUES", 40)
+    est, _, _ = stochastic_setup(steps=12, runs=20)
+    late = Penalty(
+        "late",
+        ("x",),
+        lambda d, tau: d.values[0] * (tau + 1) / 13,
+        time_dependent=True,
+        array_fn=(lambda vals, tau: vals[:, 0] * (tau + 1) / 13) if vectorised else None,
+    )
+    plan = RandomnessPlan(9)
+    for dist in (ProductNormal((("x", 0.5, 0.05),)), PointMass((("x", 0.2),))):
+        for atom in (Target(dist, late, 0.3), Hazard(dist, late, 0.1)):
+            got = evaluate(est, atom, 10, plan, Discount.exponential(0.95)).values
+            want = per_index_atom(atom, est, 10, plan, Discount.exponential(0.95))
+            assert np.array_equal(got, want)
 
 
 # --- series bookkeeping -----------------------------------------------------

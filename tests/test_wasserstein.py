@@ -9,6 +9,7 @@ from evtl.spaces import SampleSet
 from evtl.wasserstein import (
     evolution_divergence,
     exact_one_sided_wasserstein,
+    one_sided_rows,
     one_sided_wasserstein,
 )
 
@@ -96,6 +97,31 @@ def test_estimator_requires_integer_ratio(unit_space, unit_penalty):
         one_sided_wasserstein(
             unit_samples(unit_space, [0.1, 0.2]), unit_samples(unit_space, [0.1] * 3), unit_penalty
         )
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_row_estimator_equals_one_dimensional_rows(data):
+    # the one-dimensional formula the row-wise routine replaced, per row
+    rows = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, 40))
+    ell = data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    omega = rng.choice([-0.0, 0.0, 0.5, 1.0], size=(rows, n)) if seed % 2 else rng.random((rows, n))
+    nu = rng.random((rows, ell * n))
+    got = one_sided_rows(omega, nu)
+    for t in range(rows):
+        lower = np.repeat(np.sort(omega[t]), ell)
+        want = float(np.mean(np.maximum(np.sort(nu[t]) - lower, 0.0)))
+        assert got[t] == want
+
+
+def test_row_estimator_requires_matching_rows_and_ratio():
+    with pytest.raises(ValueError):
+        one_sided_rows(np.zeros((2, 3)), np.zeros((3, 6)))
+    with pytest.raises(ValueError):
+        one_sided_rows(np.zeros((2, 3)), np.zeros((2, 7)))
 
 
 def test_estimator_self_distance_is_zero(unit_space, unit_penalty):
