@@ -217,9 +217,9 @@ class Penalty:
     """Named scoring function mapping states into [0, 1].
 
     ``fn`` takes a state (and the time index too when ``time_dependent``).
-    ``array_fn``, when given, must map an (N, dim) value array and a time
-    index to N raw scores; it exists so projections of large sample sets stay
-    vectorized. Raw scores are clamped into [0, 1] on the way out.
+    ``array_fn``, when given, maps an (N, dim) value array and a time index
+    to N raw scores; unless ``time_dependent`` it must ignore the index, as
+    one call may project rows of many time indices. Scores are clamped to [0, 1].
     """
 
     __slots__ = ("name", "variables", "fn", "time_dependent", "array_fn")
