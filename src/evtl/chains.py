@@ -24,12 +24,16 @@ from .formulas import (
     EmpiricalRef,
     Formula,
     Hazard,
+    Not,
+    Or,
     PointMass,
     ProductNormal,
     Target,
+    Truth,
+    Until,
     horizon,
 )
-from .monitor import RobustnessSeries, UntilMode, fold
+from .monitor import RobustnessSeries, UntilMode, until_combine
 from .wasserstein import DivergenceReport, exact_one_sided_wasserstein
 
 __all__ = [
@@ -80,18 +84,22 @@ class FiniteChain:
         self.penalty_values = rho
         self.space = DataSpace({variable: FiniteSet(vals)})
         table = {v: float(r) for v, r in zip(vals, rho)}
+        col = 0
         # values need not be listed in order, so scores are found by sorted value
         order = np.argsort(vals)
         keys, scores = np.asarray(vals)[order], rho[order]
 
         def lookup(arr: np.ndarray, tau: int) -> np.ndarray:
-            pos = np.minimum(np.searchsorted(keys, arr[:, 0]), n - 1)
-            if not np.array_equal(keys[pos], arr[:, 0]):
+            pos = np.minimum(np.searchsorted(keys, arr[:, col]), n - 1)
+            if not np.array_equal(keys[pos], arr[:, col]):
                 raise KeyError("value is not a state of the chain")
             return scores[pos]
 
         self.penalty = Penalty(
-            penalty_name, (variable,), lambda d: table[d.values[0]], array_fn=lookup
+            penalty_name,
+            (variable,),
+            lambda d: table[d.values[col]],
+            array_fn=lookup,
         )
 
     @property
@@ -208,24 +216,29 @@ def _reference_weights(chain: FiniteChain, dist) -> np.ndarray:
         for v, mean, variance in dist.entries:
             if v == var:
                 return _snapped_weights(chain, mean, variance)
-    elif isinstance(dist, PointMass):
+        raise ValueError(f"reference does not constrain chain variable {var!r}")
+    if isinstance(dist, PointMass):
         for v, value in dist.assignments:
             if v == var:
                 w = np.zeros(chain.n_states)
                 w[chain.state_index(snap.clamp(value))] = 1.0
                 return w
-    elif isinstance(dist, EmpiricalRef):
+        raise ValueError(f"reference does not constrain chain variable {var!r}")
+    if isinstance(dist, EmpiricalRef):
         names = dist.samples.space.names
-        if var in names:
-            col = dist.samples.values[:, names.index(var)]
-            sample_w = np.full(len(col), 1.0 / len(col)) if dist.weights is None else dist.weights
-            w = np.zeros(chain.n_states)
-            for x, wx in zip(col, sample_w):
-                w[chain.state_index(snap.clamp(float(x)))] += wx
-            return w
-    else:
-        raise TypeError(f"unsupported reference distribution {dist!r}")
-    raise ValueError(f"reference does not constrain chain variable {var!r}")
+        if var not in names:
+            raise ValueError(f"reference does not constrain chain variable {var!r}")
+        col = dist.samples.values[:, names.index(var)]
+        sample_w = (
+            dist.weights
+            if dist.weights is not None
+            else np.full(len(col), 1.0 / len(col))
+        )
+        w = np.zeros(chain.n_states)
+        for x, wx in zip(col, sample_w):
+            w[chain.state_index(snap.clamp(float(x)))] += wx
+        return w
+    raise TypeError(f"unsupported reference distribution {dist!r}")
 
 
 def exact_robustness(
@@ -244,6 +257,7 @@ def exact_robustness(
     """
     k = horizon(formula) if steps is None else steps
     marginals = transient_distributions(chain, k)
+    cache: dict[Formula, np.ndarray] = {}
 
     def atom_series(atom: Target | Hazard) -> np.ndarray:
         ref_w = _reference_weights(chain, atom.dist)
@@ -259,7 +273,27 @@ def exact_robustness(
                 out[t] = discount(t) * d - atom.threshold
         return out
 
-    return fold(formula, k, atom_series, until_mode)
+    def walk(f: Formula) -> np.ndarray:
+        got = cache.get(f)
+        if got is not None:
+            return got
+        match f:
+            case Truth():
+                r = np.ones(k + 1)
+            case Target() | Hazard():
+                r = atom_series(f)
+            case Not(child=c):
+                r = -walk(c)
+            case Or(left=l, right=rr):
+                r = np.maximum(walk(l), walk(rr))
+            case Until(left=l, right=rr, lo=lo, hi=hi):
+                r = until_combine(walk(l), walk(rr), lo, hi, until_mode)
+            case _:
+                raise TypeError(f"not a formula: {f!r}")
+        cache[f] = r
+        return r
+
+    return RobustnessSeries(walk(formula), horizon(formula), until_mode)
 
 
 def _directional_profile(

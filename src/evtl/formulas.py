@@ -273,8 +273,11 @@ class Truth:
 
 
 @dataclass(frozen=True)
-class _Atom:
-    """Distribution atom: a reference, a penalty and a threshold in [0, 1]."""
+class Target:
+    """Satisfied when the state distribution is near the reference.
+
+    Robustness at time tau: threshold - discount(tau) * dist(ref -> state).
+    """
 
     dist: Distribution
     penalty: Penalty
@@ -285,26 +288,28 @@ class _Atom:
             raise ValueError("threshold must lie in [0, 1]")
 
     def pretty(self) -> str:
-        name = type(self).__name__.lower()
-        return f"{name}({self.dist.pretty()}, {self.penalty.name}, {_fmt(self.threshold)})"
+        return f"target({self.dist.pretty()}, {self.penalty.name}, {_fmt(self.threshold)})"
 
 
 @dataclass(frozen=True)
-class Target(_Atom):
-    """Satisfied when the state distribution is near the reference.
-
-    Robustness at time tau: threshold - discount(tau) * dist(ref -> state).
-    """
-
-
-@dataclass(frozen=True)
-class Hazard(_Atom):
+class Hazard:
     """Satisfied when the state distribution stays away from the reference.
 
     Robustness at time tau: discount(tau) * dist(state -> ref) - threshold.
     Not expressible as a negated target: the two atoms use opposite
     directions of the one-sided distance.
     """
+
+    dist: Distribution
+    penalty: Penalty
+    threshold: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("threshold must lie in [0, 1]")
+
+    def pretty(self) -> str:
+        return f"hazard({self.dist.pretty()}, {self.penalty.name}, {_fmt(self.threshold)})"
 
 
 @dataclass(frozen=True)

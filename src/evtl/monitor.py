@@ -20,9 +20,8 @@ times) but are flagged.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -51,7 +50,6 @@ __all__ = [
     "UntilMode",
     "RobustnessSeries",
     "until_combine",
-    "fold",
     "evaluate",
     "CheckResult",
     "check_formula",
@@ -137,11 +135,11 @@ _BLOCK_VALUES = 1 << 14
 
 
 def _atom_values(
+    atom: Target | Hazard,
     est: EvolutionEstimate,
     base_runs: int,
     plan: RandomnessPlan,
     discount: Discount,
-    atom: Target | Hazard,
 ) -> np.ndarray:
     target = isinstance(atom, Target)
     n_ref, n_obs = (base_runs, est.runs) if target else (est.runs, base_runs)
@@ -184,29 +182,20 @@ def evaluate(
     if base_runs < 1 or est.runs % base_runs != 0:
         raise ValueError(f"estimate holds {est.runs} runs, not a multiple of N={base_runs}")
     validate(formula, est.space)
-    atom_fn = functools.partial(_atom_values, est, base_runs, plan, discount)
-    return fold(formula, est.steps, atom_fn, until_mode)
+    cache: dict[Formula, np.ndarray] = {}
 
-
-def fold(
-    formula: Formula,
-    steps: int,
-    atom_fn: Callable[[Target | Hazard], np.ndarray],
-    until_mode: UntilMode = "semantics",
-) -> RobustnessSeries:
-    """Robustness series over start indices 0..steps from each atom's series.
-
-    The series algebra shared by the sampled and the exact atom routes;
-    repeated subformulas are computed once.
-    """
-
-    @functools.cache
     def walk(f: Formula) -> np.ndarray:
+        got = cache.get(f)
+        if got is None:
+            cache[f] = got = compute(f)
+        return got
+
+    def compute(f: Formula) -> np.ndarray:
         match f:
             case Truth():
-                return np.ones(steps + 1)
+                return np.ones(est.steps + 1)
             case Target() | Hazard():
-                return atom_fn(f)
+                return _atom_values(f, est, base_runs, plan, discount)
             case Not(child=c):
                 return -walk(c)
             case Or(left=l, right=r):

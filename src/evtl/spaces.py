@@ -159,6 +159,11 @@ class DataState:
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.space.names, self.values))
 
+    def replace(self, **changes: float) -> "DataState":
+        d = self.as_dict()
+        d.update(changes)
+        return self.space.state(d)
+
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, DataState)

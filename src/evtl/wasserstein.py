@@ -146,6 +146,7 @@ def evolution_divergence(
             raise ValueError(f"observation times outside 0..{steps}")
     if not times:
         raise ValueError("no observation times")
-    omega, nu = (np.stack([penalty.project(e.at(t), t) for t in times]) for e in (a, b))
-    dist = one_sided_rows(omega, nu)
-    return DivergenceReport(times, tuple(discount(t) * float(d) for t, d in zip(times, dist)))
+    vals = tuple(
+        discount(t) * one_sided_wasserstein(a.at(t), b.at(t), penalty, t) for t in times
+    )
+    return DivergenceReport(times, vals)

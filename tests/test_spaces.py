@@ -51,6 +51,7 @@ def test_space_state_construction():
         space.state(a=0.5)  # missing b
     with pytest.raises(KeyError):
         space.state(a=0.5, b=0.0, c=1.0)
+    assert d.replace(a=0.25)["a"] == 0.25
     assert d == space.state(a=0.5, b=2.0)
     assert hash(d) == hash(space.state(a=0.5, b=2.0))
 
