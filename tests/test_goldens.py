@@ -9,6 +9,9 @@ bytes. ``stats-p2-two-blocks`` uses more reference runs than one
 The ``-left`` cases use formulas from ``tests/data`` whose untils have a
 left operand other than ``true``, so the left running minimum and both
 until modes are pinned; the ``-exp`` cases pin a decaying discount.
+``estimate-p1-wide`` has three-digit run and time columns, and the
+``-long`` cases four-digit time columns and series longer than one
+block of CSV rows.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ CASES: dict[str, list[str]] = {
     "simulate-p2": ["simulate", *P2, "--steps", "40", "--seed", "5"],
     "simulate-drift": ["simulate", *DRIFT, "--steps", "30"],
     "simulate-drift-run3": ["simulate", *DRIFT, "--steps", "30", "--run", "3"],
+    "simulate-drift-long": ["simulate", *DRIFT, "--steps", "1500"],
     "estimate-p1": ["estimate", *P1, "--steps", "15", "--runs", "24"],
     "estimate-p2": ["estimate", *P2, "--steps", "15", "--runs", "24"],
     "estimate-drift": ["estimate", *DRIFT, "--steps", "10", "--runs", "20"],
+    "estimate-p1-wide": ["estimate", *P1, "--steps", "120", "--runs", "120"],
     "distance-p1-p2": [
         "distance", *P1, "--against", P2[1], "--penalty", "rho3",
         "--steps", "20", "--runs", "30", "--ell", "2",
@@ -58,6 +63,10 @@ CASES: dict[str, list[str]] = {
     "check-drift": [
         "check", *DRIFT, "--formula", str(REPO / "bench" / "inputs" / "long-horizon.evtl"),
         "--steps", "40", "--runs", "20", "--ell", "2",
+    ],
+    "check-drift-long": [
+        "check", *DRIFT, "--formula", str(REPO / "bench" / "inputs" / "long-horizon.evtl"),
+        "--steps", "1500", "--runs", "10", "--ell", "2",
     ],
     "check-drift-left": ["check", *DRIFT, *LEFT_CHAIN, "--steps", "40", "--runs", "20", "--ell", "2"],
     "check-drift-left-figure": [
@@ -102,6 +111,10 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "cd021a2d51f6524e73b2f5c50e2c0853f06121d042d50fa5efa4a16563db3ef4",
         "70793e5ddc2cd116bb79708999e627b4bd350a0a536749947a3965fdcc308585",
     ),
+    "check-drift-long": (
+        "b2637e40da7bbab921fdad85fffd937847129d81d333fed269c6af5c076f4fed",
+        "0c06da283553bb10248640b124997a6f25a9a3377784ab085a569262ab5d07d8",
+    ),
     "check-p1-exp": (
         "b7ff79a894bb816bcad3f7c33fac6c67fa85546ce1461316c7da94380a691d2b",
         "a85120eaef0fcfcae3e59bbd48840169ae5a2b0a0c619423797d07054f9f9f9b",
@@ -142,12 +155,20 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "5df5fa3b95c0637c1446a2a379287de7bbc44c6efb308ddeea6985a91075b5ae",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    "estimate-p1-wide": (
+        "58d3ab70f4f642fa860dc46e8b49d6b5fdf768bdc6eef2b11510f1dd44d93fda",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
     "estimate-p2": (
         "6750bb2731c85afb6daf4d0efd2d5aaffd970808033b1a3e1238710e5ea1a43b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "simulate-drift": (
         "a4ab878a8d152b7602ed9da4e32085b1bef4af8cc20efc63a9de254e23934ade",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "simulate-drift-long": (
+        "7d6a4de14cf6a5dea56ca38c12e466f122f4b04cb4d69313b34b22fffdd90ff8",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "simulate-drift-run3": (
