@@ -116,11 +116,10 @@ class FiniteChain:
         """Most likely initial value (ties to the earlier listed one)."""
         return self.state(self.values[int(np.argmax(self.initial))])
 
-    def penalty_projection(self, weights: np.ndarray, penalty: Penalty | None = None, tau: int = 0):
-        """Finite distribution of penalty scores under the given state weights."""
+    def penalty_scores(self, penalty: Penalty | None = None, tau: int = 0) -> np.ndarray:
+        """Penalty score of each chain value, one scalar call per state."""
         pen = penalty or self.penalty
-        scores = np.array([pen(self.state(v), tau) for v in self.values])
-        return scores, np.asarray(weights, dtype=np.float64)
+        return np.array([pen(self.state(v), tau) for v in self.values])
 
 
 class ChainKernel:
@@ -263,13 +262,13 @@ def exact_robustness(
         ref_w = _reference_weights(chain, atom.dist)
         out = np.empty(k + 1)
         for t in range(k + 1):
-            ref_v, ref_wv = chain.penalty_projection(ref_w, atom.penalty, t)
-            sys_v, sys_wv = chain.penalty_projection(marginals[t], atom.penalty, t)
+            # the reference and the marginal weigh the same scored states
+            scores = chain.penalty_scores(atom.penalty, t)
             if isinstance(atom, Target):
-                d = exact_one_sided_wasserstein(ref_v, ref_wv, sys_v, sys_wv)
+                d = exact_one_sided_wasserstein(scores, ref_w, scores, marginals[t])
                 out[t] = atom.threshold - discount(t) * d
             else:
-                d = exact_one_sided_wasserstein(sys_v, sys_wv, ref_v, ref_wv)
+                d = exact_one_sided_wasserstein(scores, marginals[t], scores, ref_w)
                 out[t] = discount(t) * d - atom.threshold
         return out
 
@@ -306,9 +305,8 @@ def _directional_profile(
 ) -> tuple[float, ...]:
     vals = []
     for t in times:
-        av, aw = a.penalty_projection(marg_a[t], tau=t)
-        bv, bw = b.penalty_projection(marg_b[t], tau=t)
-        vals.append(discount(t) * exact_one_sided_wasserstein(av, aw, bv, bw))
+        av, bv = a.penalty_scores(tau=t), b.penalty_scores(tau=t)
+        vals.append(discount(t) * exact_one_sided_wasserstein(av, marg_a[t], bv, marg_b[t]))
     return tuple(vals)
 
 

@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import __version__
-from ._io import open_sink
+from ._io import write_csv
 from .config import ConfigError, RunConfig, apply_setting, build_model, load_config
 from .monitor import check_formula, save_series
 from .parsing import FormulaError, load_formula
@@ -104,10 +104,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     est_a = estimate(kernel_a, init_a, steps, cfg.runs, plan.scoped(3, 0))
     est_b = estimate(kernel_b, init_b, steps, cfg.ratio * cfg.runs, plan.scoped(3, 1))
     report = evolution_divergence(est_a, est_b, penalties[name], cfg.discount, cfg.times)
-    with open_sink(args.out) as fh:
-        fh.write("time,divergence\n")
-        for t, v in zip(report.times, report.values):
-            fh.write("%d,%.17g\n" % (t, v))
+    write_csv(args.out, ("time", "divergence"), "%d,%.17g", [(report.times, report.values)])
     print(
         json.dumps(
             {

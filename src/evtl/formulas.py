@@ -25,7 +25,7 @@ from typing import Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .spaces import DataSpace, FiniteSet, Interval, Penalty, SampleSet, load_samples
+from .spaces import DataSpace, FiniteSet, Penalty, SampleSet, load_samples
 
 __all__ = [
     "Discount",
@@ -258,8 +258,9 @@ Distribution = Union[ProductNormal, PointMass, EmpiricalRef]
 
 
 def _floor_matrix(space: DataSpace, n: int) -> np.ndarray:
-    floor = [d.lo if isinstance(d, Interval) else d.values[0] for d in space.domains]
-    return np.tile(np.asarray(floor, dtype=np.float64), (n, 1))
+    out = np.empty((n, space.dim))
+    out[:] = space.floor
+    return out
 
 
 # --------------------------------------------------------------------------

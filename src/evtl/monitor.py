@@ -25,7 +25,7 @@ from typing import Literal
 
 import numpy as np
 
-from ._io import open_sink
+from ._io import write_csv
 from .formulas import (
     Discount,
     Formula,
@@ -256,7 +256,5 @@ def check_formula(
 
 def save_series(dest, series: RobustnessSeries) -> None:
     """CSV of the series: time, robustness, reliable flag."""
-    with open_sink(dest) as fh:
-        fh.write("time,robustness,reliable\n")
-        for i, v in enumerate(series.values):
-            fh.write("%d,%.17g,%d\n" % (i, v, int(series.reliable(i))))
+    columns = (np.arange(series.steps + 1), series.values, series.reliable_mask)
+    write_csv(dest, ("time", "robustness", "reliable"), "%d,%.17g,%d", [columns])

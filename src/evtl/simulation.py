@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
-from ._io import open_sink
+from ._io import write_csv
 from .spaces import DataSpace, DataState, SampleSet
 
 __all__ = [
@@ -223,17 +223,12 @@ def save_trajectory(dest, traj: EvolutionEstimate) -> None:
     """CSV of a one-run estimate: a time column, then one column per variable."""
     if traj.runs != 1:
         raise ValueError(f"a trajectory is one run, got {traj.runs}")
-    with open_sink(dest) as fh:
-        fh.write("time," + ",".join(traj.space.names) + "\n")
-        for i in range(traj.steps + 1):
-            fh.write(str(i) + "," + ",".join("%.17g" % x for x in traj.values[i, 0]) + "\n")
+    columns = (np.arange(traj.steps + 1), traj.values[:, 0])
+    write_csv(dest, ("time", *traj.space.names), "%d" + ",%.17g" * traj.space.dim, [columns])
 
 
 def save_estimate(dest, est: EvolutionEstimate) -> None:
-    """CSV with run and time columns, rows ordered by (run, time)."""
-    with open_sink(dest) as fh:
-        fh.write("run,time," + ",".join(est.space.names) + "\n")
-        for j in range(est.runs):
-            for i in range(est.steps + 1):
-                row = ",".join("%.17g" % x for x in est.values[i, j])
-                fh.write(f"{j},{i},{row}\n")
+    """CSV with run and time columns, rows ordered by (run, time), one run per block."""
+    time = np.arange(est.steps + 1)
+    runs = ((np.full(len(time), j), time, est.values[:, j]) for j in range(est.runs))
+    write_csv(dest, ("run", "time", *est.space.names), "%d,%d" + ",%.17g" * est.space.dim, runs)

@@ -14,6 +14,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ._io import write_csv
+
 __all__ = [
     "Interval",
     "FiniteSet",
@@ -85,7 +87,7 @@ Domain = Interval | FiniteSet
 class DataSpace:
     """Ordered collection of named variables with their domains."""
 
-    __slots__ = ("names", "domains", "_index")
+    __slots__ = ("names", "domains", "floor", "_index")
 
     def __init__(self, variables: Mapping[str, Domain] | Sequence[tuple[str, Domain]]):
         items = list(variables.items()) if isinstance(variables, Mapping) else list(variables)
@@ -96,6 +98,10 @@ class DataSpace:
             raise ValueError("duplicate variable names")
         self.names: tuple[str, ...] = names
         self.domains: tuple[Domain, ...] = tuple(dom for _, dom in items)
+        # each variable's domain minimum, read-only as every sampler shares it
+        floor = [d.lo if isinstance(d, Interval) else d.values[0] for d in self.domains]
+        self.floor = np.array(floor, dtype=np.float64)
+        self.floor.flags.writeable = False
         self._index = {name: i for i, name in enumerate(names)}
 
     @property
@@ -284,12 +290,8 @@ def identity_penalty(space: DataSpace, variable: str, name: str | None = None) -
 
 def save_samples(dest, samples: SampleSet) -> None:
     """Write a sample set as CSV: header of variable names, one row per sample."""
-    from ._io import open_sink
-
-    with open_sink(dest) as fh:
-        fh.write(",".join(samples.space.names) + "\n")
-        for row in samples.values:
-            fh.write(",".join("%.17g" % x for x in row) + "\n")
+    fmt = ",".join(["%.17g"] * samples.space.dim)
+    write_csv(dest, samples.space.names, fmt, [(samples.values,)])
 
 
 def load_samples(path: str, space: DataSpace | None = None) -> SampleSet:
@@ -325,9 +327,5 @@ def load_samples(path: str, space: DataSpace | None = None) -> SampleSet:
         return SampleSet(DataSpace(doms), data)
     out = np.empty((data.shape[0], space.dim))
     for j, name in enumerate(space.names):
-        if name in names:
-            out[:, j] = data[:, names.index(name)]
-        else:
-            dom = space.domains[j]
-            out[:, j] = dom.lo if isinstance(dom, Interval) else dom.values[0]
+        out[:, j] = data[:, names.index(name)] if name in names else space.floor[j]
     return SampleSet(space, out)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import open_sink
+from ._io import write_csv
 from .simulation import EvolutionEstimate
 
 __all__ = ["SWEEP_RUNS", "ErrorReport", "error_report", "save_error_report"]
@@ -93,18 +93,11 @@ def error_report(
 
 def save_error_report(dest, report: ErrorReport) -> None:
     """CSV rows ordered by (time, variable); z columns blank where undefined."""
-    with open_sink(dest) as fh:
-        fh.write("time,variable,mean,stddev,stderr,z,within95\n")
-        w95 = report.within95
-        for t in range(report.steps + 1):
-            for j, name in enumerate(report.names):
-                zval = report.z[t, j]
-                if np.isnan(zval):
-                    ztxt, wtxt = "", ""
-                else:
-                    ztxt = "%.17g" % zval
-                    wtxt = "%d" % int(w95[t, j])
-                fh.write(
-                    "%d,%s,%.17g,%.17g,%.17g,%s,%s\n"
-                    % (t, name, report.mean[t, j], report.std[t, j], report.stderr[t, j], ztxt, wtxt)
-                )
+    k, dim = report.mean.shape
+    # blank z and within95 where they are NaN (v != v)
+    ztxt = ["" if v != v else "%.17g" % v for v in report.z.ravel().tolist()]
+    wtxt = ["" if v != v else "%d" % v for v in report.within95.ravel().tolist()]
+    moments = (a.ravel() for a in (report.mean, report.std, report.stderr))
+    columns = (np.repeat(np.arange(k), dim), np.tile(report.names, k), *moments, ztxt, wtxt)
+    header = ("time", "variable", "mean", "stddev", "stderr", "z", "within95")
+    write_csv(dest, header, "%d,%s,%.17g,%.17g,%.17g,%s,%s", [columns])
