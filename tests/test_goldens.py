@@ -11,7 +11,9 @@ left operand other than ``true``, so the left running minimum and both
 until modes are pinned; the ``-exp`` cases pin a decaying discount.
 ``estimate-p1-wide`` has three-digit run and time columns, and the
 ``-long`` cases four-digit time columns and series longer than one
-block of CSV rows.
+block of CSV rows. The ``-run2e32`` and ``-run2e64`` cases use run
+indices of two and three 32-bit words, so multi-word stream keys are
+pinned.
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ OVERFLOW = ["--formula", str(REPO / "properties" / "recover-from-overflow-risk.e
 CASES: dict[str, list[str]] = {
     "simulate-p1": ["simulate", *P1, "--steps", "40"],
     "simulate-p1-run3": ["simulate", *P1, "--steps", "40", "--run", "3"],
+    "simulate-p1-run2e32": ["simulate", *P1, "--steps", "40", "--run", "4294967296"],
     "simulate-p2": ["simulate", *P2, "--steps", "40", "--seed", "5"],
     "simulate-drift": ["simulate", *DRIFT, "--steps", "30"],
     "simulate-drift-run3": ["simulate", *DRIFT, "--steps", "30", "--run", "3"],
+    "simulate-drift-run2e64": ["simulate", *DRIFT, "--steps", "30", "--run", str(2**64 + 1)],
     "simulate-drift-long": ["simulate", *DRIFT, "--steps", "1500"],
     "estimate-p1": ["estimate", *P1, "--steps", "15", "--runs", "24"],
     "estimate-p2": ["estimate", *P2, "--steps", "15", "--runs", "24"],
@@ -171,12 +175,20 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "7d6a4de14cf6a5dea56ca38c12e466f122f4b04cb4d69313b34b22fffdd90ff8",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
+    "simulate-drift-run2e64": (
+        "0e65faa161bf1a3fef7993bb5fdf3769f8e12aa49330c92d586d7c1a17e5142b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
     "simulate-drift-run3": (
         "afb6198a16867d6430ddf030340cd0702d462879d75e997e67864c15a2bd0f3b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "simulate-p1": (
         "bea3533a3f7e43be88e6c5118b68cb714f4919e7228feec888bb6f4bebf0c4bd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "simulate-p1-run2e32": (
+        "7922ba5f16003a594e36919ef0f820d260b17ff06b38eaada8017aee3df16462",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "simulate-p1-run3": (
