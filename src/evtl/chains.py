@@ -63,18 +63,22 @@ class FiniteChain:
         penalty_name: str = "rho",
     ):
         vals = tuple(float(v) for v in values)
+        P = np.asarray(transition, dtype=np.float64)
+        pi0 = np.asarray(initial, dtype=np.float64)
+        rho = np.asarray(penalty_values, dtype=np.float64)
+        # NaN slips past every ordering and sum guard, so finiteness is checked first
+        for field, arr in (("values", vals), ("transition", P), ("initial", pi0), ("penalty", rho)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"chain {field} must be finite")
         if len(set(vals)) != len(vals) or not vals:
             raise ValueError("chain values must be distinct and non-empty")
         n = len(vals)
-        P = np.asarray(transition, dtype=np.float64)
         if P.shape != (n, n):
             raise ValueError(f"transition matrix must be {n}x{n}")
         if np.any(P < 0) or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("transition rows must be distributions (sum 1 within 1e-9)")
-        pi0 = np.asarray(initial, dtype=np.float64)
         if pi0.shape != (n,) or np.any(pi0 < 0) or abs(pi0.sum() - 1.0) > 1e-9:
             raise ValueError("initial distribution must sum to 1 within 1e-9")
-        rho = np.asarray(penalty_values, dtype=np.float64)
         if rho.shape != (n,) or np.any(rho < 0) or np.any(rho > 1):
             raise ValueError("penalty values must lie in [0, 1], one per state")
         self.variable = variable
@@ -296,18 +300,17 @@ def exact_robustness(
 
 
 def _directional_profile(
-    a: FiniteChain,
-    b: FiniteChain,
     discount: Discount,
     times: tuple[int, ...],
+    scores: np.ndarray,
     marg_a: np.ndarray,
     marg_b: np.ndarray,
 ) -> tuple[float, ...]:
-    vals = []
-    for t in times:
-        av, bv = a.penalty_scores(tau=t), b.penalty_scores(tau=t)
-        vals.append(discount(t) * exact_one_sided_wasserstein(av, marg_a[t], bv, marg_b[t]))
-    return tuple(vals)
+    """Discounted one-sided distance from a to b at each time; both chains share ``scores``."""
+    return tuple(
+        discount(t) * exact_one_sided_wasserstein(scores, marg_a[t], scores, marg_b[t])
+        for t in times
+    )
 
 
 def exact_divergence(
@@ -319,20 +322,25 @@ def exact_divergence(
 ) -> tuple[DivergenceReport, DivergenceReport]:
     """Exact discounted divergence profiles (a to b, b to a).
 
-    Both chains must share the state space and penalty table; the overall
-    two-sided evolution distance is the max of the two report values.
+    Both chains must share the state space and penalty table, though they
+    may list the states in different orders; the overall two-sided
+    evolution distance is the max of the two report values.
     """
     if a.space != b.space:
         raise ValueError("chains live on different spaces")
-    if not np.array_equal(a.penalty_values, b.penalty_values):
+    # b's states in a's listed order, so one scoring serves both chains
+    order = [b.state_index(v) for v in a.values]
+    if not np.array_equal(a.penalty_values, b.penalty_values[order]):
         raise ValueError("chains disagree on the penalty table")
     if times is None:
         times = tuple(range(steps + 1))
     steps = max(times)
     marg_a = transient_distributions(a, steps)
-    marg_b = transient_distributions(b, steps)
-    fwd = _directional_profile(a, b, discount, times, marg_a, marg_b)
-    rev = _directional_profile(b, a, discount, times, marg_b, marg_a)
+    marg_b = transient_distributions(b, steps)[:, order]
+    # the chain penalty is its table, so the scores do not depend on the time
+    scores = a.penalty_scores()
+    fwd = _directional_profile(discount, times, scores, marg_a, marg_b)
+    rev = _directional_profile(discount, times, scores, marg_b, marg_a)
     return DivergenceReport(times, fwd), DivergenceReport(times, rev)
 
 

@@ -69,6 +69,8 @@ def _config(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    if args.run < 0:
+        raise ConfigError(f"--run must be >= 0, got {args.run}")
     kernel, init, _ = build_model(cfg)
     plan = RandomnessPlan(cfg.seed)
     traj = simulate(kernel, init, cfg.require_steps(), plan.substream(0, args.run))

@@ -149,12 +149,13 @@ def _atom_values(
     # a block is one projection, so a time-dependent penalty gets one-index blocks
     width = 1 if pen.time_dependent else max(1, _BLOCK_VALUES // est.runs)
     dist = np.empty(est.steps + 1)
+    streams = plan.substreams((1, *words), range(est.steps + 1)) if fixed is None else None
     for t0 in range(0, est.steps + 1, width):
         t1 = min(t0 + width, est.steps + 1)
         if fixed is None:
-            rows = range(t0, t1)
-            draws = (atom.dist.sample(space, n_ref, plan.substream(1, *words, i)) for i in rows)
-            ref = np.stack([pen.project(sample, i) for i, sample in zip(rows, draws)])
+            # zip takes the index first, so no stream is taken past the block
+            rows = zip(range(t0, t1), streams)
+            ref = np.stack([pen.project(atom.dist.sample(space, n_ref, rng), i) for i, rng in rows])
         else:
             ref = np.broadcast_to(pen.project(fixed, t0), (t1 - t0, n_ref))
         block = est.values[t0:t1, :n_obs].reshape(-1, space.dim)

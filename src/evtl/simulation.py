@@ -12,8 +12,10 @@ share its batch.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol, runtime_checkable
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -49,6 +51,60 @@ class MarkovKernel(Protocol):
         ...
 
 
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+# streams seeded per vectorised pass; bounds the seeding temporaries: on a
+# preset-1 check, peak RSS grows by about 0.1 MB at 256 against 0.4 MB at
+# 1024, for 0.4 us per stream more
+_SEED_CHUNK = 256
+
+
+def _n_words(n: int) -> int:
+    """Number of 32-bit words SeedSequence splits a non-negative int into."""
+    return max(1, -(-n.bit_length() // 32))
+
+
+def _pcg64_states(pool: np.ndarray, hash_a: int, idx: list[int]) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of each stream whose entropy is the pool's plus one index.
+
+    Replays ``SeedSequence``: the words of each index are mixed into a copy
+    of the pool (``hash_a`` is the running hash constant after the pool's
+    own entropy), then ``generate_state(4, uint64)`` and PCG64's seeding,
+    ``pcg_setseq_128_srandom_r``, are applied. Vectorised over ``idx``.
+    """
+    if min(idx) < 0:
+        raise ValueError("expected non-negative integer")
+    n, width = len(idx), _n_words(max(idx))
+    counts = np.array([_n_words(i) for i in idx]) if width > 1 else None
+    mixer = np.repeat(pool[None, :], n, axis=0)
+    h = hash_a
+    for w in range(width):
+        word = np.array([(i >> 32 * w) & _M32 for i in idx], dtype=np.uint32)
+        for d in range(4):
+            # hashmix(word) then mix(mixer[d], .), as mix_entropy does per pool word
+            v = (word ^ np.uint32(h)) * np.uint32(h * _MULT_A & _M32)
+            h = h * _MULT_A & _M32
+            x = np.uint32(_MIX_L) * mixer[:, d] - np.uint32(_MIX_R) * (v ^ (v >> np.uint32(16)))
+            x ^= x >> np.uint32(16)
+            # an index with fewer words has no word w to mix
+            mixer[:, d] = x if w == 0 else np.where(counts > w, x, mixer[:, d])
+    out = np.empty((n, 8), dtype=np.uint32)
+    h = _INIT_B
+    for k in range(8):
+        v = (mixer[:, k % 4] ^ np.uint32(h)) * np.uint32(h * _MULT_B & _M32)
+        h = h * _MULT_B & _M32
+        out[:, k] = v ^ (v >> np.uint32(16))
+    states = []
+    for a, b, c, d in out.astype("<u4").view("<u8").astype(np.uint64).tolist():
+        inc = ((c << 64 | d) << 1 | 1) & _M128
+        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, inc))
+    return states
+
+
 @dataclass(frozen=True)
 class RandomnessPlan:
     """Functional derivation of independent RNG streams from one master seed.
@@ -59,6 +115,13 @@ class RandomnessPlan:
     under ``(1, ...)``. ``scoped`` prefixes a namespace, yielding a plan
     whose whole key tree is disjoint from the parent's (used to keep
     reference runs independent of the runs they validate).
+
+    The stream of key k is bit-identical to ``Generator(PCG64(SeedSequence(
+    master_seed, spawn_key=namespace + k)))``, but streams are seeded in
+    batches: :meth:`substreams` builds one ``SeedSequence`` per key prefix
+    and derives the streams of up to 256 last key words at a time with
+    numpy array arithmetic. The generator it yields is one object, reseeded
+    for each stream, so each is valid only until the next one is taken.
     """
 
     master_seed: int
@@ -71,11 +134,37 @@ class RandomnessPlan:
     def scoped(self, *prefix: int) -> "RandomnessPlan":
         return RandomnessPlan(self.master_seed, self.namespace + prefix)
 
-    def seed_sequence(self, *key: int) -> np.random.SeedSequence:
-        return np.random.SeedSequence(self.master_seed, spawn_key=self.namespace + tuple(key))
+    def substreams(
+        self, prefix: tuple[int, ...], indices: Iterable[int]
+    ) -> Iterator[np.random.Generator]:
+        """The stream of key ``prefix + (i,)`` for each i in ``indices``, in order.
+
+        Every stream is yielded as the same ``Generator``, reseeded in place:
+        a yielded generator is valid only until the next one is taken.
+        """
+        key = self.namespace + tuple(prefix)
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=key)
+        # the first 4 entropy words (the seed, zero-padded) take 16 hashmix steps, each later 4
+        words = max(4, _n_words(self.master_seed)) + sum(_n_words(int(w)) for w in key)
+        hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * (words - 4), 1 << 32) & _M32
+        bitgen = np.random.PCG64(seq)
+        gen = np.random.Generator(bitgen)
+        it = iter(indices)
+        while chunk := [operator.index(i) for i in islice(it, _SEED_CHUNK)]:
+            for state, inc in _pcg64_states(seq.pool, hash_a, chunk):
+                bitgen.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                yield gen
 
     def substream(self, *key: int) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.seed_sequence(*key)))
+        """The stream of a non-empty key, as a generator of its own."""
+        if not key:
+            raise ValueError("a stream key needs at least one word")
+        return next(self.substreams(key[:-1], key[-1:]))
 
 
 class EvolutionEstimate:
@@ -118,8 +207,8 @@ def _run_noise(kernel: MarkovKernel, plan: RandomnessPlan, steps: int, runs: ran
     if steps < 0:
         raise ValueError("steps must be >= 0")
     noise = np.empty((len(runs), steps))
-    for row, j in enumerate(runs):
-        noise[row] = kernel.noise(plan.substream(0, j), steps)
+    for row, rng in zip(noise, plan.substreams((0,), runs)):
+        row[:] = kernel.noise(rng, steps)
     return noise
 
 

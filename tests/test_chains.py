@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,24 @@ def test_chain_validation():
         FiniteChain("x", [0.0, 1.0], np.eye(2), [0.5, 0.6], [0, 1])
     with pytest.raises(ValueError):
         FiniteChain("x", [0.0, 1.0], np.eye(2), [1, 0], [0, 1.5])
+
+
+CHAIN_FIELDS = {
+    "values": [0.0, 1.0],
+    "transition": [[0.5, 0.5], [0.0, 1.0]],
+    "initial": [1.0, 0.0],
+    "penalty": [0.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("field", list(CHAIN_FIELDS))
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_chain_validation_rejects_non_finite(field, value):
+    # NaN slips past every ordering and sum guard, so finiteness is checked first
+    doc = {k: np.array(v, dtype=float) for k, v in CHAIN_FIELDS.items()}
+    doc[field].flat[0] = value
+    with pytest.raises(ValueError, match=f"chain {field} must be finite"):
+        FiniteChain("x", doc["values"], doc["transition"], doc["initial"], doc["penalty"])
 
 
 def test_transients_match_hand_powers():
@@ -253,6 +272,42 @@ def test_divergence_requires_shared_structure():
     c = FiniteChain("x", [0.0, 1.0], np.eye(2), [1, 0], [0, 0.5])
     with pytest.raises(ValueError):
         exact_divergence(a, c, steps=2)
+
+
+def reversed_listing(chain):
+    """The same chain with its states listed in reverse order."""
+    r = slice(None, None, -1)
+    return FiniteChain(
+        chain.variable, chain.values[r], chain.transition[r, r], chain.initial[r],
+        chain.penalty_values[r],
+    )
+
+
+def test_divergence_does_not_depend_on_state_listing_order():
+    rng = np.random.default_rng(8)
+    for n_states in (2, 4):
+        a, b = chain_pair(rng, n_states)
+        want = exact_divergence(a, b, Discount.exponential(0.9), steps=6)
+        got = exact_divergence(a, reversed_listing(b), Discount.exponential(0.9), steps=6)
+        # the transients of a relisted chain sum in another order, so the last bits differ
+        for g, w in zip(got, want):
+            assert g.values == pytest.approx(w.values, rel=1e-12, abs=1e-15)
+        # the same listed penalties on reversed states are a different table
+        flipped = FiniteChain("x", b.values[::-1], b.transition, b.initial, b.penalty_values)
+        if not np.array_equal(b.penalty_values, b.penalty_values[::-1]):
+            with pytest.raises(ValueError):
+                exact_divergence(a, flipped, steps=2)
+
+
+def test_divergence_scores_the_states_once(monkeypatch):
+    a, b = chain_pair(np.random.default_rng(3), 3)
+    calls = []
+    real = FiniteChain.penalty_scores
+    monkeypatch.setattr(
+        FiniteChain, "penalty_scores", lambda self, *k, **kw: calls.append(k) or real(self, *k, **kw)
+    )
+    exact_divergence(a, b, steps=12)
+    assert len(calls) == 1
 
 
 def test_distinguishing_formula_hits_exact_gap():

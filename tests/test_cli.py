@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -274,6 +275,28 @@ def test_non_finite_tank_parameters_exit_2(setting, tmp_path, capsys):
         capsys, "check", "--set", setting, "--formula", str(prop), "--runs", "5", "--ell", "1"
     )
     assert code == 2 and stdout == "" and "must be finite" in err
+
+
+def test_negative_run_index_exits_2(capsys):
+    code, stdout, err = run(capsys, "simulate", *CHAIN, "--steps", "3", "--run", "-1")
+    assert code == 2 and stdout == "" and "--run must be >= 0" in err
+
+
+@pytest.mark.parametrize("field", ["values", "transition", "initial", "penalty"])
+def test_non_finite_chain_file_exits_2(field, tmp_path, capsys):
+    doc = json.loads(Path(DRIFT).read_text())
+    entry = doc[field]
+    # json writes and reads NaN as a bare literal
+    (entry[0] if field == "transition" else entry)[0] = math.nan
+    bad = tmp_path / "nan-chain.json"
+    bad.write_text(json.dumps(doc))
+    prop = tmp_path / "prop.evtl"
+    prop.write_text("F[0,3] target(point(x=0.0), rho, 0.2)\n")
+    code, stdout, err = run(
+        capsys, "check", "--set", "model=chain", "--set", f"chain.file={bad}",
+        "--formula", str(prop), "--steps", "5", "--runs", "5", "--ell", "1",
+    )
+    assert code == 2 and stdout == "" and f"chain {field} must be finite" in err
 
 
 def test_exit_code_messages_go_to_stderr(capsys):

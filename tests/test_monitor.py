@@ -319,8 +319,10 @@ def test_point_mass_atom_is_sampled_once_without_streams(monkeypatch):
     atoms = [kind(PointMass((("x", 0.6),)), pen, 0.1) for kind in (Target, Hazard)]
     want = [per_index_atom(a, est, 12, plan, Discount()) for a in atoms]
     streams = []
-    real = RandomnessPlan.substream
-    monkeypatch.setattr(RandomnessPlan, "substream", lambda self, *k: streams.append(k) or real(self, *k))
+    for name in ("substream", "substreams"):
+        real = getattr(RandomnessPlan, name)
+        record = lambda self, *k, real=real: streams.append(k) or real(self, *k)  # noqa: E731
+        monkeypatch.setattr(RandomnessPlan, name, record)
     for atom, series in zip(atoms, want):
         assert np.array_equal(evaluate(est, atom, 12, plan).values, series)
     assert streams == []

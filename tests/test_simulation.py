@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evtl.chains import ChainKernel, transient_distributions
 from evtl.simulation import (
@@ -56,6 +57,72 @@ def test_plan_streams_are_reproducible_and_distinct():
     assert not np.array_equal(a, d)
     with pytest.raises(ValueError):
         RandomnessPlan(-1)
+
+
+# --- batched stream seeding against SeedSequence ------------------------------
+
+
+def oracle_stream(seed, key):
+    """The stream of a key built the direct way, one SeedSequence per stream."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def fingerprint(gen):
+    # the state first: the draws advance it, and a yielded generator is reused
+    return gen.bit_generator.state, gen.standard_normal(), gen.random()
+
+
+def assert_streams_match(seed, namespace, prefix, indices):
+    plan = RandomnessPlan(seed).scoped(*namespace)
+    got = [fingerprint(g) for g in plan.substreams(prefix, indices)]
+    want = [fingerprint(oracle_stream(seed, (*namespace, *prefix, i))) for i in indices]
+    assert got == want
+
+
+EDGE_SEEDS = [0, 2**32 - 1, 2**32, 2**128 + 1]
+EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1]
+WORDS = st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**100))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**200)),
+    namespace=st.lists(WORDS, max_size=3).map(tuple),
+    prefix=st.lists(WORDS, max_size=3).map(tuple),
+    indices=st.lists(WORDS, max_size=12),
+)
+def test_substreams_equal_seed_sequence_streams(seed, namespace, prefix, indices):
+    assert_streams_match(seed, namespace, prefix, indices)
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_substreams_cross_a_chunk_boundary(seed):
+    # 1025 indices cross seeding chunk boundaries; the second range mixes
+    # one- and two-word indices inside a chunk
+    assert_streams_match(seed, (2,), (1, 2**32 + 7), range(1025))
+    assert_streams_match(seed, (), (0,), range(2**32 - 600, 2**32 + 425))
+    assert list(RandomnessPlan(seed).substreams((0,), range(0))) == []
+
+
+@pytest.mark.parametrize("key", [(0,), (0, 3), (1, 2**32, 2**64 + 1), (2**40, 0)])
+def test_substream_is_the_seed_sequence_stream(key):
+    for plan in (RandomnessPlan(7), RandomnessPlan(2**128 + 1).scoped(3, 1)):
+        want = oracle_stream(plan.master_seed, plan.namespace + key)
+        assert fingerprint(plan.substream(*key)) == fingerprint(want)
+
+
+def test_negative_stream_keys_are_rejected():
+    plan = RandomnessPlan(3)
+    with pytest.raises(ValueError):
+        plan.substream(0, -1)
+    with pytest.raises(ValueError):
+        plan.substream(-1, 0)
+    with pytest.raises(ValueError):
+        list(plan.substreams((0,), [4, -1]))
+    with pytest.raises(ValueError):
+        list(plan.scoped(-2).substreams((0,), [1]))
+    with pytest.raises(ValueError):
+        plan.substream()
 
 
 def test_estimate_rows_are_runs():
