@@ -302,3 +302,17 @@ def test_non_finite_chain_file_exits_2(field, tmp_path, capsys):
 def test_exit_code_messages_go_to_stderr(capsys):
     code, stdout, err = run(capsys, "simulate", *CHAIN)
     assert code == 2 and stdout == "" and err.startswith("error:")
+
+
+def test_readme_quick_start_prints_its_json(capsys, monkeypatch):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start", 1)[1]
+    command = section.split("```\n", 2)[1].split("\n```", 1)[0]
+    argv = command.replace("\\\n", " ").split()
+    assert argv[0] == "evtl"
+    want = json.loads(section.split("```json\n", 1)[1].split("\n```", 1)[0])
+    monkeypatch.chdir(REPO)
+    code, stdout, _ = run(capsys, *argv[1:])
+    assert code == 0
+    assert json.loads(stdout) == want
+    assert want["robustness"] == -0.30745644003836287

@@ -13,7 +13,10 @@ until modes are pinned; the ``-exp`` cases pin a decaying discount.
 ``-long`` cases four-digit time columns and series longer than one
 block of CSV rows. The ``-run2e32`` and ``-run2e64`` cases use run
 indices of two and three 32-bit words, so multi-word stream keys are
-pinned.
+pinned. ``check-p1-empirical`` reads a formula whose atoms resample a
+stored file; its path is relative to the repository root, where every
+case runs, so the printed formula (and the stdout hash) is the same on
+every machine.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ SETTLE = ["--formula", str(REPO / "properties" / "settle-on-goal.evtl")]
 LEFT_CHAIN = ["--formula", str(REPO / "tests" / "data" / "until-left-chain.evtl")]
 LEFT_TANKS = ["--formula", str(REPO / "tests" / "data" / "until-left-tanks.evtl")]
 OVERFLOW = ["--formula", str(REPO / "properties" / "recover-from-overflow-risk.evtl")]
+EMPIRICAL = ["--formula", "tests/data/empirical-tanks.evtl"]
 
 CASES: dict[str, list[str]] = {
     "simulate-p1": ["simulate", *P1, "--steps", "40"],
@@ -86,6 +90,7 @@ CASES: dict[str, list[str]] = {
         "check", *DRIFT, "--formula", str(REPO / "bench" / "inputs" / "long-horizon.evtl"),
         "--steps", "40", "--runs", "20", "--ell", "2", "--set", "discount=exp:0.98",
     ],
+    "check-p1-empirical": ["check", *P1, *EMPIRICAL, "--steps", "40", "--runs", "30", "--ell", "2"],
     "check-p1-exp": [
         "check", *P1, *SETTLE, "--steps", "60", "--runs", "30", "--ell", "2",
         "--set", "discount=exp:0.98",
@@ -118,6 +123,10 @@ GOLDEN: dict[str, tuple[str, str]] = {
     "check-drift-long": (
         "b2637e40da7bbab921fdad85fffd937847129d81d333fed269c6af5c076f4fed",
         "0c06da283553bb10248640b124997a6f25a9a3377784ab085a569262ab5d07d8",
+    ),
+    "check-p1-empirical": (
+        "64434f2e8e69c1089a77d2b0a6fbdb17d90fcf30c7d2174469ab12f2c2c40ca1",
+        "d3894195f894f399725694a1c18a5dea2703f6fceb800db467ab416bc256ca60",
     ),
     "check-p1-exp": (
         "b7ff79a894bb816bcad3f7c33fac6c67fa85546ce1461316c7da94380a691d2b",
@@ -228,7 +237,8 @@ def _hashes(argv: list[str], out: Path, capsys) -> tuple[str, str]:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden(name, tmp_path, capsys):
+def test_output_matches_golden(name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
     assert _hashes(CASES[name], tmp_path / "out.csv", capsys) == GOLDEN[name]
 
 
