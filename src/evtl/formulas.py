@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -121,8 +121,17 @@ class Discount:
 # reference distributions
 
 
+class Distribution:
+    """Reference distribution; ``sample`` is the one-row case of ``sample_block``."""
+
+    __slots__ = ()
+
+    def sample(self, space: DataSpace, n: int, rng: np.random.Generator | None) -> SampleSet:
+        return SampleSet(space, self.sample_block(space, n, (rng,))[0])
+
+
 @dataclass(frozen=True)
-class ProductNormal:
+class ProductNormal(Distribution):
     """Independent normals on selected variables, others at their domain floor.
 
     Each entry is (variable, mean, variance). The second moment parameter is
@@ -146,13 +155,13 @@ class ProductNormal:
     def variables(self) -> tuple[str, ...]:
         return tuple(var for var, _, _ in self.entries)
 
-    def sample(self, space: DataSpace, n: int, rng: np.random.Generator) -> SampleSet:
-        out = _floor_matrix(space, n)
-        for var, mean, variance in self.entries:
-            j = space.index(var)
-            draws = mean + np.sqrt(variance) * rng.standard_normal(n)
-            out[:, j] = space.domains[j].clamp_array(draws)
-        return SampleSet(space, out)
+    def sample_block(self, space: DataSpace, n: int, rngs: Generators) -> np.ndarray:
+        """(rows, n, dim): per generator, all entries' draws before the next is taken."""
+        z = np.stack([rng.standard_normal((len(self.entries), n)) for rng in rngs], axis=1)
+        out = np.full((z.shape[1], n, space.dim), space.floor)
+        for (var, mu, s2), z_var in zip(self.entries, z):
+            out[:, :, space.index(var)] = space.domain(var).clamp_array(mu + np.sqrt(s2) * z_var)
+        return out
 
     def pretty(self) -> str:
         inner = ", ".join(f"{v}; {_fmt(m)}, {_fmt(s)}" for v, m, s in self.entries)
@@ -160,7 +169,7 @@ class ProductNormal:
 
 
 @dataclass(frozen=True)
-class PointMass:
+class PointMass(Distribution):
     """Deterministic reference: listed variables fixed, others at domain floor."""
 
     assignments: tuple[tuple[str, float], ...]
@@ -175,19 +184,19 @@ class PointMass:
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.assignments)
 
-    def sample(self, space: DataSpace, n: int, rng: np.random.Generator) -> SampleSet:
-        out = _floor_matrix(space, n)
+    def sample_block(self, space: DataSpace, n: int, rngs: Iterable[None]) -> np.ndarray:
+        """(rows, n, dim): the point, once per entry of ``rngs``; draws nothing."""
+        out = np.full((sum(1 for _ in rngs), n, space.dim), space.floor)
         for var, value in self.assignments:
-            j = space.index(var)
-            out[:, j] = space.domains[j].clamp(value)
-        return SampleSet(space, out)
+            out[:, :, space.index(var)] = space.domain(var).clamp(value)
+        return out
 
     def pretty(self) -> str:
         inner = ", ".join(f"{v}={_fmt(x)}" for v, x in self.assignments)
         return f"point({inner})"
 
 
-class EmpiricalRef:
+class EmpiricalRef(Distribution):
     """Reference given by stored samples, resampled with replacement.
 
     Usually loaded from a CSV file; can also wrap an in-memory sample set,
@@ -229,15 +238,14 @@ class EmpiricalRef:
     def variables(self) -> tuple[str, ...]:
         return self.samples.space.names
 
-    def sample(self, space: DataSpace, n: int, rng: np.random.Generator) -> SampleSet:
-        rows = rng.choice(len(self.samples), size=n, replace=True, p=self.weights)
+    def sample_block(self, space: DataSpace, n: int, rngs: Generators) -> np.ndarray:
+        """(rows, n, dim): per generator, n row picks before the next is taken."""
+        rows = np.stack([rng.choice(len(self.samples), size=n, p=self.weights) for rng in rngs])
         picked = self.samples.values[rows]
-        src = self.samples.space.names
-        out = _floor_matrix(space, n)
-        for i, var in enumerate(src):
-            j = space.index(var)
-            out[:, j] = space.domains[j].clamp_array(picked[:, i])
-        return SampleSet(space, out)
+        out = np.full((len(rows), n, space.dim), space.floor)
+        for i, var in enumerate(self.samples.space.names):
+            out[:, :, space.index(var)] = space.domain(var).clamp_array(picked[:, :, i])
+        return out
 
     def pretty(self) -> str:
         if self.path is not None:
@@ -254,13 +262,7 @@ class EmpiricalRef:
         return f"EmpiricalRef({self.pretty()})"
 
 
-Distribution = Union[ProductNormal, PointMass, EmpiricalRef]
-
-
-def _floor_matrix(space: DataSpace, n: int) -> np.ndarray:
-    out = np.empty((n, space.dim))
-    out[:] = space.floor
-    return out
+Generators = Iterable[np.random.Generator]
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,7 @@ times) but are flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Literal
 
 import numpy as np
@@ -130,8 +131,8 @@ def until_combine(
     return best
 
 
-# penalty values per block of time indices; bounds every block temporary
-_BLOCK_VALUES = 1 << 14
+# states per block of time indices; no block temporary holds more states than this
+_BLOCK_VALUES = 1 << 13
 
 
 def _atom_values(
@@ -144,20 +145,17 @@ def _atom_values(
     target = isinstance(atom, Target)
     n_ref, n_obs = (base_runs, est.runs) if target else (est.runs, base_runs)
     space, pen, words = est.space, atom.penalty, content_words(atom)
-    # a point mass draws nothing: it is sampled once, without a stream
-    fixed = atom.dist.sample(space, n_ref, None) if isinstance(atom.dist, PointMass) else None
     # a block is one projection, so a time-dependent penalty gets one-index blocks
     width = 1 if pen.time_dependent else max(1, _BLOCK_VALUES // est.runs)
     dist = np.empty(est.steps + 1)
-    streams = plan.substreams((1, *words), range(est.steps + 1)) if fixed is None else None
+    point = isinstance(atom.dist, PointMass)
+    streams = None if point else plan.substreams((1, *words), range(est.steps + 1))
     for t0 in range(0, est.steps + 1, width):
         t1 = min(t0 + width, est.steps + 1)
-        if fixed is None:
-            # zip takes the index first, so no stream is taken past the block
-            rows = zip(range(t0, t1), streams)
-            ref = np.stack([pen.project(atom.dist.sample(space, n_ref, rng), i) for i, rng in rows])
-        else:
-            ref = np.broadcast_to(pen.project(fixed, t0), (t1 - t0, n_ref))
+        # islice takes no stream past the block; a point mass takes none, one row serves all
+        draws = atom.dist.sample_block(space, n_ref, (None,) if point else islice(streams, t1 - t0))
+        ref = pen.project(SampleSet(space, draws.reshape(-1, space.dim)), t0).reshape(-1, n_ref)
+        ref = np.broadcast_to(ref, (t1 - t0, n_ref))
         block = est.values[t0:t1, :n_obs].reshape(-1, space.dim)
         obs = pen.project(SampleSet(space, block), t0).reshape(t1 - t0, n_obs)
         dist[t0:t1] = one_sided_rows(ref, obs) if target else one_sided_rows(obs, ref)
