@@ -145,10 +145,12 @@ class ProductNormal(Distribution):
         if not self.entries:
             raise ValueError("product normal needs at least one variable")
         seen = set()
-        for var, _, variance in self.entries:
+        for var, mean, variance in self.entries:
             if var in seen:
                 raise ValueError(f"variable {var!r} listed twice")
             seen.add(var)
+            if not (np.isfinite(mean) and np.isfinite(variance)):
+                raise ValueError(f"mean and variance of {var!r} must be finite")
             if variance < 0:
                 raise ValueError(f"negative variance for {var!r}")
 
@@ -180,6 +182,8 @@ class PointMass(Distribution):
         names = [v for v, _ in self.assignments]
         if len(set(names)) != len(names):
             raise ValueError("variable assigned twice")
+        if not all(np.isfinite(x) for _, x in self.assignments):
+            raise ValueError("point mass values must be finite")
 
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.assignments)

@@ -299,6 +299,18 @@ def test_non_finite_chain_file_exits_2(field, tmp_path, capsys):
     assert code == 2 and stdout == "" and f"chain {field} must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "dist", ["normal(x; 0.5, 1e999)", "normal(x; 1e999, 0.1)", "point(x = 1e999)"]
+)
+def test_overflowing_distribution_literal_exits_3(dist, tmp_path, capsys):
+    prop = tmp_path / "prop.evtl"
+    prop.write_text(f"F[0,3] target({dist}, rho, 0.4)\n")
+    code, stdout, err = run(
+        capsys, "check", *CHAIN, "--formula", str(prop), "--runs", "10", "--ell", "1"
+    )
+    assert code == 3 and stdout == "" and "must be finite" in err
+
+
 def test_exit_code_messages_go_to_stderr(capsys):
     code, stdout, err = run(capsys, "simulate", *CHAIN)
     assert code == 2 and stdout == "" and err.startswith("error:")

@@ -101,6 +101,23 @@ def test_product_normal_rejects_bad_entries():
         ProductNormal((("x", 0.0, 1.0), ("x", 1.0, 1.0)))
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+@pytest.mark.parametrize("field", ["mean", "variance"])
+def test_product_normal_rejects_non_finite_parameters(field, bad):
+    entry = ("x", bad, 1.0) if field == "mean" else ("x", 0.5, bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        ProductNormal((("y", 0.0, 1.0), entry))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+def test_point_mass_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        PointMass((("y", 0.0), ("x", bad)))
+
+
 def test_point_mass_sampling(space):
     ss = PointMass((("x", 0.75), ("y", 0.5))).sample(space, 3, np.random.default_rng(0))
     assert np.all(ss.column("x") == 0.75) and np.all(ss.column("y") == 0.5)
