@@ -151,7 +151,7 @@ class ChainKernel:
     def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
         rows = self._order[np.searchsorted(self._sorted, values[:, 0])]
         # searchsorted(cdf_row, u, side="right"), one row per run
-        nxt = np.count_nonzero(self._cdf[rows] <= noise[:, None], axis=1)
+        nxt = (self._cdf[rows] <= noise[:, None]).sum(axis=1)
         return self._values[nxt][:, None]
 
 
