@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from evtl import monitor
 from evtl.formulas import (
     Discount,
+    EmpiricalRef,
     Hazard,
     Not,
     Or,
@@ -27,8 +28,8 @@ from evtl.monitor import (
     save_series,
     until_combine,
 )
-from evtl.simulation import RandomnessPlan, estimate
-from evtl.spaces import DataSpace, Interval, Penalty, identity_penalty
+from evtl.simulation import EvolutionEstimate, RandomnessPlan, estimate
+from evtl.spaces import DataSpace, FiniteSet, Interval, Penalty, SampleSet, identity_penalty
 from evtl.wasserstein import one_sided_wasserstein
 
 from test_simulation import WalkKernel
@@ -275,18 +276,23 @@ def test_evaluate_validates_variables(unit):
 # --- batched atom route against the per-index route -------------------------
 
 
-def per_index_atom(atom, est, base_runs, plan, discount):
-    """One reference draw and one one-sided distance per time index."""
+def per_index_atom(atom, est, base_runs, plan, discount, sample=None):
+    """One reference draw and one one-sided distance per time index.
+
+    ``sample(dist, space, n, rng)`` draws one index's reference; it defaults
+    to the distribution's own ``sample``.
+    """
+    sample = sample or (lambda dist, space, n, rng: dist.sample(space, n, rng))
     words = content_words(atom)
     out = np.empty(est.steps + 1)
     for i in range(est.steps + 1):
         rng = plan.substream(1, *words, i)
         if isinstance(atom, Target):
-            ref = atom.dist.sample(est.space, base_runs, rng)
+            ref = sample(atom.dist, est.space, base_runs, rng)
             dist = one_sided_wasserstein(ref, est.at(i), atom.penalty, i)
             out[i] = atom.threshold - discount(i) * dist
         else:
-            ref = atom.dist.sample(est.space, est.runs, rng)
+            ref = sample(atom.dist, est.space, est.runs, rng)
             dist = one_sided_wasserstein(est.at(i).take(base_runs), ref, atom.penalty, i)
             out[i] = discount(i) * dist - atom.threshold
     return out
@@ -310,6 +316,85 @@ def test_atom_series_equals_the_per_index_route(kind, discount, ell, block_value
         atom = kind(dist, pen, 0.2)
         got = evaluate(est, atom, base_runs, plan, discount).values
         assert np.array_equal(got, per_index_atom(atom, est, base_runs, plan, discount))
+
+
+def written_out_sample(dist, space, n, rng):
+    """One index's reference draws, spelled out draw by draw without blocks.
+
+    A normal draws its entries in the listed order, n at a time; an empirical
+    reference picks n stored rows; every column is clamped into its domain.
+    """
+    out = np.tile(space.floor, (n, 1))
+    if isinstance(dist, ProductNormal):
+        for var, mean, variance in dist.entries:
+            j = space.index(var)
+            draws = mean + np.sqrt(variance) * rng.standard_normal(n)
+            out[:, j] = space.domains[j].clamp_array(draws)
+    else:
+        rows = rng.choice(len(dist.samples), size=n, replace=True, p=dist.weights)
+        for i, var in enumerate(dist.samples.space.names):
+            j = space.index(var)
+            out[:, j] = space.domains[j].clamp_array(dist.samples.values[rows, i])
+    return SampleSet(space, out)
+
+
+# x on an interval, g on a finite set, y on a wider interval
+MIXED = DataSpace([("x", Interval(0.0, 1.0)), ("g", FiniteSet((0.0, 0.3, 0.6, 1.0))),
+                   ("y", Interval(-1.0, 1.0))])
+# stored rows partly outside the domains, so resampled values are clamped
+STORED = np.array([[0.1, 0.2, 0.9], [0.45, 0.7, -1.5], [1.7, 0.5, 0.2], [0.8, 0.0, 0.35]])
+STORED_SPACE = DataSpace([(n, Interval(-2.0, 2.0)) for n in MIXED.names])
+# columns y and x only, in that order: g stays at its floor
+SUBSET = SampleSet(DataSpace([("y", Interval(-2.0, 2.0)), ("x", Interval(-2.0, 2.0))]),
+                   STORED[:, [2, 0]])
+BLOCK_DISTS = {
+    # two entries listed against the space order, one on the finite domain
+    "normal-2d": (MIXED.names[:2], ProductNormal((("g", 0.4, 0.09), ("x", 0.5, 0.04)))),
+    "empirical": (MIXED.names, EmpiricalRef(SampleSet(STORED_SPACE, STORED))),
+    "empirical-weighted": (
+        MIXED.names,
+        EmpiricalRef(SampleSet(STORED_SPACE, STORED), weights=[0.1, 0.5, 0.15, 0.25]),
+    ),
+    "empirical-subset": (MIXED.names, EmpiricalRef(SUBSET)),
+}
+
+
+def mixed_estimate(names, steps, runs):
+    """Uniform states on the first ``names`` of the mixed space, snapped into their domains."""
+    space = DataSpace([(n, MIXED.domain(n)) for n in names])
+    raw = np.random.default_rng(23).uniform(-1.2, 1.2, size=(steps + 1, runs, space.dim))
+    for j, dom in enumerate(space.domains):
+        raw[:, :, j] = dom.clamp_array(raw[:, :, j])
+    return EvolutionEstimate(space, raw)
+
+
+@pytest.mark.parametrize("block_values", [monitor._BLOCK_VALUES, 70])
+@pytest.mark.parametrize("ell", [1, 3])
+@pytest.mark.parametrize("kind", [Target, Hazard])
+@pytest.mark.parametrize("case", sorted(BLOCK_DISTS))
+def test_block_draws_equal_written_out_draws(case, kind, ell, block_values, monkeypatch):
+    monkeypatch.setattr(monitor, "_BLOCK_VALUES", block_values)
+    names, dist = BLOCK_DISTS[case]
+    est = mixed_estimate(names, steps=20, runs=ell * 12)
+    pen = Penalty(
+        "avg", names, lambda d: sum(d.values) / len(names),
+        array_fn=lambda vals, tau: vals.mean(axis=1),
+    )
+    plan, discount = RandomnessPlan(5), Discount.exponential(0.9)
+    atom = kind(dist, pen, 0.2)
+    got = evaluate(est, atom, 12, plan, discount).values
+    want = per_index_atom(atom, est, 12, plan, discount, written_out_sample)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_DISTS))
+def test_sample_block_rows_are_one_generator_each(case):
+    names, dist = BLOCK_DISTS[case]
+    space = mixed_estimate(names, 0, 1).space
+    block = dist.sample_block(space, 9, (np.random.default_rng(s) for s in range(4)))
+    want = [written_out_sample(dist, space, 9, np.random.default_rng(s)).values for s in range(4)]
+    assert block.shape == (4, 9, space.dim)
+    assert np.array_equal(block, np.stack(want))
 
 
 def test_point_mass_atom_is_sampled_once_without_streams(monkeypatch):
