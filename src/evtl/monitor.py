@@ -4,8 +4,11 @@ Evaluation walks the formula tree once per node, producing a robustness
 value in [-1, 1] for every start index 0..k of the estimate. Atom values
 come from one-sided distances between freshly sampled reference
 distributions and the estimated per-step samples, computed in blocks of
-time indices; Boolean and temporal structure is pure array algebra on the
-children's series, with one array pass per until window offset.
+time indices. Each index draws its reference from its own stream, but a
+block's draws come from one ``sample_block`` call and go through one
+penalty projection and one row-wise sort, so only the generator call is
+paid per index. Boolean and temporal structure is pure array algebra on
+the children's series, with one array pass per until window offset.
 
 Atom sampling draws from RNG streams keyed by the atom's printed form and
 the time index, never by its position in the tree. Two consequences, both
@@ -142,6 +145,12 @@ def _atom_values(
     plan: RandomnessPlan,
     discount: Discount,
 ) -> np.ndarray:
+    """Robustness series of one atom, one block of time indices at a time.
+
+    Per block: one ``sample_block`` call draws every index's reference from
+    stream ``(1, *words, t)``, one projection scores those draws and one the
+    estimate's samples, and ``one_sided_rows`` compares them row by row.
+    """
     target = isinstance(atom, Target)
     n_ref, n_obs = (base_runs, est.runs) if target else (est.runs, base_runs)
     space, pen, words = est.space, atom.penalty, content_words(atom)
