@@ -121,6 +121,9 @@ class Discount:
 # reference distributions
 
 
+Generators = Iterable["np.random.Generator"]
+
+
 class Distribution:
     """Reference distribution; ``sample`` is the one-row case of ``sample_block``."""
 
@@ -188,7 +191,7 @@ class PointMass(Distribution):
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.assignments)
 
-    def sample_block(self, space: DataSpace, n: int, rngs: Iterable[None]) -> np.ndarray:
+    def sample_block(self, space: DataSpace, n: int, rngs: Iterable[object]) -> np.ndarray:
         """(rows, n, dim): the point, once per entry of ``rngs``; draws nothing."""
         out = np.full((sum(1 for _ in rngs), n, space.dim), space.floor)
         for var, value in self.assignments:
@@ -264,9 +267,6 @@ class EmpiricalRef(Distribution):
 
     def __repr__(self) -> str:
         return f"EmpiricalRef({self.pretty()})"
-
-
-Generators = Iterable[np.random.Generator]
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -328,3 +331,16 @@ def test_readme_quick_start_prints_its_json(capsys, monkeypatch):
     assert code == 0
     assert json.loads(stdout) == want
     assert want["robustness"] == -0.30745644003836287
+
+
+def test_importing_the_cli_loads_no_numpy_random():
+    # numpy 2 loads numpy.random lazily; a module-level use of it would add
+    # its import time and memory to every command, simulate or not
+    code = (
+        "import sys, numpy; before = 'numpy.random' in sys.modules; import evtl.cli; "
+        "print(before, 'numpy.random' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    before, after = out.stdout.split()
+    assert after == before, out.stderr
