@@ -301,12 +301,13 @@ def per_index_atom(atom, est, base_runs, plan, discount, sample=None):
 DISCOUNTS = [Discount(), Discount.constant(0.7), Discount.exponential(0.9)]
 
 
-@pytest.mark.parametrize("block_values", [monitor._BLOCK_VALUES, 70])
+@pytest.mark.parametrize("block_values", [1 << 14, 70])
 @pytest.mark.parametrize("ell", [1, 3])
 @pytest.mark.parametrize("discount", DISCOUNTS, ids=lambda d: d.spec())
 @pytest.mark.parametrize("kind", [Target, Hazard])
 def test_atom_series_equals_the_per_index_route(kind, discount, ell, block_values, monkeypatch):
-    # 70 penalty values per block splits the horizon into uneven blocks
+    # 1 << 14 states (like the default, 1 << 13) put the whole horizon in one
+    # block; 70 penalty values per block splits it into uneven blocks
     monkeypatch.setattr(monitor, "_BLOCK_VALUES", block_values)
     base_runs = 12
     est, _, _ = stochastic_setup(steps=20, runs=ell * base_runs)
