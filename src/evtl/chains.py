@@ -24,16 +24,12 @@ from .formulas import (
     EmpiricalRef,
     Formula,
     Hazard,
-    Not,
-    Or,
     PointMass,
     ProductNormal,
     Target,
-    Truth,
-    Until,
     horizon,
 )
-from .monitor import RobustnessSeries, UntilMode, until_combine
+from .monitor import RobustnessSeries, UntilMode, fold
 from .wasserstein import DivergenceReport, exact_one_sided_wasserstein
 
 __all__ = [
@@ -87,24 +83,17 @@ class FiniteChain:
         self.initial = pi0 / pi0.sum()
         self.penalty_values = rho
         self.space = DataSpace({variable: FiniteSet(vals)})
-        table = {v: float(r) for v, r in zip(vals, rho)}
-        col = 0
         # values need not be listed in order, so scores are found by sorted value
         order = np.argsort(vals)
         keys, scores = np.asarray(vals)[order], rho[order]
 
-        def lookup(arr: np.ndarray, tau: int) -> np.ndarray:
-            pos = np.minimum(np.searchsorted(keys, arr[:, col]), n - 1)
-            if not np.array_equal(keys[pos], arr[:, col]):
+        def lookup(arr: np.ndarray, tau: int | np.ndarray) -> np.ndarray:
+            pos = np.minimum(np.searchsorted(keys, arr[..., 0]), n - 1)
+            if not np.array_equal(keys[pos], arr[..., 0]):
                 raise KeyError("value is not a state of the chain")
             return scores[pos]
 
-        self.penalty = Penalty(
-            penalty_name,
-            (variable,),
-            lambda d: table[d.values[col]],
-            array_fn=lookup,
-        )
+        self.penalty = Penalty(penalty_name, (variable,), lookup)
 
     @property
     def n_states(self) -> int:
@@ -120,10 +109,17 @@ class FiniteChain:
         """Most likely initial value (ties to the earlier listed one)."""
         return self.state(self.values[int(np.argmax(self.initial))])
 
-    def penalty_scores(self, penalty: Penalty | None = None, tau: int = 0) -> np.ndarray:
-        """Penalty score of each chain value, one scalar call per state."""
+    def penalty_scores(
+        self, penalty: Penalty | None = None, tau: int | np.ndarray = 0
+    ) -> np.ndarray:
+        """Penalty score of each chain value, in listed order, from one projection.
+
+        An array ``tau`` adds its leading axes: a ``(T, 1)`` column of time
+        indices gives one row of scores per time.
+        """
         pen = penalty or self.penalty
-        return np.array([pen(self.state(v), tau) for v in self.values])
+        shape = np.broadcast_shapes(np.shape(tau), (self.n_states,)) + (1,)
+        return pen.project(np.broadcast_to(np.asarray(self.values)[:, None], shape), tau)
 
 
 class ChainKernel:
@@ -254,49 +250,28 @@ def exact_robustness(
     """Closed-form robustness series of a formula on a chain.
 
     Atom distances are exact one-sided distances between finite penalty
-    distributions; the rest of the evaluation is the same series algebra the
-    statistical monitor uses. This is the convergence target for the
-    sampled pipeline.
+    distributions; the formula's structure goes through the same
+    :func:`~evtl.monitor.fold` the statistical monitor uses. This is the
+    convergence target for the sampled pipeline.
     """
     k = horizon(formula) if steps is None else steps
     marginals = transient_distributions(chain, k)
-    cache: dict[Formula, np.ndarray] = {}
 
     def atom_series(atom: Target | Hazard) -> np.ndarray:
         ref_w = _reference_weights(chain, atom.dist)
+        # row t scores the states at time t; the reference and the marginal weigh the same states
+        scores = chain.penalty_scores(atom.penalty, np.arange(k + 1)[:, None])
         out = np.empty(k + 1)
         for t in range(k + 1):
-            # the reference and the marginal weigh the same scored states
-            scores = chain.penalty_scores(atom.penalty, t)
             if isinstance(atom, Target):
-                d = exact_one_sided_wasserstein(scores, ref_w, scores, marginals[t])
+                d = exact_one_sided_wasserstein(scores[t], ref_w, scores[t], marginals[t])
                 out[t] = atom.threshold - discount(t) * d
             else:
-                d = exact_one_sided_wasserstein(scores, marginals[t], scores, ref_w)
+                d = exact_one_sided_wasserstein(scores[t], marginals[t], scores[t], ref_w)
                 out[t] = discount(t) * d - atom.threshold
         return out
 
-    def walk(f: Formula) -> np.ndarray:
-        got = cache.get(f)
-        if got is not None:
-            return got
-        match f:
-            case Truth():
-                r = np.ones(k + 1)
-            case Target() | Hazard():
-                r = atom_series(f)
-            case Not(child=c):
-                r = -walk(c)
-            case Or(left=l, right=rr):
-                r = np.maximum(walk(l), walk(rr))
-            case Until(left=l, right=rr, lo=lo, hi=hi):
-                r = until_combine(walk(l), walk(rr), lo, hi, until_mode)
-            case _:
-                raise TypeError(f"not a formula: {f!r}")
-        cache[f] = r
-        return r
-
-    return RobustnessSeries(walk(formula), horizon(formula), until_mode)
+    return RobustnessSeries(fold(formula, k, atom_series, until_mode), horizon(formula), until_mode)
 
 
 def _directional_profile(

@@ -102,6 +102,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     if name not in penalties:
         raise ConfigError(f"unknown penalty {name!r} (one of {', '.join(sorted(penalties))})")
     steps = cfg.require_steps()
+    if cfg.times is not None and max(cfg.times) > steps:
+        raise ConfigError(f"observation times outside 0..{steps}")
     plan = RandomnessPlan(cfg.seed)
     est_a = estimate(kernel_a, init_a, steps, cfg.runs, plan.scoped(3, 0))
     est_b = estimate(kernel_b, init_b, steps, cfg.ratio * cfg.runs, plan.scoped(3, 1))
@@ -163,11 +165,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    # z-scores need a reference standard deviation, so at least two runs
+    if args.reference_runs is not None and args.reference_runs < 2:
+        raise ConfigError(f"--reference-runs must be >= 2, got {args.reference_runs}")
     kernel, init, _ = build_model(cfg)
     steps = cfg.require_steps()
     plan = RandomnessPlan(cfg.seed)
     reference = None
-    if args.reference_runs:
+    if args.reference_runs is not None:
         reference, _ = run_moments(kernel, init, steps, args.reference_runs, plan.scoped(2))
     if args.sweep:
         if not args.out or not args.out.endswith(".csv"):

@@ -1,14 +1,17 @@
 """Statistical robustness monitoring of formulas over evolution estimates.
 
-Evaluation walks the formula tree once per node, producing a robustness
-value in [-1, 1] for every start index 0..k of the estimate. Atom values
-come from one-sided distances between freshly sampled reference
-distributions and the estimated per-step samples, computed in blocks of
-time indices. Each index draws its reference from its own stream, but a
-block's draws come from one ``sample_block`` call and go through one
-penalty projection and one row-wise sort, so only the generator call is
-paid per index. Boolean and temporal structure is pure array algebra on
-the children's series, with one array pass per until window offset.
+:func:`fold` is the robustness semantics: it computes each distinct
+subformula once, as a value in [-1, 1] for every start index 0..k, by array
+algebra on its children's series (one array pass per until window offset).
+The atoms' series come from the function it is given, so the exact chain
+oracle folds the same way over its own atom values.
+
+Statistical atom values come from one-sided distances between freshly
+sampled reference distributions and the estimated per-step samples,
+computed in blocks of time indices. Each index draws its reference from
+its own stream, but a block's draws come from one ``sample_block`` call
+and go through one penalty projection and one row-wise sort, so only the
+generator call is paid per index.
 
 Atom sampling draws from RNG streams keyed by the atom's printed form and
 the time index, never by its position in the tree. Two consequences, both
@@ -24,8 +27,8 @@ times) but are flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Literal
+from itertools import islice, repeat
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -45,7 +48,7 @@ from .formulas import (
     validate,
 )
 from .simulation import EvolutionEstimate, MarkovKernel, RandomnessPlan, estimate
-from .spaces import DataState, SampleSet
+from .spaces import DataState
 
 # one_sided_wasserstein is not called here; bench/run.py traces this name
 from .wasserstein import one_sided_rows, one_sided_wasserstein  # noqa: F401
@@ -54,6 +57,7 @@ __all__ = [
     "UntilMode",
     "RobustnessSeries",
     "until_combine",
+    "fold",
     "evaluate",
     "CheckResult",
     "check_formula",
@@ -134,6 +138,43 @@ def until_combine(
     return best
 
 
+def fold(
+    formula: Formula,
+    steps: int,
+    atom: Callable[[Target | Hazard], np.ndarray],
+    until_mode: UntilMode = "semantics",
+) -> np.ndarray:
+    """Robustness series of a formula at start indices 0..steps.
+
+    ``atom`` gives the series of a leaf; the rest is the same for every
+    route. Each distinct subformula is computed once, so an atom that occurs
+    twice is evaluated once.
+    """
+    cache: dict[Formula, np.ndarray] = {}
+
+    def walk(f: Formula) -> np.ndarray:
+        got = cache.get(f)
+        if got is None:
+            cache[f] = got = compute(f)
+        return got
+
+    def compute(f: Formula) -> np.ndarray:
+        match f:
+            case Truth():
+                return np.ones(steps + 1)
+            case Target() | Hazard():
+                return atom(f)
+            case Not(child=c):
+                return -walk(c)
+            case Or(left=l, right=r):
+                return np.maximum(walk(l), walk(r))
+            case Until(left=l, right=r, lo=lo, hi=hi):
+                return until_combine(walk(l), walk(r), lo, hi, until_mode)
+        raise TypeError(f"not a formula: {f!r}")
+
+    return walk(formula)
+
+
 # states per block of time indices; no block temporary holds more states than this
 _BLOCK_VALUES = 1 << 13
 
@@ -149,24 +190,25 @@ def _atom_values(
 
     Per block: one ``sample_block`` call draws every index's reference from
     stream ``(1, *words, t)``, one projection scores those draws and one the
-    estimate's samples, and ``one_sided_rows`` compares them row by row.
+    estimate's samples, each row at its own time index, and
+    ``one_sided_rows`` compares them row by row.
     """
     target = isinstance(atom, Target)
     n_ref, n_obs = (base_runs, est.runs) if target else (est.runs, base_runs)
     space, pen, words = est.space, atom.penalty, content_words(atom)
-    # a block is one projection, so a time-dependent penalty gets one-index blocks
-    width = 1 if pen.time_dependent else max(1, _BLOCK_VALUES // est.runs)
+    width = max(1, _BLOCK_VALUES // est.runs)
     dist = np.empty(est.steps + 1)
+    # a point mass draws nothing, so it takes no streams
     point = isinstance(atom.dist, PointMass)
     streams = None if point else plan.substreams((1, *words), range(est.steps + 1))
     for t0 in range(0, est.steps + 1, width):
         t1 = min(t0 + width, est.steps + 1)
-        # islice takes no stream past the block; a point mass takes none, one row serves all
-        draws = atom.dist.sample_block(space, n_ref, (None,) if point else islice(streams, t1 - t0))
-        ref = pen.project(SampleSet(space, draws.reshape(-1, space.dim)), t0).reshape(-1, n_ref)
-        ref = np.broadcast_to(ref, (t1 - t0, n_ref))
-        block = est.values[t0:t1, :n_obs].reshape(-1, space.dim)
-        obs = pen.project(SampleSet(space, block), t0).reshape(t1 - t0, n_obs)
+        # one time index per row, broadcast against the row's states
+        taus = np.arange(t0, t1)[:, None]
+        # islice takes no stream past the block
+        rngs = repeat(None, t1 - t0) if point else islice(streams, t1 - t0)
+        ref = pen.project(atom.dist.sample_block(space, n_ref, rngs), taus)
+        obs = pen.project(est.values[t0:t1, :n_obs], taus)
         dist[t0:t1] = one_sided_rows(ref, obs) if target else one_sided_rows(obs, ref)
     scale = np.array([discount(i) for i in range(est.steps + 1)])
     return atom.threshold - scale * dist if target else scale * dist - atom.threshold
@@ -190,29 +232,10 @@ def evaluate(
     if base_runs < 1 or est.runs % base_runs != 0:
         raise ValueError(f"estimate holds {est.runs} runs, not a multiple of N={base_runs}")
     validate(formula, est.space)
-    cache: dict[Formula, np.ndarray] = {}
-
-    def walk(f: Formula) -> np.ndarray:
-        got = cache.get(f)
-        if got is None:
-            cache[f] = got = compute(f)
-        return got
-
-    def compute(f: Formula) -> np.ndarray:
-        match f:
-            case Truth():
-                return np.ones(est.steps + 1)
-            case Target() | Hazard():
-                return _atom_values(f, est, base_runs, plan, discount)
-            case Not(child=c):
-                return -walk(c)
-            case Or(left=l, right=r):
-                return np.maximum(walk(l), walk(r))
-            case Until(left=l, right=r, lo=lo, hi=hi):
-                return until_combine(walk(l), walk(r), lo, hi, until_mode)
-        raise TypeError(f"not a formula: {f!r}")
-
-    return RobustnessSeries(walk(formula), horizon(formula), until_mode)
+    values = fold(
+        formula, est.steps, lambda a: _atom_values(a, est, base_runs, plan, discount), until_mode
+    )
+    return RobustnessSeries(values, horizon(formula), until_mode)
 
 
 @dataclass(frozen=True)

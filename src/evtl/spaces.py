@@ -227,41 +227,29 @@ class SampleSet:
 class Penalty:
     """Named scoring function mapping states into [0, 1].
 
-    ``fn`` takes a state (and the time index too when ``time_dependent``).
-    ``array_fn``, when given, maps an (N, dim) value array and a time index
-    to N raw scores; unless ``time_dependent`` it must ignore the index, as
-    one call may project rows of many time indices. Scores are clamped to [0, 1].
+    ``fn(values, tau)`` maps a value array ``values[..., dim]`` to raw scores
+    of shape ``values.shape[:-1]``. ``tau`` is the time index: an int, or an
+    integer array that broadcasts over that leading shape, so one call can
+    score the states of many time indices. Scores are clamped to [0, 1].
     """
 
-    __slots__ = ("name", "variables", "fn", "time_dependent", "array_fn")
+    __slots__ = ("name", "variables", "fn")
 
     def __init__(
         self,
         name: str,
         variables: Iterable[str],
-        fn: Callable[..., float],
-        *,
-        time_dependent: bool = False,
-        array_fn: Callable[[np.ndarray, int], np.ndarray] | None = None,
+        fn: Callable[[np.ndarray, int | np.ndarray], np.ndarray],
     ):
         self.name = name
         self.variables = tuple(variables)
         self.fn = fn
-        self.time_dependent = time_dependent
-        self.array_fn = array_fn
 
-    def __call__(self, state: DataState, tau: int = 0) -> float:
-        raw = self.fn(state, tau) if self.time_dependent else self.fn(state)
-        return min(1.0, max(0.0, float(raw)))
-
-    def project(self, samples: SampleSet, tau: int = 0) -> np.ndarray:
-        """Penalty of every sample, as a length-N array in [0, 1]."""
-        if self.array_fn is not None:
-            raw = np.asarray(self.array_fn(samples.values, tau), dtype=np.float64)
-            if raw.shape != (len(samples),):
-                raise ValueError("array_fn returned a wrong-shaped result")
-        else:
-            raw = np.array([self(s, tau) for s in samples.states()], dtype=np.float64)
+    def project(self, values: np.ndarray, tau: int | np.ndarray = 0) -> np.ndarray:
+        """Penalty of every state in ``values[..., dim]``, in [0, 1], one per leading index."""
+        raw = np.asarray(self.fn(values, tau), dtype=np.float64)
+        if raw.shape != values.shape[:-1]:
+            raise ValueError(f"penalty {self.name!r} returned shape {raw.shape} for {values.shape}")
         return np.clip(raw, 0.0, 1.0)
 
     def __repr__(self) -> str:
@@ -274,18 +262,14 @@ def penalty_gap(penalty: Penalty, d_from: DataState, d_to: DataState, tau: int =
     Zero when the second state scores no worse than the first; this is a
     hemimetric on states (identity and triangle hold, symmetry does not).
     """
-    return max(penalty(d_to, tau) - penalty(d_from, tau), 0.0)
+    lo, hi = penalty.project(np.array([d_from.values, d_to.values]), tau).tolist()
+    return max(hi - lo, 0.0)
 
 
 def identity_penalty(space: DataSpace, variable: str, name: str | None = None) -> Penalty:
     """Penalty reading one variable directly (clamped into [0, 1])."""
     col = space.index(variable)
-    return Penalty(
-        name or variable,
-        (variable,),
-        lambda d: d.values[col],
-        array_fn=lambda vals, tau: vals[:, col],
-    )
+    return Penalty(name or variable, (variable,), lambda vals, tau: vals[..., col])
 
 
 def save_samples(dest, samples: SampleSet) -> None:

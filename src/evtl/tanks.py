@@ -158,12 +158,10 @@ def tank_penalties(params: TankParams) -> dict[str, Penalty]:
     denom = max(params.level_max - params.goal, params.goal - params.level_min)
     goal = params.goal
     out: dict[str, Penalty] = {}
-    for i, var in enumerate(("l1", "l2", "l3")):
-        col = i
-        out[f"rho{i + 1}"] = Penalty(
-            f"rho{i + 1}",
+    for col, var in enumerate(("l1", "l2", "l3")):
+        out[f"rho{col + 1}"] = Penalty(
+            f"rho{col + 1}",
             (var,),
-            lambda d, _c=col: abs(d.values[_c] - goal) / denom,
-            array_fn=lambda vals, tau, _c=col: np.abs(vals[:, _c] - goal) / denom,
+            lambda vals, tau, _c=col: np.abs(vals[..., _c] - goal) / denom,
         )
     return out

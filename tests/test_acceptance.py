@@ -245,7 +245,7 @@ def test_criterion_5_invariant_suites():
         for _ in range(100):
             w = rng.uniform(-2.0, 2.0, 3)
             pen = Penalty(
-                "p", ("x", "y"), lambda d, w=w: w[0] * d.values[0] + w[1] * d.values[1] + w[2]
+                "p", ("x", "y"), lambda v, tau, w=w: w[0] * v[..., 0] + w[1] * v[..., 1] + w[2]
             )
             for _ in range(100):
                 s = [

@@ -28,7 +28,8 @@ from evtl.formulas import (
 )
 from evtl.monitor import evaluate
 from evtl.simulation import RandomnessPlan, estimate, simulate
-from evtl.spaces import DataSpace, Interval, SampleSet
+from evtl.spaces import DataSpace, Interval, Penalty, SampleSet
+from evtl.wasserstein import exact_one_sided_wasserstein
 
 from conftest import random_chain, two_state_chain
 
@@ -224,6 +225,40 @@ def test_exact_robustness_defaults_steps_to_horizon():
     assert series.value == pytest.approx(0.4)  # best offset is t=0
 
 
+def test_exact_robustness_of_a_time_dependent_penalty():
+    # the table value scaled by (tau + 1) / (k + 1), so every time scores the states differently
+    rng = np.random.default_rng(12)
+    k, discount = 6, Discount.exponential(0.9)
+    chain = random_chain(rng, 4, values=[0.75, 0.0, 1.0, 0.25])
+    late = Penalty("late", ("x",), lambda v, tau: chain.penalty.fn(v, tau) * (tau + 1) / (k + 1))
+    marginals = transient_distributions(chain, k)
+    for dist in (ProductNormal((("x", 0.4, 0.05),)), PointMass((("x", 0.6),))):
+        ref_w = _reference_weights(chain, dist)
+        for kind in (Target, Hazard):
+            atom = kind(dist, late, 0.2)
+            want = []
+            for t in range(k + 1):
+                scores = chain.penalty_values * (t + 1) / (k + 1)
+                if kind is Target:
+                    d = exact_one_sided_wasserstein(scores, ref_w, scores, marginals[t])
+                    want.append(0.2 - discount(t) * d)
+                else:
+                    d = exact_one_sided_wasserstein(scores, marginals[t], scores, ref_w)
+                    want.append(discount(t) * d - 0.2)
+            assert exact_robustness(chain, atom, discount, steps=k).values.tolist() == want
+
+
+def test_penalty_scores_take_a_column_of_times():
+    chain = random_chain(np.random.default_rng(4), 3, values=[0.5, 0.0, 1.0])
+    late = Penalty("late", ("x",), lambda v, tau: chain.penalty.fn(v, tau) * (tau + 1) / 8)
+    rows = chain.penalty_scores(late, np.arange(8)[:, None])
+    assert rows.shape == (8, 3)
+    for t in range(8):
+        assert np.array_equal(rows[t], chain.penalty_scores(late, t))
+    assert np.array_equal(rows[7], chain.penalty_values)
+    assert np.array_equal(chain.penalty_scores(), chain.penalty_values)
+
+
 def test_statistical_monitor_converges_to_exact():
     chain = two_state_chain(0.4, 0.15)
     f = eventually(
@@ -368,8 +403,8 @@ def test_array_penalty_equals_scalar_penalty_in_any_state_order(name):
             chain.penalty_values[perm],
         )
         states = rng.permutation(np.repeat(shuffled.values, 4))
-        got = shuffled.penalty.project(SampleSet(shuffled.space, states[:, None]))
-        want = [shuffled.penalty(shuffled.state(v)) for v in states]
+        got = shuffled.penalty.project(states[:, None])
+        want = [shuffled.penalty_values[shuffled.state_index(v)] for v in states]
         assert got.tolist() == want
 
 
@@ -377,7 +412,7 @@ def test_array_penalty_rejects_a_value_that_is_no_state():
     chain = two_state_chain(0.3, 0.2)
     for stray in (0.5, 7.0, np.nan):
         with pytest.raises(KeyError):
-            chain.penalty.project(SampleSet(chain.space, np.array([[0.0], [stray]])))
+            chain.penalty.project(np.array([[0.0], [stray]]))
 
 
 def test_load_chain_reports_missing_fields(tmp_path):

@@ -190,6 +190,24 @@ def test_distance_between_chain_variants(tmp_path, capsys):
     assert again == stdout
 
 
+def test_distance_rejects_observation_times_past_the_steps(tmp_path, capsys):
+    cfg2 = tmp_path / "other.cfg"
+    cfg2.write_text(f"model = chain\nchain.file = {REPO / 'chains' / 'drift-fast.json'}\n")
+    out = tmp_path / "div.csv"
+    code, stdout, err = run(
+        capsys, "distance", *CHAIN, "--against", str(cfg2), "--steps", "3", "--runs", "10",
+        "--set", "obs-times=0,7", "--out", str(out),
+    )
+    assert code == 2 and stdout == "" and "observation times outside 0..3" in err
+    assert not out.exists()
+    # the last step itself is observable
+    code, _, _ = run(
+        capsys, "distance", *CHAIN, "--against", str(cfg2), "--steps", "3", "--runs", "10",
+        "--set", "obs-times=0,3", "--out", str(out),
+    )
+    assert code == 0 and out.read_text().splitlines()[1:] != []
+
+
 def test_distance_needs_penalty_choice_for_tanks(tmp_path, capsys):
     cfg = REPO / "presets" / "three-tanks-scenario-1.cfg"
     code, _, err = run(
@@ -237,6 +255,17 @@ def test_stats_writes_report(tmp_path, capsys):
     assert len(lines) == 6
     # time 0 is deterministic, so its z column is blank
     assert lines[1].endswith(",,")
+
+
+@pytest.mark.parametrize("runs", ["0", "1", "-3"])
+def test_stats_rejects_fewer_than_two_reference_runs(runs, tmp_path, capsys):
+    out = tmp_path / "stats.csv"
+    code, stdout, err = run(
+        capsys, "stats", *CHAIN, "--steps", "4", "--runs", "30", "--reference-runs", runs,
+        "--out", str(out),
+    )
+    assert code == 2 and stdout == "" and "--reference-runs must be >= 2" in err
+    assert not out.exists()
 
 
 def test_stats_sweep_names_files_by_run_count(tmp_path, capsys, monkeypatch):
@@ -331,6 +360,25 @@ def test_readme_quick_start_prints_its_json(capsys, monkeypatch):
     assert code == 0
     assert json.loads(stdout) == want
     assert want["robustness"] == -0.30745644003836287
+
+
+def test_readme_library_use_prints_the_quick_start_robustness(capsys, monkeypatch):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    quick = readme.split("## Quick start", 1)[1]
+    want = json.loads(quick.split("```json\n", 1)[1].split("\n```", 1)[0])
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    # the check by hand, then the penalty example, which continues it
+    blocks = [part.split("\n```", 1)[0] for part in section.split("```python\n")[1:]]
+    assert len(blocks) == 2
+    monkeypatch.chdir(REPO)
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    check, projection, settle = capsys.readouterr().out.splitlines()
+    value, satisfied = check.split()
+    assert float(value) == want["robustness"] and satisfied == str(want["satisfied"])
+    assert projection == f"({want['steps'] + 1}, {want['runs'] * want['ratio']}) True True"
+    assert -1.0 <= float(settle) <= 1.0
 
 
 def test_importing_the_cli_loads_no_numpy_random():

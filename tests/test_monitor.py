@@ -377,10 +377,7 @@ def test_block_draws_equal_written_out_draws(case, kind, ell, block_values, monk
     monkeypatch.setattr(monitor, "_BLOCK_VALUES", block_values)
     names, dist = BLOCK_DISTS[case]
     est = mixed_estimate(names, steps=20, runs=ell * 12)
-    pen = Penalty(
-        "avg", names, lambda d: sum(d.values) / len(names),
-        array_fn=lambda vals, tau: vals.mean(axis=1),
-    )
+    pen = Penalty("avg", names, lambda vals, tau: vals.mean(axis=-1))
     plan, discount = RandomnessPlan(5), Discount.exponential(0.9)
     atom = kind(dist, pen, 0.2)
     got = evaluate(est, atom, 12, plan, discount).values
@@ -414,17 +411,11 @@ def test_point_mass_atom_is_sampled_once_without_streams(monkeypatch):
     assert streams == []
 
 
-@pytest.mark.parametrize("vectorised", [True, False])
-def test_time_dependent_penalty_sees_each_rows_tau(vectorised, monkeypatch):
+def test_time_dependent_penalty_sees_each_rows_tau(monkeypatch):
+    # 40 states per block and 20 runs: two time indices per block
     monkeypatch.setattr(monitor, "_BLOCK_VALUES", 40)
     est, _, _ = stochastic_setup(steps=12, runs=20)
-    late = Penalty(
-        "late",
-        ("x",),
-        lambda d, tau: d.values[0] * (tau + 1) / 13,
-        time_dependent=True,
-        array_fn=(lambda vals, tau: vals[:, 0] * (tau + 1) / 13) if vectorised else None,
-    )
+    late = Penalty("late", ("x",), lambda vals, tau: vals[..., 0] * (tau + 1) / 13)
     plan = RandomnessPlan(9)
     for dist in (ProductNormal((("x", 0.5, 0.05),)), PointMass((("x", 0.2),))):
         for atom in (Target(dist, late, 0.3), Hazard(dist, late, 0.1)):

@@ -64,35 +64,24 @@ def test_space_rejects_duplicates_and_empty():
 
 
 def test_penalty_clamps_into_unit_interval():
-    space = DataSpace({"x": Interval(-10.0, 10.0)})
-    pen = Penalty("p", ("x",), lambda d: d["x"])
-    assert pen(space.state(x=5.0)) == 1.0
-    assert pen(space.state(x=-5.0)) == 0.0
-    assert pen(space.state(x=0.25)) == 0.25
+    pen = Penalty("p", ("x",), lambda vals, tau: vals[..., 0])
+    assert pen.project(np.array([[5.0], [-5.0], [0.25]])).tolist() == [1.0, 0.0, 0.25]
+    # any leading shape, as long as the scores keep it
+    assert pen.project(np.array([[[5.0], [0.5]]])).tolist() == [[1.0, 0.5]]
+    with pytest.raises(ValueError, match="shape"):
+        Penalty("bad", ("x",), lambda vals, tau: vals).project(np.zeros((3, 1)))
 
 
 def test_time_dependent_penalty_receives_tau():
-    space = DataSpace({"x": Interval(0.0, 1.0)})
-    pen = Penalty("late", ("x",), lambda d, tau: d["x"] if tau >= 5 else 0.0, time_dependent=True)
-    d = space.state(x=0.75)
-    assert pen(d, 0) == 0.0
-    assert pen(d, 7) == 0.75
-
-
-def test_penalty_projection_scalar_and_vectorized_agree():
-    space = DataSpace({"x": Interval(-2.0, 2.0), "y": Interval(0.0, 1.0)})
-    slow = Penalty("s", ("x", "y"), lambda d: abs(d["x"]) * d["y"])
-    fast = Penalty(
-        "f",
-        ("x", "y"),
-        lambda d: abs(d["x"]) * d["y"],
-        array_fn=lambda vals, tau: np.abs(vals[:, 0]) * vals[:, 1],
-    )
-    rng = np.random.default_rng(5)
-    vals = np.column_stack([rng.uniform(-2, 2, 64), rng.uniform(0, 1, 64)])
-    ss = SampleSet(space, vals)
-    np.testing.assert_allclose(slow.project(ss), fast.project(ss), atol=1e-15)
-    assert np.all(slow.project(ss) >= 0) and np.all(slow.project(ss) <= 1)
+    pen = Penalty("late", ("x",), lambda vals, tau: np.where(tau >= 5, vals[..., 0], 0.0))
+    vals = np.array([[0.75], [0.5]])
+    assert pen.project(vals, 0).tolist() == [0.0, 0.0]
+    assert pen.project(vals, 7).tolist() == [0.75, 0.5]
+    # a (T, 1) column of time indices scores the rows of (T, n, dim) values at their own times
+    block = np.broadcast_to(vals, (3, 2, 1))
+    assert pen.project(block, np.array([[0], [5], [9]])).tolist() == [
+        [0.0, 0.0], [0.75, 0.5], [0.75, 0.5]
+    ]
 
 
 def test_sample_set_row_order_and_take(unit_space):

@@ -170,25 +170,29 @@ def test_noise_is_one_normal_draw_per_step(kernel):
     assert np.array_equal(a, [rng.standard_normal() for _ in range(5)])
 
 
+def score(pen, state):
+    return float(pen.project(np.array([state.values]))[0])
+
+
 def test_penalties_measure_goal_distance():
     p = TankParams()
     pens = tank_penalties(p)
     space = tank_space(p)
     assert set(pens) == {"rho1", "rho2", "rho3"}
-    assert pens["rho1"](mk_state(space, l1=10.0)) == 0.0
-    assert pens["rho1"](mk_state(space, l1=0.0)) == 1.0
-    assert pens["rho2"](mk_state(space, l2=20.0)) == 1.0
-    assert pens["rho3"](mk_state(space, l3=15.0)) == 0.5
-    # vectorized projection agrees with the scalar form
+    assert score(pens["rho1"], mk_state(space, l1=10.0)) == 0.0
+    assert score(pens["rho1"], mk_state(space, l1=0.0)) == 1.0
+    assert score(pens["rho2"], mk_state(space, l2=20.0)) == 1.0
+    assert score(pens["rho3"], mk_state(space, l3=15.0)) == 0.5
+    # projecting many states agrees with the formula written out per state
     est = estimate(TankKernel(p, 1), initial_state(p), 5, 50, RandomnessPlan(0))
     samples = est.at(5)
-    proj = pens["rho3"].project(samples, 5)
-    expect = [pens["rho3"](samples.state(i)) for i in range(50)]
+    proj = pens["rho3"].project(samples.values, 5)
+    expect = [min(1.0, abs(samples.state(i)["l3"] - 10.0) / 10.0) for i in range(50)]
     assert proj == pytest.approx(expect, abs=1e-15)
     # off-goal asymmetric ranges normalize by the wider side
     skew = tank_penalties(TankParams(goal=15.0))
-    assert skew["rho1"](mk_state(space, l1=0.0)) == 1.0
-    assert skew["rho1"](mk_state(space, l1=20.0)) == pytest.approx(1.0 / 3.0)
+    assert score(skew["rho1"], mk_state(space, l1=0.0)) == 1.0
+    assert score(skew["rho1"], mk_state(space, l1=20.0)) == pytest.approx(1.0 / 3.0)
 
 
 @pytest.mark.parametrize("scenario", [1, 2])
