@@ -411,11 +411,18 @@ def test_point_mass_atom_is_sampled_once_without_streams(monkeypatch):
     assert streams == []
 
 
-def test_time_dependent_penalty_sees_each_rows_tau(monkeypatch):
+@pytest.mark.parametrize("vectorised", [True, False])
+def test_time_dependent_penalty_sees_each_rows_tau(vectorised, monkeypatch):
     # 40 states per block and 20 runs: two time indices per block
     monkeypatch.setattr(monitor, "_BLOCK_VALUES", 40)
     est, _, _ = stochastic_setup(steps=12, runs=20)
-    late = Penalty("late", ("x",), lambda vals, tau: vals[..., 0] * (tau + 1) / 13)
+    if vectorised:
+        fn = lambda vals, tau: vals[..., 0] * (tau + 1) / 13  # noqa: E731
+    else:
+        # a scalar rule lifted elementwise: it sees one (x, tau) pair at a time
+        lifted = np.vectorize(lambda x, tau: x * (int(tau) + 1) / 13, otypes=[np.float64])
+        fn = lambda vals, tau: lifted(vals[..., 0], tau)  # noqa: E731
+    late = Penalty("late", ("x",), fn)
     plan = RandomnessPlan(9)
     for dist in (ProductNormal((("x", 0.5, 0.05),)), PointMass((("x", 0.2),))):
         for atom in (Target(dist, late, 0.3), Hazard(dist, late, 0.1)):
