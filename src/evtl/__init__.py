@@ -19,7 +19,6 @@ from .simulation import (
     EvolutionEstimate,
     MarkovKernel,
     RandomnessPlan,
-    empirical_measure,
     estimate,
     simulate,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "EvolutionEstimate",
     "MarkovKernel",
     "RandomnessPlan",
-    "empirical_measure",
     "estimate",
     "simulate",
     "Discount",

@@ -128,13 +128,15 @@ class ChainKernel:
     def __init__(self, chain: FiniteChain):
         self.chain = chain
         self._values = np.asarray(chain.values)
-        self._order = np.argsort(self._values)
-        self._sorted = self._values[self._order]
+        order = np.argsort(self._values)
+        self._sorted = self._values[order]
         # inverse-CDF sampling as Generator.choice does it, dividing each
         # cumulative row by its last entry: a row summing to 1 - 1 ulp must
-        # still pick the same state as choice for every uniform draw
+        # still pick the same state as choice for every uniform draw. Rows
+        # are stored in sorted-value order, so a run's value finds its row
+        # with one searchsorted
         cdf = np.cumsum(chain.transition, axis=1)
-        self._cdf = cdf / cdf[:, -1:]
+        self._cdf = (cdf / cdf[:, -1:])[order]
 
     @property
     def space(self) -> DataSpace:
@@ -145,10 +147,10 @@ class ChainKernel:
         return rng.random(steps)
 
     def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        rows = self._order[np.searchsorted(self._sorted, values[:, 0])]
+        cdf = self._cdf[self._sorted.searchsorted(values[0])]
         # searchsorted(cdf_row, u, side="right"), one row per run
-        nxt = (self._cdf[rows] <= noise[:, None]).sum(axis=1)
-        return self._values[nxt][:, None]
+        nxt = np.add.reduce(cdf <= noise[:, None], axis=1)
+        return self._values[nxt][None, :]
 
 
 def load_chain(path: str) -> FiniteChain:

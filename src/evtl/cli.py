@@ -165,7 +165,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    # z-scores need a reference standard deviation, so at least two runs
+    # a sample std, and the z-scores against a reference's, need two runs
+    if not args.sweep and cfg.runs < 2:
+        raise ConfigError(f"--runs must be >= 2 for stats, got {cfg.runs}")
     if args.reference_runs is not None and args.reference_runs < 2:
         raise ConfigError(f"--reference-runs must be >= 2, got {args.reference_runs}")
     kernel, init, _ = build_model(cfg)

@@ -2,12 +2,14 @@
 
 A kernel owns a data space and steps many runs at once: ``noise`` draws all
 of one run's randomness from that run's generator, and ``step_batch`` maps
-the (N, dim) states of N runs, given one noise value per run, to their
-successors. Everything stochastic flows through a :class:`RandomnessPlan`,
-which derives independent, reproducible generator streams from a single
-master seed and a structured purpose key. Run j of an estimate always draws
-from stream ``(0, j)``, so a run's states do not depend on which other runs
-share its batch.
+the states of N runs, given one noise value per run, to their successors.
+States are laid out as a (dim, N) array, one contiguous row per variable, so
+a kernel updates each variable, or a group of like variables, for every run
+in one wide array operation. Everything stochastic flows through a
+:class:`RandomnessPlan`, which derives independent, reproducible generator
+streams from a single master seed and a structured purpose key. Run j of
+an estimate always draws from stream ``(0, j)``, so a run's states do not
+depend on which other runs share its batch.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
+from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -29,7 +31,6 @@ __all__ = [
     "simulate",
     "estimate",
     "run_moments",
-    "empirical_measure",
     "save_trajectory",
     "save_estimate",
 ]
@@ -47,7 +48,8 @@ class MarkovKernel(Protocol):
         ...
 
     def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """Successors of the (N, dim) states, run j consuming ``noise[j]``."""
+        """Successors of the (dim, N) states: row i holds variable i of every
+        run, and column j, run j, consumes ``noise[j]``."""
         ...
 
 
@@ -213,7 +215,7 @@ def _run_noise(kernel: MarkovKernel, plan: RandomnessPlan, steps: int, runs: ran
 
 
 def _paths(kernel: MarkovKernel, initial: DataState, noise: np.ndarray) -> Iterator[np.ndarray]:
-    """States of a batch of runs at steps 0..steps, one (runs, dim) array per step.
+    """States of a batch of runs at steps 0..steps, one (dim, runs) array per step.
 
     ``noise`` is (runs, steps): row j holds run j's draws, column i the draws
     the step to i+1 consumes. A run's states depend only on its own row, so
@@ -221,7 +223,7 @@ def _paths(kernel: MarkovKernel, initial: DataState, noise: np.ndarray) -> Itera
     """
     if initial.space != kernel.space:
         raise ValueError("initial state space differs from kernel space")
-    values = np.tile(np.asarray(initial.values, dtype=np.float64), (noise.shape[0], 1))
+    values = np.tile(np.asarray(initial.values, dtype=np.float64)[:, None], (1, noise.shape[0]))
     yield values
     for z in noise.T:
         values = kernel.step_batch(values, z)
@@ -232,8 +234,8 @@ def _collect(kernel: MarkovKernel, initial: DataState, noise: np.ndarray) -> Evo
     """Every state of the runs whose noise is given, as an estimate."""
     runs, steps = noise.shape
     values = np.empty((steps + 1, runs, kernel.space.dim))
-    for i, step_values in enumerate(_paths(kernel, initial, noise)):
-        values[i] = step_values
+    for i, rows in enumerate(_paths(kernel, initial, noise)):
+        values[i] = rows.T
     return EvolutionEstimate(kernel.space, values)
 
 
@@ -292,20 +294,15 @@ def run_moments(
     total_sq = np.zeros((steps + 1, kernel.space.dim))
     for a in range(0, runs, _MOMENT_BLOCK):
         noise = _run_noise(kernel, plan, steps, range(a, min(a + _MOMENT_BLOCK, runs)))
-        for i, values in enumerate(_paths(kernel, initial, noise)):
-            # a sum over the outer axis adds the rows one after another, so
-            # each block sum is a fold in run order
-            total[i] += values.sum(axis=0)
-            total_sq[i] += (values * values).sum(axis=0)
+        for i, rows in enumerate(_paths(kernel, initial, noise)):
+            # the last entry of an accumulation adds the runs one after
+            # another, so each block sum is a fold in run order; a plain sum
+            # along the row would be pairwise and change the last bits
+            total[i] += np.add.accumulate(rows, axis=1)[:, -1]
+            total_sq[i] += np.add.accumulate(rows * rows, axis=1)[:, -1]
     mean = total / runs
     var = np.maximum(total_sq / runs - mean * mean, 0.0) * (runs / (runs - 1))
     return mean, np.sqrt(var)
-
-
-def empirical_measure(samples: SampleSet, predicate: Callable[[DataState], bool]) -> float:
-    """Fraction of samples satisfying the predicate."""
-    hits = sum(1 for s in samples.states() if predicate(s))
-    return hits / len(samples)
 
 
 def save_trajectory(dest, traj: EvolutionEstimate) -> None:

@@ -98,17 +98,19 @@ class TankKernel:
         self.params = params
         self.scenario = scenario
         self._space = tank_space(params)
-        # flattened coefficients, computed once instead of on every batch step
+        # flattened coefficients, computed once instead of on every batch
+        # step; the pipe coefficients are a column, one row per pipe [12, 23]
         p = params
-        self._c12 = p.loss12 * p.pipe_area
-        self._c23 = p.loss23 * p.pipe_area
+        self._pipe = np.array([[p.loss12 * p.pipe_area], [p.loss23 * p.pipe_area]])
         self._two_g = 2.0 * p.gravity
         self._scale = p.dt / p.area
         self._lo, self._hi = p.level_min, p.level_max
         self._qmax = p.flow_max
         self._hi_band = p.goal + p.band
         self._lo_band = p.goal - p.band
-        self._qstep = p.flow_step
+        # controller step per row [q1, q0] when its level is above the band:
+        # the inflow steps down, the outflow up; below the band, the reverse
+        self._qstep = np.array([[-p.flow_step], [p.flow_step]])
         self._inflow_std = math.sqrt(p.inflow_variance)
 
     @property
@@ -123,33 +125,31 @@ class TankKernel:
         return rng.standard_normal(steps)
 
     def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        l1, l2, l3, q1, q2, q0 = values.T
+        levels, flows = values[:3], values[3:]
+        q1, q2, q0 = flows
 
-        d12 = l1 - l2
-        q12 = np.copysign(self._c12 * np.sqrt(self._two_g * np.abs(d12)), d12)
-        d23 = l2 - l3
-        q23 = np.copysign(self._c23 * np.sqrt(self._two_g * np.abs(d23)), d23)
+        # signed Torricelli flows through both pipes at once, rows [q12, q23]
+        d = levels[:2] - levels[1:]
+        q12, q23 = np.copysign(self._pipe * np.sqrt(self._two_g * np.abs(d)), d)
 
-        s = self._scale
+        # each tank's net inflow, scaled onto its level
         out = np.empty_like(values)
-        out[:, 0] = _clamp(l1 + (q1 - q12) * s, self._lo, self._hi)
-        out[:, 1] = _clamp(l2 + (q12 - q23) * s, self._lo, self._hi)
-        out[:, 2] = _clamp(l3 + (q2 + q23 - q0) * s, self._lo, self._hi)
+        np.subtract(q1, q12, out=out[0])
+        np.subtract(q12, q23, out=out[1])
+        np.subtract(q2 + q23, q0, out=out[2])
+        out[:3] *= self._scale
+        out[:3] += levels
+        out[:3] = _clamp(out[:3], self._lo, self._hi)
 
+        # controllers read the pre-update levels l1, l3 and step q1, q0; the
+        # final clamp into [0, flow_max] also bounds each controller branch
+        lv, q, qs = levels[::2], flows[::2], self._qstep
+        out[3::2] = np.where(lv > self._hi_band, q + qs, np.where(lv < self._lo_band, q - qs, q))
         if self.scenario == 1:
-            nq2 = self.params.inflow_mean + self._inflow_std * noise
+            out[4] = self.params.inflow_mean + self._inflow_std * noise
         else:
-            nq2 = q2 + noise
-
-        # controllers read the pre-update levels; the final clamp into
-        # [0, flow_max] also bounds each controller branch
-        qs = self._qstep
-        nq1 = np.where(l1 > self._hi_band, q1 - qs, np.where(l1 < self._lo_band, q1 + qs, q1))
-        nq0 = np.where(l3 > self._hi_band, q0 + qs, np.where(l3 < self._lo_band, q0 - qs, q0))
-
-        out[:, 3] = _clamp(nq1, 0.0, self._qmax)
-        out[:, 4] = _clamp(nq2, 0.0, self._qmax)
-        out[:, 5] = _clamp(nq0, 0.0, self._qmax)
+            out[4] = q2 + noise
+        out[3:] = _clamp(out[3:], 0.0, self._qmax)
         return out
 
 

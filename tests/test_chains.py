@@ -107,11 +107,12 @@ def test_kernel_batch_step_equals_one_row_steps():
     # values listed out of order, so the value-to-row lookup is exercised
     chain = random_chain(rng, 4, values=[0.75, 0.0, 1.0, 0.25])
     kernel = ChainKernel(chain)
-    values = rng.choice(chain.values, 50)[:, None]
+    values = rng.choice(chain.values, 50)[None, :]
     noise = rng.random(50)
     batch = kernel.step_batch(values, noise)
     for j in range(50):
-        assert np.array_equal(batch[j : j + 1], kernel.step_batch(values[j : j + 1], noise[j : j + 1]))
+        one = kernel.step_batch(values[:, j : j + 1], noise[j : j + 1])
+        assert np.array_equal(batch[:, j : j + 1], one)
 
 
 def test_kernel_step_matches_generator_choice():

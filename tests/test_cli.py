@@ -268,6 +268,15 @@ def test_stats_rejects_fewer_than_two_reference_runs(runs, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_stats_rejects_a_single_run(tmp_path, capsys):
+    out = tmp_path / "stats.csv"
+    code, stdout, err = run(
+        capsys, "stats", *CHAIN, "--steps", "4", "--runs", "1", "--out", str(out)
+    )
+    assert code == 2 and stdout == "" and "--runs must be >= 2" in err
+    assert not out.exists()
+
+
 def test_stats_sweep_names_files_by_run_count(tmp_path, capsys, monkeypatch):
     import evtl.cli as cli_mod
 
@@ -281,7 +290,7 @@ def test_stats_sweep_names_files_by_run_count(tmp_path, capsys, monkeypatch):
     assert code == 2 and "--out" in err
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     # 2: configuration problems
     assert run(capsys, "simulate", *CHAIN)[0] == 2  # no steps
     assert run(capsys, "simulate", "--config", "/no/such.cfg", "--steps", "1")[0] == 2
@@ -295,8 +304,14 @@ def test_exit_codes(tmp_path, capsys):
     ugly = tmp_path / "ugly.evtl"
     ugly.write_text("F[3,1] true")
     assert run(capsys, "check", *CHAIN, "--formula", str(ugly))[0] == 3
-    # 4: numeric failures
-    assert run(capsys, "stats", *CHAIN, "--steps", "2", "--runs", "1")[0] == 4
+    # 4: numeric failures inside the engine
+    import evtl.cli as cli_mod
+
+    def overflow(*args):
+        raise FloatingPointError("overflow")
+
+    monkeypatch.setattr(cli_mod, "estimate", overflow)
+    assert run(capsys, "stats", *CHAIN, "--steps", "2", "--runs", "2")[0] == 4
 
 
 @pytest.mark.parametrize("setting", ["tanks.dt=nan", "tanks.gravity=inf", "tanks.l_M=-inf"])

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from evtl import simulation
 from evtl.chains import ChainKernel, transient_distributions
 from evtl.simulation import (
     RandomnessPlan,
-    empirical_measure,
     estimate,
     run_moments,
     save_estimate,
@@ -32,7 +34,7 @@ class WalkKernel:
         return rng.standard_normal(steps)
 
     def step_batch(self, values, noise):
-        return np.clip(values + self.step_std * noise[:, None], 0.0, 1.0)
+        return np.clip(values + self.step_std * noise[None, :], 0.0, 1.0)
 
 
 def test_simulate_shapes_and_start():
@@ -156,6 +158,33 @@ def test_run_moments_match_materialized_estimate():
     np.testing.assert_allclose(std, est.values.std(axis=1, ddof=1), atol=1e-12)
 
 
+def test_run_moments_fold_runs_in_order_within_blocks():
+    # more runs than one block, so the block sums meet in the totals; each
+    # block is folded run by run, then the block sums in block order
+    block = simulation._MOMENT_BLOCK
+    runs, steps = block + 6, 3
+    k = WalkKernel(step_std=0.3)
+    d0 = k.space.state(x=0.5)
+    plan = RandomnessPlan(21)
+    mean, std = run_moments(k, d0, steps, runs, plan)
+    xs = estimate(k, d0, steps, runs, plan).values[:, :, 0].tolist()
+    for i in range(steps + 1):
+        total = total_sq = 0.0
+        for a in range(0, runs, block):
+            part = xs[i][a : a + block]
+            s, sq = part[0], part[0] * part[0]
+            for x in part[1:]:
+                s += x
+                sq += x * x
+            total += s
+            total_sq += sq
+        m = total / runs
+        var = max(total_sq / runs - m * m, 0.0) * (runs / (runs - 1))
+        assert mean[i, 0] == m and std[i, 0] == math.sqrt(var)
+    # later steps are spread out, so a pairwise or unblocked sum would show
+    assert std[steps, 0] > 0.1
+
+
 def test_trajectory_csv_format(tmp_path):
     k = WalkKernel()
     traj = simulate(k, k.space.state(x=0.0), 2, RandomnessPlan(0).substream(0, 0))
@@ -176,13 +205,6 @@ def test_estimate_csv_row_order(tmp_path):
     assert lines[0] == "run,time,x"
     heads = [tuple(l.split(",")[:2]) for l in lines[1:]]
     assert heads == [(str(j), str(i)) for j in range(3) for i in range(3)]
-
-
-def test_empirical_measure_fraction(unit_space):
-    from conftest import unit_samples
-
-    ss = unit_samples(unit_space, [0.1, 0.6, 0.7, 0.2])
-    assert empirical_measure(ss, lambda d: d["x"] > 0.5) == pytest.approx(0.5)
 
 
 def test_weak_convergence_on_uniform_chain():

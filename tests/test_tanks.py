@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from evtl.simulation import RandomnessPlan, estimate
 from evtl.spaces import DataState
@@ -10,9 +11,9 @@ from evtl.tanks import TankKernel, TankParams, initial_state, tank_penalties, ta
 
 
 def step(kernel, state, z=0.0):
-    """One-row ``step_batch`` call with normal draw ``z``, read back as a state."""
-    row = kernel.step_batch(np.array([state.values]), np.array([z]))[0]
-    return DataState(kernel.space, tuple(float(x) for x in row))
+    """One-run ``step_batch`` call with normal draw ``z``, read back as a state."""
+    col = kernel.step_batch(np.array([state.values]).T, np.array([z]))[:, 0]
+    return DataState(kernel.space, tuple(float(x) for x in col))
 
 
 def mk_state(space, **kw):
@@ -156,12 +157,59 @@ def test_batch_step_equals_one_row_steps(scenario):
     # rows on the clamp bounds and the controller band edges too
     levels[:8] = [[0.0, 0.0, 20.0], [20.0, 20.0, 0.0], [10.5, 9.5, 10.5], [9.5, 10.5, 9.5]] * 2
     flows[:4] = [[0.0, 6.0, 0.0], [6.0, 0.0, 6.0]] * 2
-    values = np.hstack([levels, flows])
+    values = np.hstack([levels, flows]).T
     noise = rng.standard_normal(n) * 3.0
     batch = kernel.step_batch(values, noise)
     for j in range(n):
-        one = kernel.step_batch(values[j : j + 1], noise[j : j + 1])
-        assert np.array_equal(batch[j : j + 1], one)
+        one = kernel.step_batch(values[:, j : j + 1], noise[j : j + 1])
+        assert np.array_equal(batch[:, j : j + 1], one)
+
+
+def oracle_step(p, scenario, l1, l2, l3, q1, q2, q0, z):
+    """The balance equations of one run, in Python floats."""
+
+    def clamp(x, lo, hi):
+        return min(hi, max(lo, x))
+
+    two_g, s = 2.0 * p.gravity, p.dt / p.area
+    d12, d23 = l1 - l2, l2 - l3
+    q12 = math.copysign(p.loss12 * p.pipe_area * math.sqrt(two_g * abs(d12)), d12)
+    q23 = math.copysign(p.loss23 * p.pipe_area * math.sqrt(two_g * abs(d23)), d23)
+    lo, hi = p.level_min, p.level_max
+    levels = (
+        clamp(l1 + (q1 - q12) * s, lo, hi),
+        clamp(l2 + (q12 - q23) * s, lo, hi),
+        clamp(l3 + (q2 + q23 - q0) * s, lo, hi),
+    )
+    up, down, qs = p.goal + p.band, p.goal - p.band, p.flow_step
+    nq1 = q1 - qs if l1 > up else q1 + qs if l1 < down else q1
+    nq0 = q0 + qs if l3 > up else q0 - qs if l3 < down else q0
+    nq2 = p.inflow_mean + math.sqrt(p.inflow_variance) * z if scenario == 1 else q2 + z
+    return levels + tuple(clamp(q, 0.0, p.flow_max) for q in (nq1, nq2, nq0))
+
+
+# the clamp bounds, the band edges and the goal come up often, so equal
+# levels (no pipe flow) and shut or full flows do too; -0.0 sits on a bound
+# and tells the clamp's choice between equal values apart
+LEVEL = st.one_of(st.sampled_from([0.0, -0.0, 20.0, 9.5, 10.5, 10.0]), st.floats(0.0, 20.0))
+FLOW = st.one_of(st.sampled_from([0.0, -0.0, 6.0]), st.floats(0.0, 6.0))
+RUN = st.tuples(LEVEL, LEVEL, LEVEL, FLOW, FLOW, FLOW, st.floats(-10.0, 10.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=st.sampled_from([1, 2]), runs=st.lists(RUN, min_size=1, max_size=12))
+@example(scenario=1, runs=[(10.0, 10.0, 10.0, 0.0, 6.0, 6.0, 0.0)])
+@example(scenario=2, runs=[(0.0, 0.0, 20.0, 6.0, 0.0, 0.0, -1.0), (20.0, 20.0, 0.0, 6.0, 6.0, 0.0, 9.0)])
+@example(scenario=1, runs=[(9.5, 10.5, 9.5, 0.0, 3.0, 6.0, 2.0), (10.5, 9.5, 10.5, 6.0, 3.0, 0.0, -2.0)])
+def test_step_batch_equals_scalar_balance_equations(scenario, runs):
+    p = TankParams()
+    kernel = TankKernel(p, scenario)
+    cols = np.array(runs)
+    got = kernel.step_batch(np.ascontiguousarray(cols[:, :6].T), np.ascontiguousarray(cols[:, 6]))
+    for j, run in enumerate(runs):
+        # bit for bit, so a signed zero must match too
+        want = np.array(oracle_step(p, scenario, *run))
+        assert got[:, j].tobytes() == want.tobytes()
 
 
 def test_noise_is_one_normal_draw_per_step(kernel):
