@@ -212,34 +212,26 @@ def _snapped_weights(chain: FiniteChain, mean: float, variance: float) -> np.nda
 def _reference_weights(chain: FiniteChain, dist) -> np.ndarray:
     """Exact state distribution a reference induces on the chain's space."""
     var = chain.variable
-    snap = FiniteSet(chain.values)
+    if not isinstance(dist, (ProductNormal, PointMass, EmpiricalRef)):
+        raise TypeError(f"unsupported reference distribution {dist!r}")
+    if var not in dist.variables():
+        raise ValueError(f"reference does not constrain chain variable {var!r}")
     if isinstance(dist, ProductNormal):
-        for v, mean, variance in dist.entries:
-            if v == var:
-                return _snapped_weights(chain, mean, variance)
-        raise ValueError(f"reference does not constrain chain variable {var!r}")
+        _, mean, variance = dist.entries[dist.variables().index(var)]
+        return _snapped_weights(chain, mean, variance)
     if isinstance(dist, PointMass):
-        for v, value in dist.assignments:
-            if v == var:
-                w = np.zeros(chain.n_states)
-                w[chain.state_index(snap.clamp(value))] = 1.0
-                return w
-        raise ValueError(f"reference does not constrain chain variable {var!r}")
-    if isinstance(dist, EmpiricalRef):
-        names = dist.samples.space.names
-        if var not in names:
-            raise ValueError(f"reference does not constrain chain variable {var!r}")
-        col = dist.samples.values[:, names.index(var)]
-        sample_w = (
-            dist.weights
-            if dist.weights is not None
-            else np.full(len(col), 1.0 / len(col))
-        )
-        w = np.zeros(chain.n_states)
-        for x, wx in zip(col, sample_w):
-            w[chain.state_index(snap.clamp(float(x)))] += wx
-        return w
-    raise TypeError(f"unsupported reference distribution {dist!r}")
+        return _snapped_weights(chain, dict(dist.assignments)[var], 0.0)
+    snap = FiniteSet(chain.values)
+    col = dist.samples.column(var)
+    sample_w = (
+        dist.weights
+        if dist.weights is not None
+        else np.full(len(col), 1.0 / len(col))
+    )
+    w = np.zeros(chain.n_states)
+    for x, wx in zip(col, sample_w):
+        w[chain.state_index(snap.clamp(float(x)))] += wx
+    return w
 
 
 def exact_robustness(
@@ -273,7 +265,7 @@ def exact_robustness(
                 out[t] = discount(t) * d - atom.threshold
         return out
 
-    return RobustnessSeries(fold(formula, k, atom_series, until_mode), horizon(formula), until_mode)
+    return RobustnessSeries(fold(formula, k, atom_series, until_mode), horizon(formula))
 
 
 def _directional_profile(

@@ -280,10 +280,11 @@ class Truth:
 
 
 @dataclass(frozen=True)
-class Target:
-    """Satisfied when the state distribution is near the reference.
+class _Atom:
+    """A reference distribution, a penalty and a threshold in [0, 1].
 
-    Robustness at time tau: threshold - discount(tau) * dist(ref -> state).
+    Subclasses differ only in the direction of the one-sided distance, and
+    equality tells them apart.
     """
 
     dist: Distribution
@@ -295,28 +296,24 @@ class Target:
             raise ValueError("threshold must lie in [0, 1]")
 
     def pretty(self) -> str:
-        return f"target({self.dist.pretty()}, {self.penalty.name}, {_fmt(self.threshold)})"
+        kind = type(self).__name__.lower()
+        return f"{kind}({self.dist.pretty()}, {self.penalty.name}, {_fmt(self.threshold)})"
 
 
-@dataclass(frozen=True)
-class Hazard:
+class Target(_Atom):
+    """Satisfied when the state distribution is near the reference.
+
+    Robustness at time tau: threshold - discount(tau) * dist(ref -> state).
+    """
+
+
+class Hazard(_Atom):
     """Satisfied when the state distribution stays away from the reference.
 
     Robustness at time tau: discount(tau) * dist(state -> ref) - threshold.
     Not expressible as a negated target: the two atoms use opposite
     directions of the one-sided distance.
     """
-
-    dist: Distribution
-    penalty: Penalty
-    threshold: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must lie in [0, 1]")
-
-    def pretty(self) -> str:
-        return f"hazard({self.dist.pretty()}, {self.penalty.name}, {_fmt(self.threshold)})"
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,6 @@ class RobustnessSeries:
 
     values: np.ndarray
     formula_horizon: int
-    until_mode: str = "semantics"
 
     @property
     def steps(self) -> int:
@@ -83,9 +82,6 @@ class RobustnessSeries:
     def value(self) -> float:
         """Robustness at time 0, the usual verdict."""
         return float(self.values[0])
-
-    def reliable(self, i: int) -> bool:
-        return i + self.formula_horizon <= self.steps
 
     @property
     def reliable_steps(self) -> int:
@@ -235,7 +231,7 @@ def evaluate(
     values = fold(
         formula, est.steps, lambda a: _atom_values(a, est, base_runs, plan, discount), until_mode
     )
-    return RobustnessSeries(values, horizon(formula), until_mode)
+    return RobustnessSeries(values, horizon(formula))
 
 
 @dataclass(frozen=True)
@@ -243,9 +239,6 @@ class CheckResult:
     """Outcome of checking one formula against one system."""
 
     series: RobustnessSeries
-    formula: Formula
-    base_runs: int
-    ratio: int
     estimate: EvolutionEstimate = field(repr=False)
 
     @property
@@ -282,7 +275,7 @@ def check_formula(
     k = horizon(formula) if steps is None else steps
     est = estimate(kernel, initial, k, ratio * base_runs, plan)
     series = evaluate(est, formula, base_runs, plan, discount, until_mode)
-    return CheckResult(series, formula, base_runs, ratio, est)
+    return CheckResult(series, est)
 
 
 def save_series(dest, series: RobustnessSeries) -> None:

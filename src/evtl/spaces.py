@@ -9,8 +9,8 @@ the one-sided gap used everywhere else in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -162,14 +162,6 @@ class DataState:
     def __getitem__(self, name: str) -> float:
         return self.values[self.space.index(name)]
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.space.names, self.values))
-
-    def replace(self, **changes: float) -> "DataState":
-        d = self.as_dict()
-        d.update(changes)
-        return self.space.state(d)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, DataState)
@@ -206,10 +198,6 @@ class SampleSet:
 
     def state(self, i: int) -> DataState:
         return DataState(self.space, tuple(float(x) for x in self.values[i]))
-
-    def states(self) -> Iterator[DataState]:
-        for i in range(len(self)):
-            yield self.state(i)
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.space.index(name)]
@@ -278,13 +266,10 @@ def save_samples(dest, samples: SampleSet) -> None:
     write_csv(dest, samples.space.names, fmt, [(samples.values,)])
 
 
-def load_samples(path: str, space: DataSpace | None = None) -> SampleSet:
+def load_samples(path: str) -> SampleSet:
     """Read a sample-set CSV written by :func:`save_samples`.
 
-    Without a space, one is inferred whose domains are the per-column sample
-    ranges. With a space, columns are mapped to its variables by header name
-    (order does not matter) and variables absent from the file default to
-    their domain minimum.
+    The space is inferred: its domains are the per-column sample ranges.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -303,13 +288,8 @@ def load_samples(path: str, space: DataSpace | None = None) -> SampleSet:
     if not rows:
         raise ValueError(f"{path}: no sample rows")
     data = np.asarray(rows, dtype=np.float64)
-    if space is None:
-        doms = [
-            (n, Interval(float(np.min(data[:, i])), float(np.max(data[:, i]))))
-            for i, n in enumerate(names)
-        ]
-        return SampleSet(DataSpace(doms), data)
-    out = np.empty((data.shape[0], space.dim))
-    for j, name in enumerate(space.names):
-        out[:, j] = data[:, names.index(name)] if name in names else space.floor[j]
-    return SampleSet(space, out)
+    doms = [
+        (n, Interval(float(np.min(data[:, i])), float(np.max(data[:, i]))))
+        for i, n in enumerate(names)
+    ]
+    return SampleSet(DataSpace(doms), data)

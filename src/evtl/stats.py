@@ -61,9 +61,6 @@ class ErrorReport:
             raise ValueError("no defined z-scores")
         return float(defined.mean())
 
-    def column(self, variable: str, what: str = "mean") -> np.ndarray:
-        return getattr(self, what)[:, self.names.index(variable)]
-
 
 def error_report(
     est: EvolutionEstimate,

@@ -438,7 +438,6 @@ def test_reliability_window():
     s = RobustnessSeries(np.zeros(11), formula_horizon=4)
     assert s.steps == 10
     assert s.reliable_steps == 7
-    assert [s.reliable(i) for i in range(11)] == [True] * 7 + [False] * 4
     assert s.reliable_mask.tolist() == [True] * 7 + [False] * 4
     assert RobustnessSeries(np.zeros(3), formula_horizon=9).reliable_steps == 0
 
