@@ -106,8 +106,13 @@ class FiniteChain:
         return self.values.index(value)
 
     def initial_state(self) -> DataState:
-        """Most likely initial value (ties to the earlier listed one)."""
-        return self.state(self.values[int(np.argmax(self.initial))])
+        """The initial value; a simulated run cannot start from a distribution."""
+        support = np.flatnonzero(self.initial)
+        if len(support) != 1:
+            raise ValueError(
+                f"chain initial weighs {len(support)} states; a simulation starts from one"
+            )
+        return self.state(self.values[support[0]])
 
     def penalty_scores(
         self, penalty: Penalty | None = None, tau: int | np.ndarray = 0
@@ -153,25 +158,39 @@ class ChainKernel:
         return self._values[nxt][None, :]
 
 
+def _numbers(x: object, depth: int) -> bool:
+    """Whether ``x`` is a JSON array nested ``depth`` deep with numbers at the bottom."""
+    if depth == 0:
+        return isinstance(x, float)
+    return isinstance(x, list) and all(_numbers(v, depth - 1) for v in x)
+
+
 def load_chain(path: str) -> FiniteChain:
     """Read a chain from JSON.
 
     Schema: ``{"variable": str, "values": [...], "transition": [[...]],
-    "initial": [...], "penalty": [...], "penalty_name": str?}``.
+    "initial": [...], "penalty": [...], "penalty_name": str?}``. A document
+    of another shape raises ``ValueError``.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        return FiniteChain(
-            doc["variable"],
-            doc["values"],
-            np.asarray(doc["transition"], dtype=np.float64),
-            np.asarray(doc["initial"], dtype=np.float64),
-            doc["penalty"],
-            doc.get("penalty_name", "rho"),
-        )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing chain field {exc}") from None
+        # integers read as floats, so one too large for a float becomes inf
+        doc = json.load(fh, parse_int=float)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a chain file holds one JSON object")
+    doc = {"penalty_name": "rho", **doc}
+    args = []
+    # FiniteChain's arguments in order, each with its array depth (None: a string)
+    for key, depth in (
+        ("variable", None), ("values", 1), ("transition", 2), ("initial", 1), ("penalty", 1),
+        ("penalty_name", None),
+    ):
+        if key not in doc:
+            raise ValueError(f"{path}: missing chain field {key!r}")
+        if not (isinstance(doc[key], str) if depth is None else _numbers(doc[key], depth)):
+            want = "a string" if depth is None else f"numbers in arrays {depth} deep"
+            raise ValueError(f"{path}: chain {key} must be {want}")
+        args.append(doc[key])
+    return FiniteChain(*args)
 
 
 def transient_distributions(chain: FiniteChain, steps: int) -> np.ndarray:

@@ -178,7 +178,7 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     try:
         return parse_config(text, base)
@@ -201,9 +201,10 @@ def build_model(cfg: RunConfig) -> tuple[MarkovKernel, DataState, dict[str, Pena
 
         try:
             chain = load_chain(cfg.chain_file)
+            initial = chain.initial_state()
         except OSError as exc:
             raise ConfigError(f"cannot read chain file: {exc}") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        return ChainKernel(chain), chain.initial_state(), {chain.penalty.name: chain.penalty}
+        return ChainKernel(chain), initial, {chain.penalty.name: chain.penalty}
     raise ConfigError(f"unknown model {cfg.model!r}")

@@ -322,4 +322,8 @@ def load_formula(
 ) -> Formula:
     """Parse a UTF-8 formula file (``#`` comments allowed)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_formula(fh.read(), penalties, space)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormulaError(f"{path} is not UTF-8: {exc}", 1, 1) from None
+    return parse_formula(text, penalties, space)

@@ -346,6 +346,65 @@ def test_non_finite_chain_file_exits_2(field, tmp_path, capsys):
     assert code == 2 and stdout == "" and f"chain {field} must be finite" in err
 
 
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_chain_with_several_initial_states_exits_2(command, tmp_path, capsys):
+    doc = json.loads(Path(DRIFT).read_text())
+    doc["initial"] = [0.4, 0.0, 0.6]
+    chain = tmp_path / "spread.json"
+    chain.write_text(json.dumps(doc))
+    prop = tmp_path / "prop.evtl"
+    prop.write_text("target(point(x=0.0), rho, 0.5)\n")
+    extra = ["--formula", str(prop)] if command == "check" else []
+    code, stdout, err = run(
+        capsys, command, "--set", "model=chain", "--set", f"chain.file={chain}",
+        "--steps", "0", *extra,
+    )
+    assert code == 2 and stdout == "" and "starts from one" in err
+
+
+def _drift_with(**changes):
+    return json.dumps({**json.loads(Path(DRIFT).read_text()), **changes})
+
+
+@pytest.mark.parametrize(
+    "kind, text, want",
+    [
+        ("chain", "[1, 2]", 2),
+        ("chain", '"x"', 2),
+        ("chain", _drift_with(values=5), 2),
+        ("chain", _drift_with(values=[[0.0], [0.5], [1.0]]), 2),
+        ("chain", _drift_with(penalty={"a": 1}), 2),
+        ("chain", _drift_with(variable=["x"]), 2),
+        ("chain", _drift_with(variable=3), 2),
+        ("chain", _drift_with(penalty_name=7), 2),
+        ("chain", _drift_with(transition=[[0.6, 0.4], [1.0]]), 2),
+        ("chain", _drift_with(values=[0, 1, 10**400]), 2),
+        ("config", b"model = chain\n# caf\xe9\n", 2),
+        ("formula", b"# caf\xe9\ntrue\n", 3),
+    ],
+    ids=[
+        "chain-array", "chain-string", "values-number", "values-nested", "penalty-object",
+        "variable-array", "variable-number", "penalty-name-number", "transition-ragged",
+        "values-huge-int",
+        "config-latin1", "formula-latin1",
+    ],
+)
+def test_malformed_input_files_exit_without_traceback(kind, text, want, tmp_path, capsys):
+    path = tmp_path / f"bad-{kind}"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    prop = tmp_path / "prop.evtl"
+    prop.write_text("target(point(x=0.0), rho, 0.5)\n")
+    files = {"chain": ["--set", f"chain.file={path}"], "config": ["--config", str(path)]}
+    argv = ["check", "--set", "model=chain", "--set", f"chain.file={DRIFT}"]
+    argv += files.get(kind, [])
+    argv += ["--formula", str(path if kind == "formula" else prop), "--steps", "2"]
+    code, stdout, err = run(capsys, *argv)
+    assert code == want and stdout == "" and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "dist", ["normal(x; 0.5, 1e999)", "normal(x; 1e999, 0.1)", "point(x = 1e999)"]
 )

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evtl import simulation
-from evtl.chains import ChainKernel, transient_distributions
+from evtl.chains import ChainKernel, FiniteChain, transient_distributions
 from evtl.simulation import (
     RandomnessPlan,
     estimate,
@@ -212,20 +212,11 @@ def test_weak_convergence_on_uniform_chain():
     # frequencies approach the exact transients
     rng = np.random.default_rng(0)
     chain = random_chain(rng, 3, values=[0.0, 0.5, 1.0])
-    kernel = ChainKernel(chain)
-    d0 = chain.initial_state()
-    # restart the chain from a point mass matching the simulation start
-    import evtl.chains as chains_mod
-
-    exact_chain = chains_mod.FiniteChain(
-        "x",
-        chain.values,
-        chain.transition,
-        np.array([1.0 if v == d0.values[0] else 0.0 for v in chain.values]),
-        chain.penalty_values,
-    )
-    est = estimate(kernel, d0, 5, 10_000, RandomnessPlan(77))
-    exact = transient_distributions(exact_chain, 5)
+    # a simulation starts from one state, here the random chain's most likely one
+    start = np.eye(3)[np.argmax(chain.initial)]
+    chain = FiniteChain("x", chain.values, chain.transition, start, chain.penalty_values)
+    est = estimate(ChainKernel(chain), chain.initial_state(), 5, 10_000, RandomnessPlan(77))
+    exact = transient_distributions(chain, 5)
     for t in range(6):
         for s, v in enumerate(chain.values):
             freq = float(np.mean(est.values[t, :, 0] == v))
