@@ -237,6 +237,24 @@ def test_de_morgan_is_bitwise_exact():
     assert np.array_equal(evaluate(est, conj(a, b), 12, plan).values, np.minimum(va, vb))
 
 
+def test_target_and_hazard_with_equal_fields_stay_distinct():
+    # the two atoms share one base record; equality and the fold's cache
+    # must still tell them apart by kind
+    est, a, _ = stochastic_setup()
+    t, h = Target(a.dist, a.penalty, 0.05), Hazard(a.dist, a.penalty, 0.05)
+    assert t != h and t == Target(a.dist, a.penalty, 0.05)
+    plan = RandomnessPlan(5)
+    vt, vh = (evaluate(est, f, 12, plan).values for f in (t, h))
+    # each atom leads at some index, so the max differs from both series
+    assert np.any(vt > vh) and np.any(vh > vt)
+    assert np.array_equal(evaluate(est, Or(t, h), 12, plan).values, np.maximum(vt, vh))
+    # printed forms and stream keys as before the atoms shared a base
+    assert t.pretty() == "target(normal(x; 0.4, 0.05), px, 0.05)"
+    assert h.pretty() == "hazard(normal(x; 0.4, 0.05), px, 0.05)"
+    assert content_words(t) == (2008692515, 497809184, 2435581115, 1297196005)
+    assert content_words(h) == (934689536, 2809844028, 869518163, 2362105941)
+
+
 def test_shared_atoms_share_reference_draws():
     # max(v, -v) = |v| only holds when both occurrences of the atom see
     # the same reference samples
