@@ -174,7 +174,8 @@ class EvolutionEstimate:
 
     Stored as a (steps+1, runs, dim) array; ``at(i)`` views step i as a
     :class:`SampleSet` without copying. Row order is the run index, which the
-    monitor relies on when it truncates a sample set to its first N rows.
+    monitor relies on when a hazard atom reads only the first N runs
+    (``values[t0:t1, :N]``).
     """
 
     __slots__ = ("space", "values")
