@@ -137,11 +137,12 @@ class ChainKernel:
         self._sorted = self._values[order]
         # inverse-CDF sampling as Generator.choice does it, dividing each
         # cumulative row by its last entry: a row summing to 1 - 1 ulp must
-        # still pick the same state as choice for every uniform draw. Rows
-        # are stored in sorted-value order, so a run's value finds its row
-        # with one searchsorted
+        # still pick the same state as choice for every uniform draw. The
+        # rows are stored transposed, one contiguous row per cumulative
+        # entry with columns in sorted-value order, so a run's value finds
+        # its column with one searchsorted
         cdf = np.cumsum(chain.transition, axis=1)
-        self._cdf = (cdf / cdf[:, -1:])[order]
+        self._cdf = np.ascontiguousarray((cdf / cdf[:, -1:])[order].T)
 
     @property
     def space(self) -> DataSpace:
@@ -152,10 +153,10 @@ class ChainKernel:
         return rng.random(steps)
 
     def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        cdf = self._cdf[self._sorted.searchsorted(values[0])]
-        # searchsorted(cdf_row, u, side="right"), one row per run
-        nxt = np.add.reduce(cdf <= noise[:, None], axis=1)
-        return self._values[nxt][None, :]
+        cdf = self._cdf.take(self._sorted.searchsorted(values[0]), axis=1)
+        # searchsorted(cdf_row, u, side="right"), one column per run
+        nxt = np.add.reduce(cdf <= noise, axis=0)
+        return self._values.take(nxt)[None, :]
 
 
 def _numbers(x: object, depth: int) -> bool:
@@ -189,6 +190,8 @@ def load_chain(path: str) -> FiniteChain:
         if not (isinstance(doc[key], str) if depth is None else _numbers(doc[key], depth)):
             want = "a string" if depth is None else f"numbers in arrays {depth} deep"
             raise ValueError(f"{path}: chain {key} must be {want}")
+        if depth == 2 and len({len(row) for row in doc[key]}) > 1:
+            raise ValueError(f"{path}: chain {key} rows must have equal lengths")
         args.append(doc[key])
     return FiniteChain(*args)
 

@@ -2,7 +2,8 @@
 
 :func:`fold` is the robustness semantics: it computes each distinct
 subformula once, as a value in [-1, 1] for every start index 0..k, by array
-algebra on its children's series (one array pass per until window offset).
+algebra on its children's series (sliding-window maxima for ``F`` and ``G``,
+one array pass per window offset for a general until).
 The atoms' series come from the function it is given, so the exact chain
 oracle folds the same way over its own atom values.
 
@@ -111,14 +112,19 @@ def until_combine(
     half-open [i+lo, tau') (empty at the first offset), ``figure`` uses the
     inclusive [i, tau'].
 
-    Cost: one array pass over all start indices per window offset, O(w)
-    passes for width w. Min and max keep Python's tie rules (``min(a, b)``
-    is ``a`` unless ``b < a``), not numpy's, so signed zeros stay as-is.
+    Min and max keep Python's tie rules (``min(a, b)`` is ``a`` unless
+    ``b < a``), not numpy's, so signed zeros stay as-is.
+
+    Cost: O(k) for k start indices when ``left`` is 1.0 everywhere, which is
+    ``F`` and, through its dual, ``G``; O(k*w) for window width w otherwise,
+    one array pass over all start indices per window offset.
     """
     if left.shape != right.shape:
         raise ValueError("series lengths differ")
     if mode not in ("semantics", "figure"):
         raise ValueError(f"unknown until mode {mode!r}")
+    if np.all(left == 1.0):
+        return _eventually(right, lo, hi)
     n = len(left)
     best, run = np.full(n, -1.0), np.ones(n)
     for d in range(lo if mode == "semantics" else 0, min(hi, n - 1) + 1):
@@ -131,6 +137,41 @@ def until_combine(
             np.copyto(b, cand, where=cand > b)
         if mode == "semantics":
             np.copyto(r, x, where=x < r)
+    return best
+
+
+def _eventually(right: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``until_combine`` for a left series of 1.0 everywhere, in either mode.
+
+    The left-min then stays 1.0, so index i gets the first-wins max of
+    ``min(1.0, right)`` over [i+lo, min(i+hi, k)], floored at -1.0. Sliding
+    window maxima come from block prefix and suffix maxima on blocks of the
+    window's width (van Herk), O(1) per index whatever the width. The loop's
+    tie rules hold: a NaN candidate never wins, the initial -1.0 wins ties,
+    and a max of zero takes the sign of the first zero in its window.
+    """
+    n = len(right)
+    best = np.full(n, -1.0)
+    w = min(hi, n - 1) - lo + 1
+    if w < 1:
+        return best
+    cand = np.where(1.0 < right, 1.0, right)
+    # NaN and anything at or below the floor lose to it
+    cand = np.where(cand > -1.0, cand, -1.0)
+    # whole blocks up to the last window's end, n + w - 2, padded with the floor
+    blocks = np.full((n + 2 * w - 2) // w * w, -1.0)
+    blocks[:n] = cand
+    blocks = blocks.reshape(-1, w)
+    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    # windows [s, s+w-1] for s = i + lo <= k; later start indices see none
+    best[: n - lo] = np.maximum(suffix[lo:n], prefix[lo + w - 1 : n + w - 1])
+    zero = np.flatnonzero(best == 0.0)
+    if len(zero):
+        # index of the first zero candidate at or after each position
+        idx = np.where(cand == 0.0, np.arange(n), n)
+        first = np.minimum.accumulate(idx[::-1])[::-1]
+        best[zero] = cand[first[zero + lo]]
     return best
 
 
@@ -180,9 +221,11 @@ def _atom_values(
     est: EvolutionEstimate,
     base_runs: int,
     plan: RandomnessPlan,
-    discount: Discount,
+    scale: np.ndarray,
 ) -> np.ndarray:
     """Robustness series of one atom, one block of time indices at a time.
+
+    ``scale`` holds the discount at each time index.
 
     Per block: one ``sample_block`` call draws every index's reference from
     stream ``(1, *words, t)``, one projection scores those draws and one the
@@ -206,7 +249,6 @@ def _atom_values(
         ref = pen.project(atom.dist.sample_block(space, n_ref, rngs), taus)
         obs = pen.project(est.values[t0:t1, :n_obs], taus)
         dist[t0:t1] = one_sided_rows(ref, obs) if target else one_sided_rows(obs, ref)
-    scale = np.array([discount(i) for i in range(est.steps + 1)])
     return atom.threshold - scale * dist if target else scale * dist - atom.threshold
 
 
@@ -228,8 +270,9 @@ def evaluate(
     if base_runs < 1 or est.runs % base_runs != 0:
         raise ValueError(f"estimate holds {est.runs} runs, not a multiple of N={base_runs}")
     validate(formula, est.space)
+    scale = np.array([discount(i) for i in range(est.steps + 1)])
     values = fold(
-        formula, est.steps, lambda a: _atom_values(a, est, base_runs, plan, discount), until_mode
+        formula, est.steps, lambda a: _atom_values(a, est, base_runs, plan, scale), until_mode
     )
     return RobustnessSeries(values, horizon(formula))
 

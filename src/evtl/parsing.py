@@ -321,9 +321,18 @@ def load_formula(
     space: DataSpace | None = None,
 ) -> Formula:
     """Parse a UTF-8 formula file (``#`` comments allowed)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise FormulaError(f"{path} is not UTF-8: {exc}", 1, 1) from None
-    return parse_formula(text, penalties, space)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line and column, counted as the tokenizer counts them
+        head = _universal_newlines(data[: exc.start].decode("utf-8"))
+        line, col = head.count("\n") + 1, len(head) - head.rfind("\n")
+        raise FormulaError(f"{path} is not UTF-8: {exc}", line, col) from None
+    return parse_formula(_universal_newlines(text), penalties, space)
+
+
+def _universal_newlines(text: str) -> str:
+    """Line ends CRLF and CR read as LF, as a text-mode ``open`` reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -118,7 +118,7 @@ def test_kernel_batch_step_equals_one_row_steps():
 def test_kernel_step_matches_generator_choice():
     # one uniform per step, mapped as Generator.choice(n, p=row) maps it
     rng = np.random.default_rng(8)
-    for n_states in (1, 2, 5):
+    for n_states in (1, 2, 5, 40):
         chain = random_chain(rng, n_states)
         kernel = ChainKernel(chain)
         for i, value in enumerate(chain.values):
@@ -414,6 +414,16 @@ def test_array_penalty_rejects_a_value_that_is_no_state():
     for stray in (0.5, 7.0, np.nan):
         with pytest.raises(KeyError):
             chain.penalty.project(np.array([[0.0], [stray]]))
+
+
+def test_load_chain_rejects_ragged_transition_rows(tmp_path):
+    p = tmp_path / "ragged.json"
+    p.write_text(
+        '{"variable": "x", "values": [0, 1], "transition": [[0.6, 0.4], [1.0]],'
+        ' "initial": [1, 0], "penalty": [0, 1]}'
+    )
+    with pytest.raises(ValueError, match=f"{p}: chain transition rows must have equal lengths"):
+        load_chain(str(p))
 
 
 def test_load_chain_reports_missing_fields(tmp_path):

@@ -405,6 +405,16 @@ def test_malformed_input_files_exit_without_traceback(kind, text, want, tmp_path
     assert code == want and stdout == "" and "Traceback" not in err
 
 
+def test_ragged_chain_file_names_the_file_and_field(tmp_path, capsys):
+    chain = tmp_path / "ragged.json"
+    chain.write_text(_drift_with(transition=[[0.6, 0.4], [1.0]]))
+    code, stdout, err = run(
+        capsys, "simulate", "--set", "model=chain", "--set", f"chain.file={chain}", "--steps", "2"
+    )
+    assert code == 2 and stdout == ""
+    assert f"{chain}: chain transition rows must have equal lengths" in err
+
+
 @pytest.mark.parametrize(
     "dist", ["normal(x; 0.5, 1e999)", "normal(x; 1e999, 0.1)", "point(x = 1e999)"]
 )

@@ -143,6 +143,39 @@ def test_until_matches_the_scalar_loop_bit_for_bit(pairs, lo, width, mode):
     assert got.tobytes() == scalar_until(left, right, lo, lo + width, mode).tobytes()
 
 
+# the right operand of F and G: the tie pool plus NaN, infinities and values
+# outside [-1, 1], which a left of ones caps at 1.0 and floors at -1.0. Each
+# series draws from a palette of a few values. Half the palettes hold both
+# zeros and nothing above them, so windows whose maximum is a signed zero,
+# or a NaN beside the floor, come up often
+_RIGHT_VALUE = (
+    st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0, np.nan, np.inf, -np.inf, -3.0, 2.5])
+    | st.floats(-1.5, 1.5)
+)
+_NON_POSITIVE = st.sampled_from([-1.0, -0.5, np.nan, -np.inf, -3.0])
+_RIGHT_SERIES = (
+    st.lists(_RIGHT_VALUE, min_size=1, max_size=5)
+    | st.lists(_NON_POSITIVE, max_size=2).map(lambda rest: [-0.0, 0.0, *rest])
+).flatmap(lambda palette: st.lists(st.sampled_from(palette), min_size=1, max_size=120))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    right=_RIGHT_SERIES,
+    # narrow windows near the start too, where a signed zero can be a maximum
+    lo=st.integers(0, 4) | st.integers(0, 130),
+    width=st.integers(-1, 4) | st.integers(-1, 130),
+    mode=st.sampled_from(["semantics", "figure"]),
+)
+def test_until_of_a_true_left_matches_the_scalar_loop_bit_for_bit(right, lo, width, mode):
+    # a left of ones takes the sliding-maximum path; windows as wide as the
+    # series and lo past its end included
+    right = np.array(right)
+    left = np.ones(len(right))
+    got = until_combine(left, right, lo, lo + width, mode)
+    assert got.tobytes() == scalar_until(left, right, lo, lo + width, mode).tobytes()
+
+
 def test_until_keeps_python_tie_rules_on_signed_zeros():
     # min(-0.0, run=0.0) keeps -0.0 and max(-1.0, -0.0) takes it
     left = np.array([0.0, 0.0])

@@ -174,3 +174,12 @@ def test_shipped_property_files_load():
     )
     assert horizon(settle) == 50
     assert horizon(recover) == 60
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_non_utf8_byte_reports_its_line_and_column(newline, tmp_path):
+    p = tmp_path / "latin1.evtl"
+    p.write_bytes(newline.join([b"true", b"# ok", b"# caf\xe9 x", b""]))
+    with pytest.raises(FormulaError, match="not UTF-8") as info:
+        load_formula(str(p), {})
+    assert (info.value.line, info.value.col) == (3, 6)
