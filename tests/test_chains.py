@@ -416,16 +416,6 @@ def test_array_penalty_rejects_a_value_that_is_no_state():
             chain.penalty.project(np.array([[0.0], [stray]]))
 
 
-def test_load_chain_rejects_ragged_transition_rows(tmp_path):
-    p = tmp_path / "ragged.json"
-    p.write_text(
-        '{"variable": "x", "values": [0, 1], "transition": [[0.6, 0.4], [1.0]],'
-        ' "initial": [1, 0], "penalty": [0, 1]}'
-    )
-    with pytest.raises(ValueError, match=f"{p}: chain transition rows must have equal lengths"):
-        load_chain(str(p))
-
-
 def test_load_chain_reports_missing_fields(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"variable": "x", "values": [0, 1]}')
