@@ -9,10 +9,11 @@ oracle folds the same way over its own atom values.
 
 Statistical atom values come from one-sided distances between freshly
 sampled reference distributions and the estimated per-step samples,
-computed in blocks of time indices. Each index draws its reference from
-its own stream, but a block's draws come from one ``sample_block`` call
-and go through one penalty projection and one row-wise sort, so only the
-generator call is paid per index.
+computed in blocks of time indices; a check scores each block as it is
+simulated. Each index draws its reference from its own stream, but a
+block's draws come from one ``sample_block`` call and go through one
+penalty projection and one row-wise sort, so only the generator call is
+paid per index.
 
 Atom sampling draws from RNG streams keyed by the atom's printed form and
 the time index, never by its position in the tree. Two consequences, both
@@ -27,9 +28,9 @@ times) but are flagged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Callable, Literal
+from typing import Callable, Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -46,12 +47,14 @@ from .formulas import (
     Until,
     content_words,
     horizon,
+    iter_atoms,
     validate,
 )
-from .simulation import EvolutionEstimate, MarkovKernel, RandomnessPlan, estimate
-from .spaces import DataState
+from .simulation import EvolutionEstimate, MarkovKernel, RandomnessPlan, _paths, _run_noise
+from .spaces import DataSpace, DataState
 
-# one_sided_wasserstein is not called here; bench/run.py traces this name
+# estimate and one_sided_wasserstein are not called here; bench/run.py traces these names
+from .simulation import estimate  # noqa: F401
 from .wasserstein import one_sided_rows, one_sided_wasserstein  # noqa: F401
 
 __all__ = [
@@ -216,40 +219,41 @@ def fold(
 _BLOCK_VALUES = 1 << 13
 
 
-def _atom_values(
-    atom: Target | Hazard,
-    est: EvolutionEstimate,
+def _score(
+    formula: Formula,
+    space: DataSpace,
     base_runs: int,
     plan: RandomnessPlan,
-    scale: np.ndarray,
-) -> np.ndarray:
-    """Robustness series of one atom, one block of time indices at a time.
+    steps: int,
+    blocks: Iterable[tuple[int, np.ndarray]],
+    discount: Discount,
+    until_mode: UntilMode,
+) -> RobustnessSeries:
+    """Robustness series of a formula from ``(t0, states)`` blocks over 0..steps.
 
-    ``scale`` holds the discount at each time index.
-
-    Per block: one ``sample_block`` call draws every index's reference from
-    stream ``(1, *words, t)``, one projection scores those draws and one the
-    estimate's samples, each row at its own time index, and
-    ``one_sided_rows`` compares them row by row.
+    Row r of the (width, l*N, dim) ``states`` holds index t0 + r, read only
+    until the next block is taken. Each distinct atom scores every block,
+    drawing index t's reference from stream ``(1, *words, t)``.
     """
-    target = isinstance(atom, Target)
-    n_ref, n_obs = (base_runs, est.runs) if target else (est.runs, base_runs)
-    space, pen, words = est.space, atom.penalty, content_words(atom)
-    width = max(1, _BLOCK_VALUES // est.runs)
-    dist = np.empty(est.steps + 1)
-    # a point mass draws nothing, so it takes no streams
-    point = isinstance(atom.dist, PointMass)
-    streams = None if point else plan.substreams((1, *words), range(est.steps + 1))
-    for t0 in range(0, est.steps + 1, width):
-        t1 = min(t0 + width, est.steps + 1)
+    series = {a: np.empty(steps + 1) for a in dict.fromkeys(iter_atoms(formula))}
+    # a point mass draws nothing, so it takes no streams; the others keep theirs across blocks
+    keys = {a: (1, *content_words(a)) for a in series if not isinstance(a.dist, PointMass)}
+    streams = {a: plan.substreams(key, range(steps + 1)) for a, key in keys.items()}
+    for t0, states in blocks:
+        t1, runs = t0 + len(states), states.shape[1]
         # one time index per row, broadcast against the row's states
         taus = np.arange(t0, t1)[:, None]
-        # islice takes no stream past the block
-        rngs = repeat(None, t1 - t0) if point else islice(streams, t1 - t0)
-        ref = pen.project(atom.dist.sample_block(space, n_ref, rngs), taus)
-        obs = pen.project(est.values[t0:t1, :n_obs], taus)
-        dist[t0:t1] = one_sided_rows(ref, obs) if target else one_sided_rows(obs, ref)
-    return atom.threshold - scale * dist if target else scale * dist - atom.threshold
+        scale = np.array([discount(t) for t in range(t0, t1)])
+        for a, out in series.items():
+            target = isinstance(a, Target)
+            n_ref, n_obs = (base_runs, runs) if target else (runs, base_runs)
+            # islice takes no stream past the block
+            rngs = islice(streams.get(a, repeat(None)), t1 - t0)
+            ref = a.penalty.project(a.dist.sample_block(space, n_ref, rngs), taus)
+            obs = a.penalty.project(states[:, :n_obs], taus)
+            d = scale * (one_sided_rows(ref, obs) if target else one_sided_rows(obs, ref))
+            out[t0:t1] = a.threshold - d if target else d - a.threshold
+    return RobustnessSeries(fold(formula, steps, series.__getitem__, until_mode), horizon(formula))
 
 
 def evaluate(
@@ -270,11 +274,9 @@ def evaluate(
     if base_runs < 1 or est.runs % base_runs != 0:
         raise ValueError(f"estimate holds {est.runs} runs, not a multiple of N={base_runs}")
     validate(formula, est.space)
-    scale = np.array([discount(i) for i in range(est.steps + 1)])
-    values = fold(
-        formula, est.steps, lambda a: _atom_values(a, est, base_runs, plan, scale), until_mode
-    )
-    return RobustnessSeries(values, horizon(formula))
+    width = max(1, _BLOCK_VALUES // est.runs)
+    blocks = ((t0, est.values[t0 : t0 + width]) for t0 in range(0, est.steps + 1, width))
+    return _score(formula, est.space, base_runs, plan, est.steps, blocks, discount, until_mode)
 
 
 @dataclass(frozen=True)
@@ -282,7 +284,6 @@ class CheckResult:
     """Outcome of checking one formula against one system."""
 
     series: RobustnessSeries
-    estimate: EvolutionEstimate = field(repr=False)
 
     @property
     def robustness(self) -> float:
@@ -308,17 +309,32 @@ def check_formula(
     discount: Discount = Discount(),
     until_mode: UntilMode = "semantics",
 ) -> CheckResult:
-    """Estimate the system for ratio * N runs and score the formula.
+    """Simulate ratio * N runs and score the formula as the states come.
 
     ``steps`` defaults to the formula horizon, the shortest run for which
-    the verdict at time 0 is reliable.
+    the verdict at time 0 is reliable. The series is bit for bit that of
+    :func:`evaluate` on the ratio * N run estimate, which is never stored: a
+    check holds the (l*N, steps) noise, drawn per run up front because a
+    run's stream is consumed in step order, and one block of states.
     """
     if ratio < 1:
         raise ValueError("oversampling ratio must be >= 1")
+    if base_runs < 1:
+        raise ValueError("need at least one reference run")
+    validate(formula, kernel.space)
     k = horizon(formula) if steps is None else steps
-    est = estimate(kernel, initial, k, ratio * base_runs, plan)
-    series = evaluate(est, formula, base_runs, plan, discount, until_mode)
-    return CheckResult(series, est)
+    noise = _run_noise(kernel, plan, k, range(ratio * base_runs))
+    width = max(1, _BLOCK_VALUES // len(noise))
+    buf = np.empty((width, len(noise), kernel.space.dim))
+
+    def blocks() -> Iterator[tuple[int, np.ndarray]]:
+        for t, rows in enumerate(_paths(kernel, initial, noise)):
+            buf[t % width] = rows.T
+            if t % width == width - 1 or t == k:
+                yield t - t % width, buf[: t % width + 1]
+
+    series = _score(formula, kernel.space, base_runs, plan, k, blocks(), discount, until_mode)
+    return CheckResult(series)
 
 
 def save_series(dest, series: RobustnessSeries) -> None:

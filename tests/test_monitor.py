@@ -1,10 +1,14 @@
 import io
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evtl import monitor
+from evtl.chains import ChainKernel, load_chain
+from evtl.config import build_model, load_config
 from evtl.formulas import (
     Discount,
     EmpiricalRef,
@@ -28,11 +32,14 @@ from evtl.monitor import (
     save_series,
     until_combine,
 )
+from evtl.parsing import load_formula
 from evtl.simulation import EvolutionEstimate, RandomnessPlan, estimate
 from evtl.spaces import DataSpace, FiniteSet, Interval, Penalty, SampleSet, identity_penalty
 from evtl.wasserstein import one_sided_wasserstein
 
 from test_simulation import WalkKernel
+
+REPO = Path(__file__).resolve().parents[1]
 
 LEFT = np.array([0.5, 0.4, 0.3, 0.2])
 RIGHT = np.array([-1.0, -1.0, 0.35, -1.0])
@@ -498,7 +505,8 @@ def test_check_formula_defaults_steps_to_horizon(unit):
     f = eventually(0, 5, Target(PointMass((("x", 1.0),)), pen, 0.4))
     res = check_formula(HoldKernel(space), space.state(x=0.5), f, 10, 3, RandomnessPlan(1))
     assert res.series.steps == horizon(f) == 5
-    assert res.estimate.runs == 30
+    est = estimate(HoldKernel(space), space.state(x=0.5), 5, 30, RandomnessPlan(1))
+    assert np.array_equal(res.series.values, evaluate(est, f, 10, RandomnessPlan(1)).values)
     assert res.series.reliable_steps == 1
     assert res.robustness == 0.4
     assert res.satisfied is True
@@ -514,6 +522,95 @@ def test_check_formula_sign_verdicts(unit):
     assert res0.robustness == 0.3  # |v|, not a tie
     with pytest.raises(ValueError):
         check_formula(HoldKernel(space), space.state(x=0.5), bad, 10, 0, RandomnessPlan(1))
+
+
+def walk_case():
+    """Normal, point-mass and empirical references on the walk; one atom occurs twice."""
+    kernel = WalkKernel()
+    pen = identity_penalty(kernel.space, "x", name="px")
+    stored = SampleSet(kernel.space, np.array([[0.2], [0.45], [0.8]]))
+    twice = Target(ProductNormal((("x", 0.4, 0.05),)), pen, 0.2)
+    settle = eventually(0, 3, conj(twice, Not(Hazard(PointMass((("x", 0.9),)), pen, 0.3))))
+    reach = Until(
+        Target(EmpiricalRef(stored), pen, 0.1),
+        Hazard(ProductNormal((("x", 0.7, 0.02),)), pen, 0.25),
+        1,
+        4,
+    )
+    return kernel, kernel.space.state(x=0.5), Or(Or(settle, reach), Not(twice))
+
+
+def chain_case():
+    chain = load_chain(str(REPO / "chains" / "drift.json"))
+    pen, x = chain.penalty, chain.variable
+    twice = Target(ProductNormal(((x, 0.5, 0.09),)), pen, 0.4)
+    f = Or(Until(twice, Hazard(PointMass(((x, 1.0),)), pen, 0.5), 0, 5), Not(twice))
+    return ChainKernel(chain), chain.initial_state(), f
+
+
+def tank_case():
+    """Six state variables, so a block's states are (width, runs, 6)."""
+    kernel, initial, penalties = build_model(
+        load_config(str(REPO / "presets" / "three-tanks-scenario-1.cfg"))
+    )
+    path = REPO / "properties" / "recover-from-overflow-risk.evtl"
+    return kernel, initial, load_formula(str(path), penalties, kernel.space)
+
+
+STREAM_CASES = {"walk": walk_case, "chain": chain_case, "tanks": tank_case}
+
+
+@pytest.mark.parametrize("width", [1, 4, 64], ids=["width-1", "width-4", "one-block"])
+@pytest.mark.parametrize("ell", [1, 3])
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_streamed_check_equals_evaluate_on_the_stored_estimate(case, ell, width, monkeypatch):
+    kernel, initial, formula = STREAM_CASES[case]()
+    base_runs, steps, plan, discount = 8, 20, RandomnessPlan(13), Discount.exponential(0.9)
+    est = estimate(kernel, initial, steps, ell * base_runs, plan)
+    want = evaluate(est, formula, base_runs, plan, discount)
+    # width time indices per block: 4 does not divide the 21 indices, 64 holds them all
+    monkeypatch.setattr(monitor, "_BLOCK_VALUES", width * ell * base_runs)
+    got = check_formula(kernel, initial, formula, base_runs, ell, plan, steps, discount).series
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.formula_horizon == want.formula_horizon
+
+
+def test_check_memory_stays_below_a_stored_estimate():
+    # numpy reports its buffers to tracemalloc, so the peak counts every array
+    kernel, initial, formula = tank_case()
+    runs, ell, steps = 400, 10, 150
+    stored = (steps + 1) * ell * runs * kernel.space.dim * 8
+    tracemalloc.start()
+    try:
+        check_formula(kernel, initial, formula, runs, ell, RandomnessPlan(42), steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stored / 3, f"traced peak {peak} bytes against a {stored}-byte estimate"
+
+
+class NoNoiseKernel(HoldKernel):
+    """Fails the test if any run's noise is drawn."""
+
+    def noise(self, rng, steps):
+        raise AssertionError("noise was drawn")
+
+
+def test_check_formula_rejects_bad_input_before_drawing_noise():
+    space = DataSpace({"x": Interval(0.0, 1.0), "y": Interval(0.0, 1.0)})
+    pen = identity_penalty(space, "x", name="px")
+    kernel, start = NoNoiseKernel(space), space.state(x=0.5, y=0.5)
+    ok = Target(PointMass((("x", 1.0),)), pen, 0.4)
+    with pytest.raises(ValueError, match="oversampling ratio must be >= 1"):
+        check_formula(kernel, start, ok, 10, 0, RandomnessPlan(1))
+    with pytest.raises(ValueError, match="need at least one reference run"):
+        check_formula(kernel, start, ok, 0, 3, RandomnessPlan(1))
+    with pytest.raises(KeyError):
+        stray = Target(ProductNormal((("z", 0.0, 1.0),)), pen, 0.5)
+        check_formula(kernel, start, stray, 10, 3, RandomnessPlan(1))
+    with pytest.raises(ValueError, match="leaves at the domain floor"):
+        floor = Target(PointMass((("y", 1.0),)), pen, 0.4)
+        check_formula(kernel, start, Or(ok, floor), 10, 3, RandomnessPlan(1))
 
 
 def test_save_series_format():
