@@ -10,7 +10,8 @@ Five subcommands, all driven by the same flat configuration:
 
 Outputs are deterministic: same arguments, same bytes. ``--workers`` is
 accepted for compatibility and has no effect. Exit codes: 0 success,
-2 configuration or usage problem, 3 formula error, 4 numeric failure.
+2 configuration or usage problem, 3 formula error, 4 numeric failure or
+out of memory.
 """
 
 from __future__ import annotations
@@ -246,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 4
 
 

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, replace
-from typing import Mapping
 
 from .formulas import Discount
-from .spaces import DataSpace, DataState, Penalty
+from .spaces import DataState, Penalty
 from .simulation import MarkovKernel
 from .tanks import TankKernel, TankParams, initial_state, tank_penalties
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .spaces import DataSpace, FiniteSet, Penalty, SampleSet, load_samples
+from .spaces import DataSpace, Penalty, SampleSet, load_samples
 
 __all__ = [
     "Discount",

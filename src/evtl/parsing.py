@@ -1,8 +1,9 @@
 """Concrete surface syntax for formulas.
 
 Grammar sketch (binary connectives are right-associative; precedence from
-tightest to loosest is ``!``, ``U``, ``&&``, ``||``, ``->``; the unary
-temporal operators parse like ``!``):
+tightest to loosest is ``!``, ``U``, ``&&``, ``||``, ``->``, which is the
+order of ``_BINARY`` read backwards; the unary temporal operators parse like
+``!``):
 
     formula  := "true" | atom | "!" formula | "(" formula ")"
               | formula "U[" a "," b "]" formula
@@ -17,6 +18,8 @@ temporal operators parse like ``!``):
 ``#`` starts a line comment; whitespace (newlines included) is free. The
 second parameter of every ``normal`` entry is a variance. Macros expand at
 parse time, so parsing ``a && b`` yields the same tree as ``!(!a || !b)``.
+Tokens carry their offset into the text; ``_at`` turns an offset into the
+line and column of every error, with LF as the only line end.
 """
 
 from __future__ import annotations
@@ -60,8 +63,7 @@ class FormulaError(ValueError):
 class _Token:
     kind: str  # 'ident' | 'number' | 'string' | 'op' | 'end'
     text: str
-    line: int
-    col: int
+    offset: int
 
 
 _TOKEN_RE = re.compile(
@@ -71,39 +73,39 @@ _TOKEN_RE = re.compile(
   | (?P<number>-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<string>"[^"\n]*")
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
+# binary connectives, loosest first, each right-associative; ``U`` also reads a window
+_BINARY = (("->", implies), ("||", Or), ("&&", conj), ("U", Until))
+_PREFIX = {"F": eventually, "G": always}
+
+
+def _at(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``text[offset]``; LF is the only line end."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise FormulaError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        col = pos - line_start + 1
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + chunk.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
-    return tokens
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise FormulaError(f"unexpected character {m.group()!r}", *_at(text, m.start()))
+        if m.lastgroup != "ws":
+            tokens.append(_Token(m.lastgroup, m.group(), m.start()))
+    return tokens + [_Token("end", "", len(text))]
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], penalties: Mapping[str, Penalty]):
-        self.tokens = tokens
+    def __init__(self, text: str, penalties: Mapping[str, Penalty]):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.penalties = penalties
         self.pos = 0
 
-    # token plumbing
+    # token plumbing; a token's text alone tells its kind apart, so ``at`` compares text
 
     @property
     def cur(self) -> _Token:
@@ -119,19 +121,15 @@ class _Parser:
         return tok
 
     def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.cur
-        raise FormulaError(message, tok.line, tok.col)
+        raise FormulaError(message, *_at(self.text, (tok or self.cur).offset))
+
+    def at(self, text: str) -> bool:
+        return self.cur.text == text
 
     def expect_op(self, text: str) -> _Token:
-        if self.cur.kind != "op" or self.cur.text != text:
+        if not self.at(text):
             self.fail(f"expected {text!r}, found {self.cur.text!r}")
         return self.advance()
-
-    def at_op(self, text: str) -> bool:
-        return self.cur.kind == "op" and self.cur.text == text
-
-    def at_ident(self, text: str) -> bool:
-        return self.cur.kind == "ident" and self.cur.text == text
 
     def number(self, what: str) -> float:
         if self.cur.kind != "number":
@@ -153,53 +151,29 @@ class _Parser:
     # grammar, loosest binding first
 
     def parse(self) -> Formula:
-        f = self.implies()
+        f = self.binary()
         if self.cur.kind != "end":
             self.fail(f"unexpected trailing input {self.cur.text!r}")
         return f
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.at_op("->"):
-            self.advance()
-            return implies(left, self.implies())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        if self.at_op("||"):
-            self.advance()
-            return Or(left, self.disjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.until()
-        if self.at_op("&&"):
-            self.advance()
-            return conj(left, self.conjunction())
-        return left
-
-    def until(self) -> Formula:
-        left = self.unary()
-        if self.at_ident("U"):
-            opener = self.cur
-            self.advance()
-            lo, hi = self.window(opener)
-            return self.build(Until, opener, left, self.until(), lo, hi)
-        return left
+    def binary(self, level: int = 0) -> Formula:
+        """``_BINARY[level]`` and tighter; the right operand recurses into the same level."""
+        text, ctor = _BINARY[level]
+        left = self.binary(level + 1) if level + 1 < len(_BINARY) else self.unary()
+        if not self.at(text):
+            return left
+        opener = self.advance()
+        window = self.window(opener) if ctor is Until else ()
+        return self.build(ctor, opener, left, self.binary(level), *window)
 
     def unary(self) -> Formula:
-        if self.at_op("!"):
+        if self.at("!"):
             self.advance()
             return Not(self.unary())
-        if self.at_ident("F") and self.peek().text == "[":
+        if self.cur.text in _PREFIX and self.peek().text == "[":
             opener = self.advance()
             lo, hi = self.window(opener)
-            return self.build(eventually, opener, lo, hi, self.unary())
-        if self.at_ident("G") and self.peek().text == "[":
-            opener = self.advance()
-            lo, hi = self.window(opener)
-            return self.build(always, opener, lo, hi, self.unary())
+            return self.build(_PREFIX[opener.text], opener, lo, hi, self.unary())
         return self.primary()
 
     def window(self, opener: _Token) -> tuple[int, int]:
@@ -213,12 +187,12 @@ class _Parser:
         return lo, hi
 
     def primary(self) -> Formula:
-        if self.at_ident("true"):
+        if self.at("true"):
             self.advance()
             return Truth()
-        if self.at_op("("):
+        if self.at("("):
             self.advance()
-            inner = self.implies()
+            inner = self.binary()
             self.expect_op(")")
             return inner
         if self.cur.kind == "ident" and self.cur.text in ("target", "hazard"):
@@ -248,7 +222,7 @@ class _Parser:
         if head == "normal":
             self.expect_op("(")
             entries = [self.normal_entry()]
-            while self.at_op(",") and self.peek().kind == "ident" and self.peek(2).text == ";":
+            while self.at(",") and self.peek().kind == "ident" and self.peek(2).text == ";":
                 self.advance()
                 entries.append(self.normal_entry())
             self.expect_op(")")
@@ -256,7 +230,7 @@ class _Parser:
         if head == "point":
             self.expect_op("(")
             assigns = [self.point_entry()]
-            while self.at_op(","):
+            while self.at(","):
                 self.advance()
                 assigns.append(self.point_entry())
             self.expect_op(")")
@@ -305,8 +279,7 @@ def parse_formula(
     space: DataSpace | None = None,
 ) -> Formula:
     """Parse formula text; with a space, also check atoms are evaluable on it."""
-    parser = _Parser(_tokenize(text), penalties)
-    formula = parser.parse()
+    formula = _Parser(text, penalties).parse()
     if space is not None:
         try:
             validate(formula, space)
@@ -326,10 +299,8 @@ def load_formula(
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the bad byte's line and column, counted as the tokenizer counts them
         head = _universal_newlines(data[: exc.start].decode("utf-8"))
-        line, col = head.count("\n") + 1, len(head) - head.rfind("\n")
-        raise FormulaError(f"{path} is not UTF-8: {exc}", line, col) from None
+        raise FormulaError(f"{path} is not UTF-8: {exc}", *_at(head, len(head))) from None
     return parse_formula(_universal_newlines(text), penalties, space)
 
 

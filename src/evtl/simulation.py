@@ -112,11 +112,15 @@ class RandomnessPlan:
     """Functional derivation of independent RNG streams from one master seed.
 
     Streams are addressed by integer tuples: equal keys give bitwise-equal
-    streams, distinct keys give statistically independent ones. Simulation
-    owns the ``(0, run)`` keys; formula evaluation derives everything else
-    under ``(1, ...)``. ``scoped`` prefixes a namespace, yielding a plan
-    whose whole key tree is disjoint from the parent's (used to keep
-    reference runs independent of the runs they validate).
+    streams, distinct keys give statistically independent ones. ``scoped``
+    prefixes a namespace, yielding a plan whose whole key tree is disjoint
+    from the parent's. The whole key map, with namespaces written out:
+
+    * ``(0, run)``: the noise of each simulated run (every command);
+    * ``(1, *content_words(atom), t)``: an atom's reference draws at index t;
+    * ``(2, 0, run)``: the ``stats --reference-runs`` runs, from ``scoped(2)``;
+    * ``(3, s, 0, run)``: ``distance``'s runs of system s (0 the config,
+      1 the ``--against`` system), from ``scoped(3, s)``.
 
     The stream of key k is bit-identical to ``Generator(PCG64(SeedSequence(
     master_seed, spawn_key=namespace + k)))``, but streams are seeded in

@@ -284,7 +284,13 @@ def load_samples(path: str) -> SampleSet:
             parts = line.split(",")
             if len(parts) != len(names):
                 raise ValueError(f"{path}:{lineno}: expected {len(names)} columns")
-            rows.append([float(p) for p in parts])
+            try:
+                row = [float(p) for p in parts]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}:{lineno}: sample values must be finite")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no sample rows")
     data = np.asarray(rows, dtype=np.float64)

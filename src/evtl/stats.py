@@ -33,12 +33,10 @@ class ErrorReport:
     """
 
     names: tuple[str, ...]
-    runs: int
     mean: np.ndarray
     std: np.ndarray
     stderr: np.ndarray
     z: np.ndarray
-    reference_mean: np.ndarray | None
 
     @property
     def steps(self) -> int:
@@ -85,7 +83,7 @@ def error_report(
             raise ValueError(f"reference shape {ref.shape} != {mean.shape}")
         ok = std > np.abs(mean) * 1e-12
         z[ok] = (mean[ok] - ref[ok]) / stderr[ok]
-    return ErrorReport(est.space.names, n, mean, std, stderr, z, reference_mean)
+    return ErrorReport(est.space.names, mean, std, stderr, z)
 
 
 def save_error_report(dest, report: ErrorReport) -> None:

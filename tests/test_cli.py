@@ -427,6 +427,46 @@ def test_overflowing_distribution_literal_exits_3(dist, tmp_path, capsys):
     assert code == 3 and stdout == "" and "must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "value, want", [("abc", "could not convert"), ("nan", "finite"), ("inf", "finite")]
+)
+def test_bad_sample_value_names_its_line(value, want, tmp_path, capsys):
+    csv = tmp_path / "ref.csv"
+    csv.write_text(f"x\n0.25\n{value}\n0.75\n")
+    prop = tmp_path / "prop.evtl"
+    prop.write_text(f'F[0,3] target(empirical("{csv}"), rho, 0.4)\n')
+    code, stdout, err = run(
+        capsys, "check", *CHAIN, "--formula", str(prop), "--runs", "10", "--ell", "1"
+    )
+    assert code == 3 and stdout == ""
+    assert f"{csv}:3: " in err and want in err
+
+
+# 2**47 float64 values are 1 PiB, more than a 47-bit user address space holds,
+# so the allocation fails at once and no memory is touched
+_PIB = str(2**47)
+
+
+@pytest.mark.parametrize(
+    "formula, argv",
+    [
+        # check's steps default to the formula horizon
+        (f"F[0,{_PIB}] true", ["check", "--runs", "1", "--ell", "1"]),
+        ("F[0,3] true", ["check", "--steps", _PIB]),
+        (None, ["estimate", "--steps", _PIB, "--runs", "1"]),
+    ],
+    ids=["check-horizon", "check-steps", "estimate-steps"],
+)
+def test_running_out_of_memory_exits_4(formula, argv, tmp_path, capsys):
+    if formula is not None:
+        prop = tmp_path / "prop.evtl"
+        prop.write_text(formula + "\n")
+        argv = [*argv, "--formula", str(prop)]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 4 and stdout == ""
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
 def test_exit_code_messages_go_to_stderr(capsys):
     code, stdout, err = run(capsys, "simulate", *CHAIN)
     assert code == 2 and stdout == "" and err.startswith("error:")

@@ -1,0 +1,51 @@
+"""Every module under ``src/evtl`` uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "evtl"
+
+# ``bench/run.py`` wraps these two in ``evtl.monitor`` to time them, and its own
+# tests require that they exist there, although ``monitor`` itself calls neither
+TRACED = {("monitor", "estimate"), ("monitor", "one_sided_wasserstein")}
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names read in code, in quoted annotations such as ``"Formula"``, and in ``__all__``."""
+    quoted = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            quoted.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            quoted.append(node.returns)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            quoted.append(node.value)
+    texts = [
+        c.value
+        for root in quoted
+        for c in ast.walk(root)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    ]
+    trees = [tree, *(ast.parse(t, mode="eval") for t in texts)]
+    return {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = _imported(tree) - _used(tree) - {n for m, n in TRACED if m == path.stem}
+    assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"

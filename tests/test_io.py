@@ -118,7 +118,7 @@ def oracle_error_report(report: ErrorReport) -> str:
 
 def error_report_with(z: np.ndarray, rng: np.random.Generator) -> ErrorReport:
     mean, std = rng.normal(size=z.shape), rng.random(z.shape)
-    return ErrorReport(("x", "level"), 9, mean, std, std / 3, z, None)
+    return ErrorReport(("x", "level"), mean, std, std / 3, z)
 
 
 def test_error_report_with_nan_z_over_several_blocks():

@@ -1,7 +1,9 @@
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evtl.formulas import (
     Not,
@@ -183,3 +185,43 @@ def test_non_utf8_byte_reports_its_line_and_column(newline, tmp_path):
     with pytest.raises(FormulaError, match="not UTF-8") as info:
         load_formula(str(p), {})
     assert (info.value.line, info.value.col) == (3, 6)
+
+
+_GAP = st.sampled_from(["", " ", "\n", "\t", "\n\n    ", " \n "])
+_ATOMS = st.sampled_from(
+    ["true", "target(normal(x; 0.5, 0.04), px, 0.3)", "hazard(point(y=0.25), py, 1e2)"]
+)
+
+
+@st.composite
+def _multiline_formulas(draw, depth=3):
+    """Formula text with free whitespace, newlines included, between its tokens."""
+    gap = lambda: draw(_GAP)
+    if depth == 0 or draw(st.booleans()):
+        return draw(_ATOMS)
+    sub = lambda: draw(_multiline_formulas(depth - 1))
+    op = draw(st.sampled_from(["&&", "||", "->", "U[0,2]", "!", "F[1,3]", "G[0,4]", "()"]))
+    if op == "()":
+        return f"({gap()}{sub()}{gap()})"
+    if op in ("!", "F[1,3]", "G[0,4]"):
+        return f"{op}{gap()}{sub()}"
+    return f"{sub()} {gap()}{op}{gap()} {sub()}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_multiline_formulas(), st.data(), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_error_position_matches_a_line_count(tmp_path_factory, text, data, newline):
+    # a % splitting a two-character operator would leave its first half as the bad character
+    inside = {m.start() + 1 for m in re.finditer(r"&&|\|\||->", text)}
+    p = data.draw(st.integers(0, len(text)).filter(lambda i: i not in inside))
+    bad = text[:p] + "%" + text[p:]
+    head = text[:p].split("\n")
+    want = (len(head), len(head[-1]) + 1)
+    with pytest.raises(FormulaError, match="unexpected character '%'") as info:
+        parse_formula(bad, {})
+    assert (info.value.line, info.value.col) == want
+    path = tmp_path_factory.getbasetemp() / "bad-position.evtl"
+    path.write_bytes(bad.replace("\n", newline).encode("utf-8"))
+    with pytest.raises(FormulaError, match="unexpected character '%'") as info:
+        load_formula(str(path), {})
+    assert (info.value.line, info.value.col) == want
