@@ -80,7 +80,13 @@ _TOKEN_RE = re.compile(
 
 # binary connectives, loosest first, each right-associative; ``U`` also reads a window
 _BINARY = (("->", implies), ("||", Or), ("&&", conj), ("U", Until))
+_LEVEL = {text: level for level, (text, _) in enumerate(_BINARY)}
 _PREFIX = {"F": eventually, "G": always}
+# nesting limits, well inside Python's recursion limit: parentheses and right
+# operands nested at once (the parser takes at most three frames for each), and
+# the levels of a tree (a walk over it, such as a hash, takes two frames a level)
+_MAX_DEPTH = 200
+_MAX_HEIGHT = 300
 
 
 def _at(text: str, offset: int) -> tuple[int, int]:
@@ -104,6 +110,9 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.penalties = penalties
         self.pos = 0
+        self.depth = 0
+        # levels of every node built so far, by id: each stays in the tree, so ids are unique
+        self.heights: dict[int, int] = {}
 
     # token plumbing; a token's text alone tells its kind apart, so ``at`` compares text
 
@@ -157,24 +166,34 @@ class _Parser:
         return f
 
     def binary(self, level: int = 0) -> Formula:
-        """``_BINARY[level]`` and tighter; the right operand recurses into the same level."""
-        text, ctor = _BINARY[level]
-        left = self.binary(level + 1) if level + 1 < len(_BINARY) else self.unary()
-        if not self.at(text):
-            return left
-        opener = self.advance()
-        window = self.window(opener) if ctor is Until else ()
-        return self.build(ctor, opener, left, self.binary(level), *window)
+        """Connectives of ``_BINARY[level:]``, by precedence climbing.
+
+        A right operand recurses at its connective's own level, which makes
+        the connectives right-associative; the loop takes the looser ones
+        after it. Every parenthesis and right operand nests one call deeper.
+        """
+        if self.depth > _MAX_DEPTH:
+            self.fail("formula nested too deeply")
+        self.depth += 1
+        left = self.unary()
+        while (at := _LEVEL.get(self.cur.text, -1)) >= level:
+            opener = self.advance()
+            ctor = _BINARY[at][1]
+            window = self.window(opener) if ctor is Until else ()
+            left = self.build(ctor, opener, left, self.binary(at), *window)
+        self.depth -= 1
+        return left
 
     def unary(self) -> Formula:
-        if self.at("!"):
-            self.advance()
-            return Not(self.unary())
-        if self.cur.text in _PREFIX and self.peek().text == "[":
+        """Prefix operators, read in a loop and applied innermost first."""
+        prefixes = []
+        while self.at("!") or self.cur.text in _PREFIX and self.peek().text == "[":
             opener = self.advance()
-            lo, hi = self.window(opener)
-            return self.build(_PREFIX[opener.text], opener, lo, hi, self.unary())
-        return self.primary()
+            prefixes.append((opener, self.window(opener) if opener.text in _PREFIX else ()))
+        f = self.primary()
+        for opener, window in reversed(prefixes):
+            f = self.build(_PREFIX.get(opener.text, Not), opener, *window, f)
+        return f
 
     def window(self, opener: _Token) -> tuple[int, int]:
         self.expect_op("[")
@@ -266,11 +285,25 @@ class _Parser:
         return (var, self.number("value"))
 
     def build(self, ctor, tok: _Token, *args):
-        """Run a node constructor, converting its ValueError into a located one."""
+        """Run a node constructor, converting its ValueError into a located one.
+
+        A node more than ``_MAX_HEIGHT`` levels high fails at ``tok``.
+        """
         try:
-            return ctor(*args)
+            node = ctor(*args)
         except ValueError as exc:
             self.fail(str(exc), tok)
+        if isinstance(node, Formula) and self.height(node) > _MAX_HEIGHT:
+            self.fail("formula nested too deeply", tok)
+        return node
+
+    def height(self, node: Formula) -> int:
+        """Levels of a node; only a macro's own few nodes are walked again."""
+        h = self.heights.get(id(node))
+        if h is None:
+            kids = [getattr(node, k) for k in ("child", "left", "right") if hasattr(node, k)]
+            h = self.heights[id(node)] = 1 + max(map(self.height, kids), default=0)
+        return h
 
 
 def parse_formula(

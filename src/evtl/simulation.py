@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
-from ._io import write_csv
+from ._io import BLOCK_ROWS, write_csv
 from .spaces import DataSpace, DataState, SampleSet
 
 __all__ = [
@@ -319,7 +319,19 @@ def save_trajectory(dest, traj: EvolutionEstimate) -> None:
 
 
 def save_estimate(dest, est: EvolutionEstimate) -> None:
-    """CSV with run and time columns, rows ordered by (run, time), one run per block."""
-    time = np.arange(est.steps + 1)
-    runs = ((np.full(len(time), j), time, est.values[:, j]) for j in range(est.runs))
-    write_csv(dest, ("run", "time", *est.space.names), "%d,%d" + ",%.17g" * est.space.dim, runs)
+    """CSV with run and time columns, rows ordered by (run, time).
+
+    Each block handed to the writer holds whole runs, as many as fit in
+    :data:`~evtl._io.BLOCK_ROWS` rows and at least one.
+    """
+    k = est.steps + 1
+    per = max(1, BLOCK_ROWS // k)
+    time = np.tile(np.arange(k), per)
+
+    def blocks():
+        for a in range(0, est.runs, per):
+            values = est.values[:, a : a + per].swapaxes(0, 1).reshape(-1, est.space.dim)
+            runs = np.repeat(np.arange(a, a + len(values) // k), k)
+            yield np.stack([runs, time[: len(values)]], axis=1), values
+
+    write_csv(dest, ("run", "time", *est.space.names), "%d,%d" + ",%.17g" * est.space.dim, blocks())

@@ -92,7 +92,9 @@ def save_error_report(dest, report: ErrorReport) -> None:
     # blank z and within95 where they are NaN (v != v)
     ztxt = ["" if v != v else "%.17g" % v for v in report.z.ravel().tolist()]
     wtxt = ["" if v != v else "%d" % v for v in report.within95.ravel().tolist()]
-    moments = (a.ravel() for a in (report.mean, report.std, report.stderr))
-    columns = (np.repeat(np.arange(k), dim), np.tile(report.names, k), *moments, ztxt, wtxt)
+    # the three moments and the two blank-able texts as one 2-D column each
+    moments = np.stack([report.mean, report.std, report.stderr], axis=-1).reshape(-1, 3)
+    texts = np.stack([ztxt, wtxt], axis=1)
+    columns = (np.repeat(np.arange(k), dim), np.tile(report.names, k), moments, texts)
     header = ("time", "variable", "mean", "stddev", "stderr", "z", "within95")
     write_csv(dest, header, "%d,%s,%.17g,%.17g,%.17g,%s,%s", [columns])

@@ -516,3 +516,33 @@ def test_importing_the_cli_loads_no_numpy_random():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     before, after = out.stdout.split()
     assert after == before, out.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 300 + "true" + ")" * 300, "!" * 1000 + "true", " || ".join(["true"] * 1000)],
+    ids=["parentheses", "negations", "disjuncts"],
+)
+def test_too_deeply_nested_formula_is_a_formula_error(text, tmp_path):
+    formula = tmp_path / "deep.evtl"
+    formula.write_text(text)
+    argv = ["check", *CHAIN, "--formula", str(formula), "--runs", "2", "--ell", "1"]
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run(
+        [sys.executable, "-m", "evtl.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("formula error: 1:") and "Traceback" not in out.stderr
+    assert "formula nested too deeply" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 164 + "true" + ")" * 164, "!" * 164 + "true", " || ".join(["true"] * 164)],
+    ids=["parentheses", "negations", "disjuncts"],
+)
+def test_formula_nested_164_deep_still_checks(text, tmp_path, capsys):
+    formula = tmp_path / "deep.evtl"
+    formula.write_text(text)
+    code, stdout, _ = run(capsys, "check", *CHAIN, "--formula", str(formula), "--runs", "2", "--ell", "1")
+    assert code == 0 and json.loads(stdout)["robustness"] in (1.0, -1.0)

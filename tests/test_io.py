@@ -2,23 +2,31 @@
 
 Every writer used to format one value at a time with
 ``",".join("%.17g" % x for x in row)`` and write one line per row. Those
-loops are kept here as oracles; the batched writer must match them byte for
-byte, across one row, one block and many blocks.
+loops are kept here as oracles; the array formatter must match them byte
+for byte, across one row, one block and many blocks, in the kernel's domain,
+on its boundaries and in the cells it hands to ``%`` one at a time.
 """
 
 from __future__ import annotations
 
 import io
+import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from evtl._io import BLOCK_ROWS, write_csv
-from evtl.simulation import EvolutionEstimate, save_estimate
+from evtl._io import _FLOAT_CANVAS, BLOCK_ROWS, _tables, write_csv
+from evtl.config import RunConfig, build_model, load_config
+from evtl.simulation import EvolutionEstimate, RandomnessPlan, estimate, save_estimate
 from evtl.spaces import DataSpace, Interval
 from evtl.stats import ErrorReport, save_error_report
+
+REPO = Path(__file__).resolve().parents[1]
 
 EDGE = [
     0.0,
@@ -146,3 +154,156 @@ def test_error_report_rows_equal_the_per_row_loop(z, seed):
     buf = io.StringIO()
     save_error_report(buf, report)
     assert buf.getvalue() == oracle_error_report(report)
+
+
+def oracle_rows(row_fmt: str, columns) -> str:
+    """``%`` on each row's values, as Python values, one line per row."""
+    rows = zip(*(np.asarray(c, dtype=object).tolist() for c in columns))
+    return "".join((row_fmt + "\n") % row for row in rows)
+
+
+def batched_rows(row_fmt: str, columns, rows: int = BLOCK_ROWS) -> str:
+    buf = io.StringIO()
+    n = len(columns[0])
+    blocks = [tuple(c[a : a + rows] for c in columns) for a in range(0, n, rows)]
+    write_csv(buf, [f"c{i}" for i in range(len(columns))], row_fmt, blocks)
+    head, body = buf.getvalue().split("\n", 1)
+    return body
+
+
+INTS = np.array([0, 7, 10, 99_999_999, 10**8, 10**12, -1, -(10**8), 2**62, -(2**63)])
+
+
+def test_int_cells_equal_percent_d():
+    # kernel cells (0 .. 10**8 - 1) and per-cell ones (negative, large) in one block
+    floats = np.array([3.0, 3.7, -3.7, 0.5, -0.5, -0.0, 1e8 - 0.5, 1e8, 1e20, 2.0**63])
+    bools = np.array([True, False] * 5)
+    huge = np.array([1, 2**70, -(2**70), 0, 5, 10**30, 6, 7, 8, 9], dtype=object)
+    columns = (INTS, floats, bools, huge)
+    assert batched_rows("%d,%d,%d,%d", columns) == oracle_rows("%d,%d,%d,%d", columns)
+    assert batched_rows("%d,%d,%d,%d", columns, rows=3) == oracle_rows("%d,%d,%d,%d", columns)
+    assert batched_rows("%d", (floats,)).splitlines()[:3] == ["3", "3", "-3"]
+
+
+@pytest.mark.parametrize("value, error", [(np.nan, ValueError), (np.inf, OverflowError)])
+def test_int_cell_of_nan_or_inf_raises_as_percent_d(value, error):
+    with pytest.raises(error):
+        "%d" % value
+    with pytest.raises(error):
+        batched_rows("%d", (np.array([1.0, value]),))
+
+
+def test_text_cells_equal_percent_s():
+    texts = np.array(["", "x", "caf\u00e9", "\u65e5\u672c\u8a9e", "", "a b", "\u00e9" * 30])
+    mixed = np.array([1.5, np.nan, 2e-5, -0.0, 1e300, 0.1, np.inf])
+    columns = (INTS[: len(texts)], texts, mixed, texts[::-1])
+    assert batched_rows("%d,%s,%.17g,%s", columns) == oracle_rows("%d,%s,%.17g,%s", columns)
+    blank = np.array([""] * 4)
+    assert batched_rows("%s,%s", (blank, blank)) == ",\n" * 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ints=hnp.arrays(np.int64, st.integers(1, 30), elements=st.integers(-(2**63), 2**63 - 1)),
+    data=st.data(),
+)
+def test_int_and_float_columns_in_d_equal_percent_d(ints, data):
+    elements = st.floats(-1e12, 1e12, allow_nan=False) | st.sampled_from([0.0, -0.0, 99999999.5])
+    floats = data.draw(hnp.arrays(np.float64, len(ints), elements=elements))
+    small = np.abs(ints) % 10**9
+    columns = (ints, floats, small)
+    assert batched_rows("%d,%d,%d", columns) == oracle_rows("%d,%d,%d", columns)
+
+
+def _ulp_neighbours() -> st.SearchStrategy[float]:
+    """k-ulp neighbours of 10**e, e in -6..18: the exponent and carry edges."""
+    return st.builds(
+        lambda e, k: float((np.array(float(f"1e{e}")).view(np.int64) + k).view(np.float64)),
+        st.integers(-6, 18),
+        st.integers(-3, 3),
+    )
+
+
+def _ties(e: int) -> st.SearchStrategy[float]:
+    """Doubles in [10**e, 10**(e+1)) of exactly 18 significant digits, the last a 5."""
+    k = 17 - e  # m / 2**k has k decimals and e + 1 + k = 18 significant digits
+    lo = math.ceil(Fraction(10) ** e * 2**k)
+    hi = min(math.ceil(Fraction(10) ** (e + 1) * 2**k), 2**53)
+    return st.integers(lo // 2, (hi - 1) // 2).map(lambda j: (2 * j + 1) / 2**k)
+
+
+CARRIES = [
+    9.9999999999999999e15,
+    0.99999999999999999,
+    0.099999999999999999,
+    9.9999999999999999e-5,
+    99999999999999999.0,
+    99999999999999984.0,
+    999999999999999.94,
+    1 + 2**-17,
+    1e-4,
+    1e17,
+]
+
+boundary = st.one_of(
+    _ulp_neighbours(),
+    st.integers(-4, 15).flatmap(_ties),
+    st.sampled_from(CARRIES),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 3)), elements=boundary))
+def test_kernel_boundaries_equal_per_value_formatting(values):
+    assert batched_timed(values, len(values)) == oracle_timed(values)
+
+
+def test_exact_ties_round_to_even():
+    # 18 digits ending in 5: the 17th digit stays even, as dtoa rounds
+    ties = np.array([[1 + 2**-17, 1 + 3 * 2**-17, 2**-17 * 8191]])
+    assert batched_timed(ties, 1) == oracle_timed(ties)
+    assert "1.0000076293945312," in batched_timed(ties, 1)
+
+
+def test_lookup_tables_equal_their_definitions():
+    groups, float_masks = _tables()
+    assert groups.view(np.uint8).tobytes() == "".join("%04d" % g for g in range(10**4)).encode()
+    # lay distinct letters where the digits go, so a wrong position shows
+    canvas = _FLOAT_CANVAS.copy()
+    letters = b"ABCDEFGHIJKLMNOPQ"
+    canvas[6:23] = canvas[24:41] = np.frombuffer(letters, np.uint8)
+    d = letters.decode()
+    for x in range(-4, 17):
+        for s in range(1, 18):
+            for neg in (0, 1):
+                if x < 0:
+                    text = "0." + "0" * (-x - 1) + d[:s]
+                else:
+                    text = d[: x + 1] + ("." + d[x + 1 : s] if s > x + 1 else "")
+                row = float_masks[((x + 4) * 17 + s - 1) * 2 + neg]
+                assert canvas[row].tobytes().decode() == "-" * neg + text + ",", (x, s, neg)
+
+
+def oracle_estimate(est: EvolutionEstimate) -> str:
+    want = ["run,time," + ",".join(est.space.names) + "\n"]
+    for j in range(est.runs):
+        for i in range(est.steps + 1):
+            want.append(f"{j},{i}," + ",".join("%.17g" % x for x in est.values[i, j]) + "\n")
+    return "".join(want)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        load_config(str(REPO / "presets" / "three-tanks-scenario-2.cfg")),
+        RunConfig(model="chain", chain_file=str(REPO / "chains" / "drift.json")),
+    ],
+    ids=["tanks-scenario-2", "drift-chain"],
+)
+def test_estimate_csv_equals_the_per_value_oracle(cfg):
+    kernel, init, _ = build_model(cfg)
+    # 23 runs of 61 rows: blocks of whole runs, the last one shorter
+    est = estimate(kernel, init, 60, 23, RandomnessPlan(7))
+    buf = io.StringIO()
+    save_estimate(buf, est)
+    assert buf.getvalue() == oracle_estimate(est)

@@ -159,6 +159,34 @@ def test_error_positions(pens):
         assert want in str(err.value), bad
 
 
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        # 200 nested parentheses parse; the 201st opens one call too deep
+        ("(" * 201 + "true" + ")" * 201, 202),
+        # 202 disjuncts: the last is the 201st right operand nested at once
+        (" || ".join(["true"] * 202), 8 * 201 + 1),
+        # 100 G over true is 301 levels; the outermost G is the one too high
+        ("G[0,1] " * 100 + "true", 1),
+        # 300 negations over true is 301 levels: the first one is too high
+        ("!" * 300 + "true", 1),
+    ],
+)
+def test_nesting_limits_fail_at_the_token_too_deep(text, col, pens):
+    with pytest.raises(FormulaError, match="formula nested too deeply") as err:
+        p(text, pens)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+def test_nesting_just_inside_the_limits_parses(pens):
+    assert p("(" * 200 + "true" + ")" * 200, pens) == Truth()
+    assert p("G[0,1] " * 99 + "true", pens).pretty().count("U[0,1]") == 99
+    f = p("!" * 299 + "true", pens)
+    for _ in range(299):
+        f = f.child
+    assert f == Truth()
+
+
 def test_validation_against_space(pens, space):
     with pytest.raises(FormulaError) as err:
         p("target(normal(z; 0.5, 0.04), px, 0.3)", pens, space)
