@@ -87,9 +87,9 @@ class FiniteChain:
         order = np.argsort(vals)
         keys, scores = np.asarray(vals)[order], rho[order]
 
-        def lookup(arr: np.ndarray, tau: int | np.ndarray) -> np.ndarray:
-            pos = np.minimum(np.searchsorted(keys, arr[..., 0]), n - 1)
-            if not np.array_equal(keys[pos], arr[..., 0]):
+        def lookup(rows: np.ndarray, tau: int | np.ndarray) -> np.ndarray:
+            pos = np.minimum(np.searchsorted(keys, rows[0]), n - 1)
+            if not np.array_equal(keys[pos], rows[0]):
                 raise KeyError("value is not a state of the chain")
             return scores[pos]
 
@@ -124,7 +124,8 @@ class FiniteChain:
         """
         pen = penalty or self.penalty
         shape = np.broadcast_shapes(np.shape(tau), (self.n_states,)) + (1,)
-        return pen.project(np.broadcast_to(np.asarray(self.values)[:, None], shape), tau)
+        states = np.broadcast_to(np.asarray(self.values)[:, None], shape)
+        return pen.project(self.space.rows(states, pen.variables), tau)
 
 
 class ChainKernel:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -125,12 +125,34 @@ Generators = Iterable["np.random.Generator"]
 
 
 class Distribution:
-    """Reference distribution; ``sample`` is the one-row case of ``sample_block``."""
+    """Reference distribution, sampled variable-major.
+
+    ``sample_block(space, n, rngs, variables)`` returns a ``(k, rows, n)``
+    array for the k requested ``variables``: ``out[i, r]`` holds n draws of
+    ``variables[i]`` from the r-th generator of ``rngs``, and each generator
+    is drawn from before the next is taken. A requested variable that the
+    reference leaves unset sits at its domain floor. ``sample`` is the
+    one-row case over every variable of the space.
+    """
 
     __slots__ = ()
 
     def sample(self, space: DataSpace, n: int, rng: np.random.Generator | None) -> SampleSet:
-        return SampleSet(space, self.sample_block(space, n, (rng,))[0])
+        return SampleSet(space, self.sample_block(space, n, (rng,), space.names)[:, 0].T)
+
+
+def _variable_rows(
+    space: DataSpace,
+    variables: Sequence[str],
+    shape: tuple[int, ...],
+    row: Callable[[str], np.ndarray | float | None],
+) -> np.ndarray:
+    """(k, *shape) array of the requested variables: ``row(var)``, or the floor if that is None."""
+    out = np.empty((len(variables), *shape))
+    for i, var in enumerate(variables):
+        got = row(var)
+        out[i] = space.floor[space.index(var)] if got is None else got
+    return out
 
 
 @dataclass(frozen=True)
@@ -160,13 +182,20 @@ class ProductNormal(Distribution):
     def variables(self) -> tuple[str, ...]:
         return tuple(var for var, _, _ in self.entries)
 
-    def sample_block(self, space: DataSpace, n: int, rngs: Generators) -> np.ndarray:
-        """(rows, n, dim): per generator, all entries' draws before the next is taken."""
-        z = np.stack([rng.standard_normal((len(self.entries), n)) for rng in rngs], axis=1)
-        out = np.full((z.shape[1], n, space.dim), space.floor)
-        for (var, mu, s2), z_var in zip(self.entries, z):
-            out[:, :, space.index(var)] = space.domain(var).clamp_array(mu + np.sqrt(s2) * z_var)
-        return out
+    def sample_block(
+        self, space: DataSpace, n: int, rngs: Generators, variables: Sequence[str]
+    ) -> np.ndarray:
+        """Per generator, n draws of every entry in listed order, requested or not."""
+        z = np.array([rng.standard_normal((len(self.entries), n)) for rng in rngs])
+        at = {var: (mu, s2, z[:, e]) for e, (var, mu, s2) in enumerate(self.entries)}
+
+        def row(var: str) -> np.ndarray | None:
+            if var not in at:
+                return None
+            mu, s2, z_var = at[var]
+            return space.domain(var).clamp_array(mu + np.sqrt(s2) * z_var)
+
+        return _variable_rows(space, variables, (len(z), n), row)
 
     def pretty(self) -> str:
         inner = ", ".join(f"{v}; {_fmt(m)}, {_fmt(s)}" for v, m, s in self.entries)
@@ -191,12 +220,16 @@ class PointMass(Distribution):
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.assignments)
 
-    def sample_block(self, space: DataSpace, n: int, rngs: Iterable[object]) -> np.ndarray:
-        """(rows, n, dim): the point, once per entry of ``rngs``; draws nothing."""
-        out = np.full((sum(1 for _ in rngs), n, space.dim), space.floor)
-        for var, value in self.assignments:
-            out[:, :, space.index(var)] = space.domain(var).clamp(value)
-        return out
+    def sample_block(
+        self, space: DataSpace, n: int, rngs: Iterable[object], variables: Sequence[str]
+    ) -> np.ndarray:
+        """The point, once per entry of ``rngs``; draws nothing."""
+        fixed = dict(self.assignments)
+
+        def row(var: str) -> float | None:
+            return space.domain(var).clamp(fixed[var]) if var in fixed else None
+
+        return _variable_rows(space, variables, (sum(1 for _ in rngs), n), row)
 
     def pretty(self) -> str:
         inner = ", ".join(f"{v}={_fmt(x)}" for v, x in self.assignments)
@@ -245,14 +278,19 @@ class EmpiricalRef(Distribution):
     def variables(self) -> tuple[str, ...]:
         return self.samples.space.names
 
-    def sample_block(self, space: DataSpace, n: int, rngs: Generators) -> np.ndarray:
-        """(rows, n, dim): per generator, n row picks before the next is taken."""
-        rows = np.stack([rng.choice(len(self.samples), size=n, p=self.weights) for rng in rngs])
-        picked = self.samples.values[rows]
-        out = np.full((len(rows), n, space.dim), space.floor)
-        for i, var in enumerate(self.samples.space.names):
-            out[:, :, space.index(var)] = space.domain(var).clamp_array(picked[:, :, i])
-        return out
+    def sample_block(
+        self, space: DataSpace, n: int, rngs: Generators, variables: Sequence[str]
+    ) -> np.ndarray:
+        """Per generator, n stored row picks; a column is gathered only if it is requested."""
+        picks = np.array([rng.choice(len(self.samples), size=n, p=self.weights) for rng in rngs])
+        stored = self.samples.space.names
+
+        def row(var: str) -> np.ndarray | None:
+            if var not in stored:
+                return None
+            return space.domain(var).clamp_array(self.samples.values[picks, stored.index(var)])
+
+        return _variable_rows(space, variables, picks.shape, row)
 
     def pretty(self) -> str:
         if self.path is not None:

@@ -10,10 +10,13 @@ oracle folds the same way over its own atom values.
 Statistical atom values come from one-sided distances between freshly
 sampled reference distributions and the estimated per-step samples,
 computed in blocks of time indices; a check scores each block as it is
-simulated. Each index draws its reference from its own stream, but a
-block's draws come from one ``sample_block`` call and go through one
-penalty projection and one row-wise sort, so only the generator call is
-paid per index.
+simulated. States are held variable-major, (dim, width, runs), the layout
+the kernels step in, and a penalty reads only the rows of its own
+variables. Each index draws its reference from its own stream, but a
+block's draws come from one ``sample_block`` call for just those
+variables and go through one penalty projection and one row-wise sort,
+so only the generator call is paid per index. Atoms that share a penalty
+share the projection of the block's observed rows.
 
 Atom sampling draws from RNG streams keyed by the atom's printed form and
 the time index, never by its position in the tree. Two consequences, both
@@ -51,7 +54,7 @@ from .formulas import (
     validate,
 )
 from .simulation import EvolutionEstimate, MarkovKernel, RandomnessPlan, _paths, _run_noise
-from .spaces import DataSpace, DataState
+from .spaces import DataSpace, DataState, Penalty
 
 # estimate and one_sided_wasserstein are not called here; bench/run.py traces these names
 from .simulation import estimate  # noqa: F401
@@ -231,28 +234,38 @@ def _score(
 ) -> RobustnessSeries:
     """Robustness series of a formula from ``(t0, states)`` blocks over 0..steps.
 
-    Row r of the (width, l*N, dim) ``states`` holds index t0 + r, read only
-    until the next block is taken. Each distinct atom scores every block,
-    drawing index t's reference from stream ``(1, *words, t)``.
+    ``states`` is variable-major, (dim, width, l*N): ``states[:, r]`` holds
+    index t0 + r, read only until the next block is taken. Each penalty
+    projects a block's observed rows once for all of its atoms. Each
+    distinct atom draws index t's reference, only the penalty's variables,
+    from stream ``(1, *words, t)``.
     """
     series = {a: np.empty(steps + 1) for a in dict.fromkeys(iter_atoms(formula))}
     # a point mass draws nothing, so it takes no streams; the others keep theirs across blocks
     keys = {a: (1, *content_words(a)) for a in series if not isinstance(a.dist, PointMass)}
     streams = {a: plan.substreams(key, range(steps + 1)) for a, key in keys.items()}
+    # atoms by penalty, so one projection of a block's observed rows is alive at a time
+    by_penalty: dict[Penalty, list[Target | Hazard]] = {}
+    for a in series:
+        by_penalty.setdefault(a.penalty, []).append(a)
     for t0, states in blocks:
-        t1, runs = t0 + len(states), states.shape[1]
+        t1, runs = t0 + states.shape[1], states.shape[2]
         # one time index per row, broadcast against the row's states
         taus = np.arange(t0, t1)[:, None]
         scale = np.array([discount(t) for t in range(t0, t1)])
-        for a, out in series.items():
-            target = isinstance(a, Target)
-            n_ref, n_obs = (base_runs, runs) if target else (runs, base_runs)
-            # islice takes no stream past the block
-            rngs = islice(streams.get(a, repeat(None)), t1 - t0)
-            ref = a.penalty.project(a.dist.sample_block(space, n_ref, rngs), taus)
-            obs = a.penalty.project(states[:, :n_obs], taus)
-            d = scale * (one_sided_rows(ref, obs) if target else one_sided_rows(obs, ref))
-            out[t0:t1] = a.threshold - d if target else d - a.threshold
+        for pen, atoms in by_penalty.items():
+            # targets observe all l*N runs, hazards the first N
+            n_obs = runs if any(isinstance(a, Target) for a in atoms) else base_runs
+            seen = pen.project(states[[space.index(v) for v in pen.variables], :, :n_obs], taus)
+            for a in atoms:
+                target = isinstance(a, Target)
+                # islice takes no stream past the block
+                rngs = islice(streams.get(a, repeat(None)), t1 - t0)
+                n_ref = base_runs if target else runs
+                ref = pen.project(a.dist.sample_block(space, n_ref, rngs, pen.variables), taus)
+                obs = seen if target else seen[:, :base_runs]
+                d = scale * (one_sided_rows(ref, obs) if target else one_sided_rows(obs, ref))
+                series[a][t0:t1] = a.threshold - d if target else d - a.threshold
     return RobustnessSeries(fold(formula, steps, series.__getitem__, until_mode), horizon(formula))
 
 
@@ -275,7 +288,8 @@ def evaluate(
         raise ValueError(f"estimate holds {est.runs} runs, not a multiple of N={base_runs}")
     validate(formula, est.space)
     width = max(1, _BLOCK_VALUES // est.runs)
-    blocks = ((t0, est.values[t0 : t0 + width]) for t0 in range(0, est.steps + 1, width))
+    values = np.moveaxis(est.values, -1, 0)
+    blocks = ((t0, values[:, t0 : t0 + width]) for t0 in range(0, est.steps + 1, width))
     return _score(formula, est.space, base_runs, plan, est.steps, blocks, discount, until_mode)
 
 
@@ -325,13 +339,13 @@ def check_formula(
     k = horizon(formula) if steps is None else steps
     noise = _run_noise(kernel, plan, k, range(ratio * base_runs))
     width = max(1, _BLOCK_VALUES // len(noise))
-    buf = np.empty((width, len(noise), kernel.space.dim))
+    buf = np.empty((kernel.space.dim, width, len(noise)))
 
     def blocks() -> Iterator[tuple[int, np.ndarray]]:
         for t, rows in enumerate(_paths(kernel, initial, noise)):
-            buf[t % width] = rows.T
+            buf[:, t % width] = rows
             if t % width == width - 1 or t == k:
-                yield t - t % width, buf[: t % width + 1]
+                yield t - t % width, buf[:, : t % width + 1]
 
     series = _score(formula, kernel.space, base_runs, plan, k, blocks(), discount, until_mode)
     return CheckResult(series)

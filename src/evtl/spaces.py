@@ -5,6 +5,10 @@ its own domain (a closed interval or a finite set of reals). States are
 immutable assignments of one in-domain value per variable. A penalty scores a
 state in [0, 1] by how far it is from some target condition; penalties induce
 the one-sided gap used everywhere else in the package.
+
+Penalties read variable-major rows: one array per variable they name, in
+their own order. Code that holds states as ``values[..., dim]`` picks a
+penalty's rows with :meth:`DataSpace.rows`.
 """
 
 from __future__ import annotations
@@ -117,6 +121,10 @@ class DataSpace:
     def domain(self, name: str) -> Domain:
         return self.domains[self.index(name)]
 
+    def rows(self, values: np.ndarray, variables: Iterable[str]) -> np.ndarray:
+        """The (k, *lead) rows of the named variables of states ``values[..., dim]``."""
+        return np.moveaxis(np.asarray(values), -1, 0)[[self.index(v) for v in variables]]
+
     def state(self, values: Mapping[str, float] | None = None, **kwargs: float) -> "DataState":
         """Build a state from a full mapping of variable values.
 
@@ -215,10 +223,12 @@ class SampleSet:
 class Penalty:
     """Named scoring function mapping states into [0, 1].
 
-    ``fn(values, tau)`` maps a value array ``values[..., dim]`` to raw scores
-    of shape ``values.shape[:-1]``. ``tau`` is the time index: an int, or an
-    integer array that broadcasts over that leading shape, so one call can
-    score the states of many time indices. Scores are clamped to [0, 1].
+    ``fn(rows, tau)`` gets the states' values of the penalty's own
+    ``variables``, variable-major: ``rows[i]`` holds ``variables[i]`` and
+    ``rows`` has shape ``(k, *lead)`` for k variables. It returns raw scores
+    of shape ``lead``, one per state. ``tau`` is the time index: an int, or
+    an integer array that broadcasts over ``lead``, so one call can score
+    the states of many time indices. Scores are clamped to [0, 1].
     """
 
     __slots__ = ("name", "variables", "fn")
@@ -233,11 +243,14 @@ class Penalty:
         self.variables = tuple(variables)
         self.fn = fn
 
-    def project(self, values: np.ndarray, tau: int | np.ndarray = 0) -> np.ndarray:
-        """Penalty of every state in ``values[..., dim]``, in [0, 1], one per leading index."""
-        raw = np.asarray(self.fn(values, tau), dtype=np.float64)
-        if raw.shape != values.shape[:-1]:
-            raise ValueError(f"penalty {self.name!r} returned shape {raw.shape} for {values.shape}")
+    def project(self, rows: np.ndarray, tau: int | np.ndarray = 0) -> np.ndarray:
+        """Penalty of every state in ``rows[k, *lead]``, in [0, 1], one per ``lead`` index."""
+        if len(rows) != len(self.variables):
+            n = len(self.variables)
+            raise ValueError(f"penalty {self.name!r} reads {n} variables, got {len(rows)} rows")
+        raw = np.asarray(self.fn(rows, tau), dtype=np.float64)
+        if raw.shape != rows.shape[1:]:
+            raise ValueError(f"penalty {self.name!r} returned shape {raw.shape} for {rows.shape}")
         return np.clip(raw, 0.0, 1.0)
 
     def __repr__(self) -> str:
@@ -250,14 +263,15 @@ def penalty_gap(penalty: Penalty, d_from: DataState, d_to: DataState, tau: int =
     Zero when the second state scores no worse than the first; this is a
     hemimetric on states (identity and triangle hold, symmetry does not).
     """
-    lo, hi = penalty.project(np.array([d_from.values, d_to.values]), tau).tolist()
+    rows = d_from.space.rows(np.array([d_from.values, d_to.values]), penalty.variables)
+    lo, hi = penalty.project(rows, tau).tolist()
     return max(hi - lo, 0.0)
 
 
 def identity_penalty(space: DataSpace, variable: str, name: str | None = None) -> Penalty:
     """Penalty reading one variable directly (clamped into [0, 1])."""
-    col = space.index(variable)
-    return Penalty(name or variable, (variable,), lambda vals, tau: vals[..., col])
+    space.index(variable)  # an unknown variable fails here, not at the first projection
+    return Penalty(name or variable, (variable,), lambda rows, tau: rows[0])
 
 
 def save_samples(dest, samples: SampleSet) -> None:

@@ -157,11 +157,8 @@ def tank_penalties(params: TankParams) -> dict[str, Penalty]:
     """rho1..rho3: normalized distance of each level from the goal."""
     denom = max(params.level_max - params.goal, params.goal - params.level_min)
     goal = params.goal
-    out: dict[str, Penalty] = {}
-    for col, var in enumerate(("l1", "l2", "l3")):
-        out[f"rho{col + 1}"] = Penalty(
-            f"rho{col + 1}",
-            (var,),
-            lambda vals, tau, _c=col: np.abs(vals[..., _c] - goal) / denom,
-        )
-    return out
+
+    def rho(rows: np.ndarray, tau: int | np.ndarray) -> np.ndarray:
+        return np.abs(rows[0] - goal) / denom
+
+    return {f"rho{i}": Penalty(f"rho{i}", (f"l{i}",), rho) for i in (1, 2, 3)}

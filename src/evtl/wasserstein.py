@@ -101,7 +101,7 @@ def one_sided_wasserstein(
     :func:`exact_one_sided_wasserstein` on the corresponding uniform
     empirical distributions.
     """
-    omega, nu = penalty.project(a.values, tau), penalty.project(b.values, tau)
+    omega, nu = (penalty.project(e.space.rows(e.values, penalty.variables), tau) for e in (a, b))
     return float(one_sided_rows(omega[None], nu[None])[0])
 
 
@@ -134,9 +134,9 @@ def evolution_divergence(
     ``a`` and ``b`` are evolution estimates over the same space; at every
     observed step the one-sided distance is scaled by the discount factor and
     the report keeps the whole profile. Symmetrize by taking the max with
-    the swapped call when a two-sided comparison is wanted. Each estimate
-    is projected once, every step at its own time index, and the observed
-    steps are compared row by row.
+    the swapped call when a two-sided comparison is wanted. The observed
+    steps of each estimate are projected at once, every step at its own
+    time index, and compared row by row.
     """
     if a.space != b.space:
         raise ValueError("estimates live on different spaces")
@@ -149,7 +149,9 @@ def evolution_divergence(
             raise ValueError(f"observation times outside 0..{steps}")
     if not times:
         raise ValueError("no observation times")
-    at = list(times)
-    omega, nu = (penalty.project(e.values, np.arange(e.steps + 1)[:, None])[at] for e in (a, b))
+    at = np.array(times)
+    omega, nu = (
+        penalty.project(e.space.rows(e.values[at], penalty.variables), at[:, None]) for e in (a, b)
+    )
     vals = tuple(discount(t) * d for t, d in zip(times, one_sided_rows(omega, nu).tolist()))
     return DivergenceReport(times, vals)

@@ -404,7 +404,7 @@ def test_array_penalty_equals_scalar_penalty_in_any_state_order(name):
             chain.penalty_values[perm],
         )
         states = rng.permutation(np.repeat(shuffled.values, 4))
-        got = shuffled.penalty.project(states[:, None])
+        got = shuffled.penalty.project(states[None])
         want = [shuffled.penalty_values[shuffled.state_index(v)] for v in states]
         assert got.tolist() == want
 
@@ -413,7 +413,7 @@ def test_array_penalty_rejects_a_value_that_is_no_state():
     chain = two_state_chain(0.3, 0.2)
     for stray in (0.5, 7.0, np.nan):
         with pytest.raises(KeyError):
-            chain.penalty.project(np.array([[0.0], [stray]]))
+            chain.penalty.project(np.array([[0.0, stray]]))
 
 
 def test_load_chain_reports_missing_fields(tmp_path):

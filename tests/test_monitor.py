@@ -409,6 +409,11 @@ SUBSET = SampleSet(DataSpace([("y", Interval(-2.0, 2.0)), ("x", Interval(-2.0, 2
 BLOCK_DISTS = {
     # two entries listed against the space order, one on the finite domain
     "normal-2d": (MIXED.names[:2], ProductNormal((("g", 0.4, 0.09), ("x", 0.5, 0.04)))),
+    # y and x sit at other positions here than in the space and in DIFF_VARIABLES
+    "normal-3d": (
+        MIXED.names,
+        ProductNormal((("x", 0.3, 0.04), ("y", 0.6, 0.2), ("g", 0.4, 0.09))),
+    ),
     "empirical": (MIXED.names, EmpiricalRef(SampleSet(STORED_SPACE, STORED))),
     "empirical-weighted": (
         MIXED.names,
@@ -416,6 +421,10 @@ BLOCK_DISTS = {
     ),
     "empirical-subset": (MIXED.names, EmpiricalRef(SUBSET)),
 }
+
+
+# an asymmetric penalty reads these in this order, against the space's order
+DIFF_VARIABLES = {MIXED.names: ("y", "x"), MIXED.names[:2]: ("g", "x")}
 
 
 def mixed_estimate(names, steps, runs):
@@ -435,22 +444,40 @@ def test_block_draws_equal_written_out_draws(case, kind, ell, block_values, monk
     monkeypatch.setattr(monitor, "_BLOCK_VALUES", block_values)
     names, dist = BLOCK_DISTS[case]
     est = mixed_estimate(names, steps=20, runs=ell * 12)
-    pen = Penalty("avg", names, lambda vals, tau: vals.mean(axis=-1))
+    avg = Penalty("avg", names, lambda rows, tau: rows.mean(axis=0))
+    diff = Penalty("diff", DIFF_VARIABLES[names], lambda rows, tau: rows[0] - rows[1])
     plan, discount = RandomnessPlan(5), Discount.exponential(0.9)
-    atom = kind(dist, pen, 0.2)
-    got = evaluate(est, atom, 12, plan, discount).values
-    want = per_index_atom(atom, est, 12, plan, discount, written_out_sample)
-    assert np.array_equal(got, want)
+    for pen in (avg, diff):
+        atom = kind(dist, pen, 0.2)
+        got = evaluate(est, atom, 12, plan, discount).values
+        want = per_index_atom(atom, est, 12, plan, discount, written_out_sample)
+        assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("case", sorted(BLOCK_DISTS))
+# (case, requested variables); None asks for every variable of the space
+SAMPLE_BLOCK_CASES = {case: (case, None) for case in BLOCK_DISTS} | {
+    # the normal's first entry is not read, but its draws are still taken
+    "normal-2d-x": ("normal-2d", ("x",)),
+    "normal-3d-y-x": ("normal-3d", ("y", "x")),
+    # g is no stored column, so it sits at its floor
+    "empirical-subset-g-y": ("empirical-subset", ("g", "y")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_BLOCK_CASES))
 def test_sample_block_rows_are_one_generator_each(case):
+    case, variables = SAMPLE_BLOCK_CASES[case]
     names, dist = BLOCK_DISTS[case]
     space = mixed_estimate(names, 0, 1).space
-    block = dist.sample_block(space, 9, (np.random.default_rng(s) for s in range(4)))
-    want = [written_out_sample(dist, space, 9, np.random.default_rng(s)).values for s in range(4)]
-    assert block.shape == (4, 9, space.dim)
-    assert np.array_equal(block, np.stack(want))
+    variables = variables or space.names
+    rngs = [np.random.default_rng(s) for s in range(4)]
+    block = dist.sample_block(space, 9, iter(rngs), variables)
+    written = [np.random.default_rng(s) for s in range(4)]
+    want = np.stack([written_out_sample(dist, space, 9, rng).values for rng in written])
+    assert block.shape == (len(variables), 4, 9)
+    assert np.array_equal(block, space.rows(want, variables))
+    # each generator is left where the written-out route leaves it
+    assert [rng.random() for rng in rngs] == [rng.random() for rng in written]
 
 
 def test_point_mass_atom_is_sampled_once_without_streams(monkeypatch):
@@ -475,11 +502,11 @@ def test_time_dependent_penalty_sees_each_rows_tau(vectorised, monkeypatch):
     monkeypatch.setattr(monitor, "_BLOCK_VALUES", 40)
     est, _, _ = stochastic_setup(steps=12, runs=20)
     if vectorised:
-        fn = lambda vals, tau: vals[..., 0] * (tau + 1) / 13  # noqa: E731
+        fn = lambda rows, tau: rows[0] * (tau + 1) / 13  # noqa: E731
     else:
         # a scalar rule lifted elementwise: it sees one (x, tau) pair at a time
         lifted = np.vectorize(lambda x, tau: x * (int(tau) + 1) / 13, otypes=[np.float64])
-        fn = lambda vals, tau: lifted(vals[..., 0], tau)  # noqa: E731
+        fn = lambda rows, tau: lifted(rows[0], tau)  # noqa: E731
     late = Penalty("late", ("x",), fn)
     plan = RandomnessPlan(9)
     for dist in (ProductNormal((("x", 0.5, 0.05),)), PointMass((("x", 0.2),))):
@@ -549,7 +576,7 @@ def chain_case():
 
 
 def tank_case():
-    """Six state variables, so a block's states are (width, runs, 6)."""
+    """Six state variables, so a block's states are (6, width, runs)."""
     kernel, initial, penalties = build_model(
         load_config(str(REPO / "presets" / "three-tanks-scenario-1.cfg"))
     )
@@ -557,7 +584,28 @@ def tank_case():
     return kernel, initial, load_formula(str(path), penalties, kernel.space)
 
 
-STREAM_CASES = {"walk": walk_case, "chain": chain_case, "tanks": tank_case}
+def tank_diff_case():
+    """An asymmetric penalty on l3 and l1; rho2 is read by a hazard only."""
+    kernel, initial, penalties = build_model(
+        load_config(str(REPO / "presets" / "three-tanks-scenario-1.cfg"))
+    )
+    # l3 and l1 sit at other positions here than in the space and in the normal
+    diff = Penalty("diff", ("l3", "l1"), lambda rows, tau: (rows[0] - rows[1]) / 4 + 0.5)
+    normal = ProductNormal((("l2", 1.0, 0.3), ("l1", 1.5, 0.4), ("l3", 1.0, 0.2)))
+    near = Target(normal, diff, 0.2)
+    f = Or(
+        Until(near, Hazard(normal, diff, 0.1), 0, 6),
+        Not(Hazard(PointMass((("l2", 2.0),)), penalties["rho2"], 0.3)),
+    )
+    return kernel, initial, Or(f, Not(near))
+
+
+STREAM_CASES = {
+    "walk": walk_case,
+    "chain": chain_case,
+    "tanks": tank_case,
+    "tanks-diff": tank_diff_case,
+}
 
 
 @pytest.mark.parametrize("width", [1, 4, 64], ids=["width-1", "width-4", "one-block"])

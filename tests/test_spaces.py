@@ -62,21 +62,36 @@ def test_space_rejects_duplicates_and_empty():
 
 
 def test_penalty_clamps_into_unit_interval():
-    pen = Penalty("p", ("x",), lambda vals, tau: vals[..., 0])
-    assert pen.project(np.array([[5.0], [-5.0], [0.25]])).tolist() == [1.0, 0.0, 0.25]
-    # any leading shape, as long as the scores keep it
-    assert pen.project(np.array([[[5.0], [0.5]]])).tolist() == [[1.0, 0.5]]
+    pen = Penalty("p", ("x",), lambda rows, tau: rows[0])
+    assert pen.project(np.array([[5.0, -5.0, 0.25]])).tolist() == [1.0, 0.0, 0.25]
+    # any leading shape after the variable axis, as long as the scores keep it
+    assert pen.project(np.array([[[5.0, 0.5]]])).tolist() == [[1.0, 0.5]]
     with pytest.raises(ValueError, match="shape"):
-        Penalty("bad", ("x",), lambda vals, tau: vals).project(np.zeros((3, 1)))
+        Penalty("bad", ("x",), lambda rows, tau: rows).project(np.zeros((1, 3)))
+    with pytest.raises(ValueError, match="reads 1 variables, got 2 rows"):
+        pen.project(np.zeros((2, 3)))
+
+
+def test_penalty_rows_follow_its_own_variable_order():
+    space = DataSpace({"x": Interval(0.0, 1.0), "y": Interval(0.0, 1.0), "z": Interval(0.0, 1.0)})
+    states = np.array([[0.75, 0.1, 1.0], [0.25, 0.6, 0.0]])
+    rows = space.rows(states, ("z", "x"))
+    assert rows.tolist() == [[1.0, 0.0], [0.75, 0.25]]
+    # the leading shape follows the variable axis
+    assert space.rows(states[None], ("y",)).shape == (1, 1, 2)
+    diff = Penalty("diff", ("z", "x"), lambda rows, tau: rows[0] - rows[1] + 0.5)
+    assert diff.project(rows).tolist() == [0.75, 0.25]
+    with pytest.raises(KeyError):
+        space.rows(states, ("w",))
 
 
 def test_time_dependent_penalty_receives_tau():
-    pen = Penalty("late", ("x",), lambda vals, tau: np.where(tau >= 5, vals[..., 0], 0.0))
-    vals = np.array([[0.75], [0.5]])
-    assert pen.project(vals, 0).tolist() == [0.0, 0.0]
-    assert pen.project(vals, 7).tolist() == [0.75, 0.5]
-    # a (T, 1) column of time indices scores the rows of (T, n, dim) values at their own times
-    block = np.broadcast_to(vals, (3, 2, 1))
+    pen = Penalty("late", ("x",), lambda rows, tau: np.where(tau >= 5, rows[0], 0.0))
+    rows = np.array([[0.75, 0.5]])
+    assert pen.project(rows, 0).tolist() == [0.0, 0.0]
+    assert pen.project(rows, 7).tolist() == [0.75, 0.5]
+    # a (T, 1) column of time indices scores the (1, T, n) rows at their own times
+    block = np.broadcast_to(rows[:, None], (1, 3, 2))
     assert pen.project(block, np.array([[0], [5], [9]])).tolist() == [
         [0.0, 0.0], [0.75, 0.5], [0.75, 0.5]
     ]

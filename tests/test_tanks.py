@@ -219,7 +219,7 @@ def test_noise_is_one_normal_draw_per_step(kernel):
 
 
 def score(pen, state):
-    return float(pen.project(np.array([state.values]))[0])
+    return float(pen.project(state.space.rows(np.array([state.values]), pen.variables))[0])
 
 
 def test_penalties_measure_goal_distance():
@@ -234,7 +234,7 @@ def test_penalties_measure_goal_distance():
     # projecting many states agrees with the formula written out per state
     est = estimate(TankKernel(p, 1), initial_state(p), 5, 50, RandomnessPlan(0))
     samples = est.at(5)
-    proj = pens["rho3"].project(samples.values, 5)
+    proj = pens["rho3"].project(samples.column("l3")[None], 5)
     expect = [min(1.0, abs(samples.state(i)["l3"] - 10.0) / 10.0) for i in range(50)]
     assert proj == pytest.approx(expect, abs=1e-15)
     # off-goal asymmetric ranges normalize by the wider side
