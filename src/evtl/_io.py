@@ -5,8 +5,8 @@ The kernel's domain: ``%.17g`` of zero or of a finite x with 1e-4 <= |x| <
 1e17 (no exponent; correctly rounded by an exact two-product, Dekker 1971),
 and ``%d`` of an integer in [0, 10**8) or a float truncated into it. Every
 other cell (nan, inf, tiny or huge floats, negative or large integers,
-objects, all ``%s`` text) goes through ``%`` one cell at a time, so ``%d`` of
-a NaN still raises.
+objects) goes through ``%`` one cell at a time, so ``%d`` of a NaN still
+raises; ``%s`` text goes through ``%`` once per distinct text in a block.
 """
 
 from __future__ import annotations
@@ -97,9 +97,11 @@ def _ints(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _texts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``%s`` canvases and masks of a (n, m) block: every cell is spliced."""
-    sep = np.full(v.shape + (1,), _COMMA, np.uint8)
-    return _splice(sep, np.ones(sep.shape, bool), v, np.ones(v.shape, bool), "%s")
+    """``%s`` canvases and masks of a (n, m) block: each distinct text is spliced once."""
+    texts, at = np.unique(v.ravel(), return_inverse=True)
+    sep = np.full(texts.shape + (1,), _COMMA, np.uint8)
+    cells, mask = _splice(sep, np.ones(sep.shape, bool), texts, np.ones(texts.shape, bool), "%s")
+    return cells[at.reshape(v.shape)], mask[at.reshape(v.shape)]
 
 
 def _splice(cells, mask, v: np.ndarray, where: np.ndarray, spec: str):
@@ -118,13 +120,19 @@ def _splice(cells, mask, v: np.ndarray, where: np.ndarray, spec: str):
     return cells, mask
 
 
+_FORMATS = {"%.17g": _floats, "%d": _ints, "%s": _texts}
+
+
 def _rows(cols: list[np.ndarray], specs: list[str]) -> bytes:
     """One block's lines: its columns' canvases side by side, compressed by their masks."""
     canvases, masks, at = [], [], 0
     for c in cols:
         (spec,) = set(specs[at : at + c.shape[1]])  # one format per column
         at += c.shape[1]
-        canvas, mask = {"%.17g": _floats, "%d": _ints, "%s": _texts}[spec](c)
+        base = spec.rstrip("?")  # "%.17g?" and "%d?" write a NaN as an empty cell
+        blank = np.isnan(c) if base != spec else np.zeros(c.shape, bool)
+        canvas, mask = _FORMATS[base](np.where(blank, 0.0, c) if blank.any() else c)
+        mask[blank, :-1] = False  # a NaN cell keeps only its separator
         canvases.append(canvas.reshape(len(c), -1))
         masks.append(mask.reshape(len(c), -1))
     if at != len(specs):
@@ -142,6 +150,8 @@ def write_csv(dest, header: Sequence[str], row_fmt: str, blocks: Iterable[Sequen
     ``row_fmt`` joins one row's cell formats by commas, one for all cells of
     a column: ``%.17g`` for floats, so each double reads back exactly; ``%d``
     for run, time and flag columns (3.0 prints as ``3``); ``%s`` for text.
+    A float format followed by ``?`` (``%.17g?``, ``%d?``) writes a NaN as
+    an empty cell and every other value as the format alone.
     The bytes are those of ``%`` on each value. Every line ends in ``\\n``;
     rows keep block order, then row order. At most :data:`BLOCK_ROWS` rows
     at a time are formatted and written by one ``write``.

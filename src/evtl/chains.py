@@ -149,9 +149,9 @@ class ChainKernel:
     def space(self) -> DataSpace:
         return self.chain.space
 
-    def noise(self, rng: np.random.Generator, steps: int) -> np.ndarray:
+    def noise(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """One uniform draw per step, the one ``Generator.choice`` would consume."""
-        return rng.random(steps)
+        rng.random(out=out)
 
     def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
         cdf = self._cdf.take(self._sorted.searchsorted(values[0]), axis=1)

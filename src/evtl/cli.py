@@ -166,7 +166,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    # a sample std, and the z-scores against a reference's, need two runs
+    # a sample std needs two runs, and a reference is held to the same floor
     if not args.sweep and cfg.runs < 2:
         raise ConfigError(f"--runs must be >= 2 for stats, got {cfg.runs}")
     if args.reference_runs is not None and args.reference_runs < 2:
@@ -174,12 +174,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     kernel, init, _ = build_model(cfg)
     steps = cfg.require_steps()
     plan = RandomnessPlan(cfg.seed)
+    if args.sweep and not (args.out and args.out.endswith(".csv")):
+        raise ConfigError("--sweep needs --out ending in .csv to derive per-N file names")
     reference = None
     if args.reference_runs is not None:
-        reference, _ = run_moments(kernel, init, steps, args.reference_runs, plan.scoped(2))
+        reference = run_moments(kernel, init, steps, args.reference_runs, plan.scoped(2))
     if args.sweep:
-        if not args.out or not args.out.endswith(".csv"):
-            raise ConfigError("--sweep needs --out ending in .csv to derive per-N file names")
         stem = args.out[: -len(".csv")]
         for n in SWEEP_RUNS:
             est = estimate(kernel, init, steps, n, plan)
@@ -197,29 +197,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"evtl {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    # the shared options are built once, on a parent every subcommand copies
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
 
-    p = subs.add_parser("simulate", help="write one trajectory as CSV")
-    _add_common(p)
+    p = subs.add_parser("simulate", help="write one trajectory as CSV", parents=[common])
     p.add_argument("--run", type=int, default=0, metavar="J", help="run index (default 0)")
     p.set_defaults(func=_cmd_simulate)
 
-    p = subs.add_parser("estimate", help="write the full per-run estimate as CSV")
-    _add_common(p)
+    p = subs.add_parser("estimate", help="write the full per-run estimate as CSV", parents=[common])
     p.set_defaults(func=_cmd_estimate)
 
-    p = subs.add_parser("distance", help="one-sided divergence to a second system")
-    _add_common(p)
+    p = subs.add_parser(
+        "distance", help="one-sided divergence to a second system", parents=[common]
+    )
     p.add_argument("--against", required=True, metavar="FILE", help="config of the second system")
     p.add_argument("--penalty", metavar="NAME", help="penalty to project states with")
     p.set_defaults(func=_cmd_distance)
 
-    p = subs.add_parser("check", help="robustness of a formula file")
-    _add_common(p)
+    p = subs.add_parser("check", help="robustness of a formula file", parents=[common])
     p.add_argument("--formula", required=True, metavar="FILE", help="formula file")
     p.set_defaults(func=_cmd_check)
 
-    p = subs.add_parser("stats", help="per-step moment statistics")
-    _add_common(p)
+    p = subs.add_parser("stats", help="per-step moment statistics", parents=[common])
     p.add_argument(
         "--reference-runs",
         type=int,

@@ -1,7 +1,7 @@
 """Batched simulation of discrete-time Markov kernels.
 
-A kernel owns a data space and steps many runs at once: ``noise`` draws all
-of one run's randomness from that run's generator, and ``step_batch`` maps
+A kernel owns a data space and steps many runs at once: ``noise`` fills one
+run's row of the noise block from that run's generator, and ``step_batch`` maps
 the states of N runs, given one noise value per run, to their successors.
 States are laid out as a (dim, N) array, one contiguous row per variable, so
 a kernel updates each variable, or a group of like variables, for every run
@@ -43,8 +43,8 @@ class MarkovKernel(Protocol):
     @property
     def space(self) -> DataSpace: ...
 
-    def noise(self, rng: np.random.Generator, steps: int) -> np.ndarray:
-        """One run's draws for ``steps`` steps, one value per step."""
+    def noise(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill ``out`` with one run's draws, one value per step."""
         ...
 
     def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -155,15 +155,13 @@ class RandomnessPlan:
         hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * (words - 4), 1 << 32) & _M32
         bitgen = np.random.PCG64(seq)
         gen = np.random.Generator(bitgen)
+        # one state record, refilled for each stream
+        lcg = {"state": 0, "inc": 0}
+        record = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
         it = iter(indices)
         while chunk := [operator.index(i) for i in islice(it, _SEED_CHUNK)]:
-            for state, inc in _pcg64_states(seq.pool, hash_a, chunk):
-                bitgen.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
+            for lcg["state"], lcg["inc"] in _pcg64_states(seq.pool, hash_a, chunk):
+                bitgen.state = record
                 yield gen
 
     def substream(self, *key: int) -> np.random.Generator:
@@ -215,7 +213,7 @@ def _run_noise(kernel: MarkovKernel, plan: RandomnessPlan, steps: int, runs: ran
         raise ValueError("steps must be >= 0")
     noise = np.empty((len(runs), steps))
     for row, rng in zip(noise, plan.substreams((0,), runs)):
-        row[:] = kernel.noise(rng, steps)
+        kernel.noise(rng, row)
     return noise
 
 
@@ -253,7 +251,9 @@ def simulate(
     """Roll the kernel forward ``steps`` times from ``initial``, as a one-run estimate."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    return _collect(kernel, initial, kernel.noise(rng, steps)[None, :])
+    noise = np.empty((1, steps))
+    kernel.noise(rng, noise[0])
+    return _collect(kernel, initial, noise)
 
 
 def estimate(
@@ -284,30 +284,24 @@ def run_moments(
     steps: int,
     runs: int,
     plan: RandomnessPlan,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Streaming per-step mean and sample std over ``runs`` trajectories.
+) -> np.ndarray:
+    """Streaming per-step mean over ``runs`` trajectories, as a (steps+1, dim) array.
 
-    Returns (mean, std), each (steps+1, dim). Uses running sums instead of
-    materializing the estimate, so reference runs with very large N stay at
-    constant memory. Uses the same ``(0, run)`` streams as :func:`estimate`.
-    Each block of runs is summed per step in run order, and the block sums
-    are added to the totals in block order.
+    Uses a running sum instead of materializing the estimate, so reference
+    runs with very large N stay at constant memory. Uses the same ``(0, run)``
+    streams as :func:`estimate`. Each block of runs is summed per step in run
+    order, and the block sums are added to the total in block order.
     """
-    if runs < 2:
-        raise ValueError("need at least two runs for a sample std")
+    if runs < 1:
+        raise ValueError("need at least one run")
     total = np.zeros((steps + 1, kernel.space.dim))
-    total_sq = np.zeros((steps + 1, kernel.space.dim))
     for a in range(0, runs, _MOMENT_BLOCK):
         noise = _run_noise(kernel, plan, steps, range(a, min(a + _MOMENT_BLOCK, runs)))
         for i, rows in enumerate(_paths(kernel, initial, noise)):
-            # the last entry of an accumulation adds the runs one after
-            # another, so each block sum is a fold in run order; a plain sum
-            # along the row would be pairwise and change the last bits
+            # an accumulation's last entry adds the runs one after another; a
+            # plain sum along the row would be pairwise and change the last bits
             total[i] += np.add.accumulate(rows, axis=1)[:, -1]
-            total_sq[i] += np.add.accumulate(rows * rows, axis=1)[:, -1]
-    mean = total / runs
-    var = np.maximum(total_sq / runs - mean * mean, 0.0) * (runs / (runs - 1))
-    return mean, np.sqrt(var)
+    return total / runs
 
 
 def save_trajectory(dest, traj: EvolutionEstimate) -> None:

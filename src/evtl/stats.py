@@ -45,9 +45,7 @@ class ErrorReport:
     @property
     def within95(self) -> np.ndarray:
         """1.0 where |z| <= 1.96, 0.0 where it is not, NaN where z is NaN."""
-        out = np.where(np.abs(self.z) <= _Z95, 1.0, 0.0)
-        out[np.isnan(self.z)] = np.nan
-        return out
+        return np.where(np.abs(self.z) <= _Z95, 1.0, np.where(np.isnan(self.z), np.nan, 0.0))
 
     def fraction_within(self, variable: str | None = None) -> float:
         """Fraction of defined z-scores within the 95% band."""
@@ -89,12 +87,9 @@ def error_report(
 def save_error_report(dest, report: ErrorReport) -> None:
     """CSV rows ordered by (time, variable); z columns blank where undefined."""
     k, dim = report.mean.shape
-    # blank z and within95 where they are NaN (v != v)
-    ztxt = ["" if v != v else "%.17g" % v for v in report.z.ravel().tolist()]
-    wtxt = ["" if v != v else "%d" % v for v in report.within95.ravel().tolist()]
-    # the three moments and the two blank-able texts as one 2-D column each
+    # the three moments as one 2-D column; z and within95 blank where they are NaN
     moments = np.stack([report.mean, report.std, report.stderr], axis=-1).reshape(-1, 3)
-    texts = np.stack([ztxt, wtxt], axis=1)
-    columns = (np.repeat(np.arange(k), dim), np.tile(report.names, k), moments, texts)
+    times, names = np.repeat(np.arange(k), dim), np.tile(report.names, k)
+    columns = (times, names, moments, report.z.ravel(), report.within95.ravel())
     header = ("time", "variable", "mean", "stddev", "stderr", "z", "within95")
-    write_csv(dest, header, "%d,%s,%.17g,%.17g,%.17g,%s,%s", [columns])
+    write_csv(dest, header, "%d,%s,%.17g,%.17g,%.17g,%.17g?,%d?", [columns])

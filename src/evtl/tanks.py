@@ -120,9 +120,9 @@ class TankKernel:
     def initial_state(self) -> DataState:
         return initial_state(self.params, self._space)
 
-    def noise(self, rng: np.random.Generator, steps: int) -> np.ndarray:
+    def noise(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """One standard normal draw per step, for the stochastic inflow."""
-        return rng.standard_normal(steps)
+        rng.standard_normal(out=out)
 
     def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
         levels, flows = values[:3], values[3:]

@@ -315,7 +315,7 @@ def test_criterion_6_tank_study_reproduction():
         med = float(np.median(ratio))
         assert 1.8 <= med <= 2.2, f"stderr ratio {med:.2f} not a halving"
 
-        ref_mean, _ = run_moments(
+        ref_mean = run_moments(
             TankKernel(params, 1), start, 150, 100_000, RandomnessPlan(42).scoped(2)
         )
         scored = error_report(est1k, ref_mean)

@@ -124,7 +124,8 @@ def test_kernel_step_matches_generator_choice():
         for i, value in enumerate(chain.values):
             for seed in range(20):
                 want = np.random.default_rng(seed).choice(n_states, p=chain.transition[i])
-                u = kernel.noise(np.random.default_rng(seed), 1)
+                u = np.empty(1)
+                kernel.noise(np.random.default_rng(seed), u)
                 got = kernel.step_batch(np.array([[value]]), u)
                 assert got[0, 0] == chain.values[want]
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from evtl.cli import main
+from evtl.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parents[1]
 DRIFT = str(REPO / "chains" / "drift.json")
@@ -288,6 +288,55 @@ def test_stats_sweep_names_files_by_run_count(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "err-n10.csv").exists() and (tmp_path / "err-n20.csv").exists()
     code, _, err = run(capsys, "stats", *CHAIN, "--steps", "3", "--sweep")
     assert code == 2 and "--out" in err
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "stats.txt"]])
+def test_stats_sweep_checks_out_before_the_reference(out, capsys, monkeypatch):
+    import evtl.cli as cli_mod
+
+    def no_reference(*args):
+        raise AssertionError("the reference was simulated")
+
+    monkeypatch.setattr(cli_mod, "run_moments", no_reference)
+    preset = str(REPO / "presets" / "three-tanks-scenario-2.cfg")
+    code, stdout, err = run(
+        capsys, "stats", "--config", preset, "--reference-runs", "20000", "--sweep", *out
+    )
+    assert code == 2 and stdout == "" and "--sweep needs --out ending in .csv" in err
+
+
+SHARED = {
+    "config": "c.cfg",
+    "overrides": ["a=1", "b=2"],
+    "steps": 3,
+    "runs": 4,
+    "ell": 5,
+    "seed": 6,
+    "workers": 7,
+    "out": "o.csv",
+}
+SHARED_ARGV = [
+    "--config", "c.cfg", "--set", "a=1", "--set", "b=2", "--steps", "3", "--runs", "4",
+    "--ell", "5", "--seed", "6", "--workers", "7", "--out", "o.csv",
+]
+SUBCOMMANDS = [
+    ("simulate", []),
+    ("estimate", []),
+    ("distance", ["--against", "b.cfg"]),
+    ("check", ["--formula", "f.evtl"]),
+    ("stats", []),
+]
+
+
+@pytest.mark.parametrize("command, extra", SUBCOMMANDS)
+def test_every_subcommand_parses_the_shared_options(command, extra):
+    parser = build_parser()
+    got = vars(parser.parse_args([command, *SHARED_ARGV, *extra]))
+    assert {key: got[key] for key in SHARED} == SHARED
+    # the options are shared between subcommands, their defaults are not mutated
+    for other, other_extra in SUBCOMMANDS:
+        fresh = vars(parser.parse_args([other, *other_extra]))
+        assert {key: fresh[key] for key in SHARED} == dict.fromkeys(SHARED) | {"overrides": []}
 
 
 def test_exit_codes(tmp_path, capsys, monkeypatch):

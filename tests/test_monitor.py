@@ -51,8 +51,8 @@ class HoldKernel:
     def __init__(self, space: DataSpace):
         self.space = space
 
-    def noise(self, rng: np.random.Generator, steps: int) -> np.ndarray:
-        return np.zeros(steps)
+    def noise(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        out[:] = 0.0
 
     def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
         return values
@@ -640,7 +640,7 @@ def test_check_memory_stays_below_a_stored_estimate():
 class NoNoiseKernel(HoldKernel):
     """Fails the test if any run's noise is drawn."""
 
-    def noise(self, rng, steps):
+    def noise(self, rng, out):
         raise AssertionError("noise was drawn")
 
 

@@ -213,7 +213,8 @@ def test_step_batch_equals_scalar_balance_equations(scenario, runs):
 
 
 def test_noise_is_one_normal_draw_per_step(kernel):
-    a = kernel.noise(RandomnessPlan(4).substream(0, 2), 5)
+    a = np.empty(5)
+    kernel.noise(RandomnessPlan(4).substream(0, 2), a)
     rng = RandomnessPlan(4).substream(0, 2)
     assert np.array_equal(a, [rng.standard_normal() for _ in range(5)])
 
