@@ -123,40 +123,36 @@ def _splice(cells, mask, v: np.ndarray, where: np.ndarray, spec: str):
 _FORMATS = {"%.17g": _floats, "%d": _ints, "%s": _texts}
 
 
-def _rows(cols: list[np.ndarray], specs: list[str]) -> bytes:
+def _rows(cols: list[np.ndarray], formats: Sequence[str]) -> bytes:
     """One block's lines: its columns' canvases side by side, compressed by their masks."""
-    canvases, masks, at = [], [], 0
-    for c in cols:
-        (spec,) = set(specs[at : at + c.shape[1]])  # one format per column
-        at += c.shape[1]
+    canvases, masks = [], []
+    for c, spec in zip(cols, formats, strict=True):
         base = spec.rstrip("?")  # "%.17g?" and "%d?" write a NaN as an empty cell
         blank = np.isnan(c) if base != spec else np.zeros(c.shape, bool)
         canvas, mask = _FORMATS[base](np.where(blank, 0.0, c) if blank.any() else c)
         mask[blank, :-1] = False  # a NaN cell keeps only its separator
         canvases.append(canvas.reshape(len(c), -1))
         masks.append(mask.reshape(len(c), -1))
-    if at != len(specs):
-        raise ValueError(f"{len(specs)} cell formats for {at} cells a row")
     canvas = np.concatenate(canvases, axis=1)
     canvas[:, -1] = _NEWLINE  # the last cell's separator ends the line
     return canvas[np.concatenate(masks, axis=1)].tobytes()
 
 
-def write_csv(dest, header: Sequence[str], row_fmt: str, blocks: Iterable[Sequence]) -> None:
+def write_csv(dest, header: Sequence[str], formats: Sequence[str], blocks: Iterable[Sequence]) -> None:
     """Write CSV to a path, an open text stream, or stdout (``dest`` None).
 
     The output contract of every CSV the program writes. A block is a tuple
-    of columns, 1-D (one CSV column) or 2-D (one per entry of a row).
-    ``row_fmt`` joins one row's cell formats by commas, one for all cells of
-    a column: ``%.17g`` for floats, so each double reads back exactly; ``%d``
-    for run, time and flag columns (3.0 prints as ``3``); ``%s`` for text.
+    of columns, 1-D (one CSV column) or 2-D (one per entry of a row), and
+    ``formats`` holds one cell format per column, for all of its cells:
+    ``%.17g`` for floats, so each double reads back exactly; ``%d`` for run,
+    time and flag columns (3.0 prints as ``3``); ``%s`` for text. A block
+    with another number of columns raises ``ValueError``.
     A float format followed by ``?`` (``%.17g?``, ``%d?``) writes a NaN as
     an empty cell and every other value as the format alone.
     The bytes are those of ``%`` on each value. Every line ends in ``\\n``;
     rows keep block order, then row order. At most :data:`BLOCK_ROWS` rows
     at a time are formatted and written by one ``write``.
     """
-    specs = row_fmt.split(",")
     with ExitStack() as stack:
         if dest is None or hasattr(dest, "write"):
             fh = sys.stdout if dest is None else dest
@@ -167,4 +163,4 @@ def write_csv(dest, header: Sequence[str], row_fmt: str, blocks: Iterable[Sequen
         for columns in blocks:
             cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
             for a in range(0, len(cols[0]), BLOCK_ROWS):
-                emit(_rows([c[a : a + BLOCK_ROWS] for c in cols], specs))
+                emit(_rows([c[a : a + BLOCK_ROWS] for c in cols], formats))

@@ -10,8 +10,8 @@ Five subcommands, all driven by the same flat configuration:
 
 Outputs are deterministic: same arguments, same bytes. ``--workers`` is
 accepted for compatibility and has no effect. Exit codes: 0 success,
-2 configuration or usage problem, 3 formula error, 4 numeric failure or
-out of memory.
+2 configuration or usage problem, 3 formula error, 4 numeric failure
+(overflow included) or out of memory.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+import numpy as np
 
 from . import __version__
 from ._io import write_csv
@@ -109,7 +111,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     est_a = estimate(kernel_a, init_a, steps, cfg.runs, plan.scoped(3, 0))
     est_b = estimate(kernel_b, init_b, steps, cfg.ratio * cfg.runs, plan.scoped(3, 1))
     report = evolution_divergence(est_a, est_b, penalties[name], cfg.discount, cfg.times)
-    write_csv(args.out, ("time", "divergence"), "%d,%.17g", [(report.times, report.values)])
+    write_csv(args.out, ("time", "divergence"), ("%d", "%.17g"), [(report.times, report.values)])
     print(
         json.dumps(
             {
@@ -130,7 +132,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     cfg = _config(args)
     kernel, init, penalties = build_model(cfg)
     formula = load_formula(args.formula, penalties, kernel.space)
-    result = check_formula(
+    series = check_formula(
         kernel,
         init,
         formula,
@@ -142,21 +144,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
         until_mode=cfg.until_mode,
     )
     if args.out:
-        save_series(args.out, result.series)
+        save_series(args.out, series)
     print(
         json.dumps(
             {
                 "formula": formula.pretty(),
-                "horizon": result.series.formula_horizon,
-                "steps": result.series.steps,
+                "horizon": series.formula_horizon,
+                "steps": series.steps,
                 "runs": cfg.runs,
                 "ratio": cfg.ratio,
                 "seed": cfg.seed,
                 "until_mode": cfg.until_mode,
                 "discount": cfg.discount.spec(),
-                "robustness": result.robustness,
-                "satisfied": result.satisfied,
-                "reliable_steps": result.series.reliable_steps,
+                "robustness": series.value,
+                "satisfied": series.satisfied,
+                "reliable_steps": series.reliable_steps,
             },
             sort_keys=True,
         )
@@ -235,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # an overflow or NaN inside the engine fails the command; underflow to 0 is a value
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -458,18 +458,17 @@ def validate(formula: Formula, space: DataSpace) -> None:
     """Check that every atom is evaluable on the given space.
 
     Verifies that distribution and penalty variables exist in the space and
-    that the penalty only reads variables the reference actually constrains
-    (empirical references are exempt; their columns are remapped by name).
+    that the penalty only reads variables the reference actually constrains:
+    a normal's entries, a point's coordinates, an empirical file's columns.
     """
     for atom in iter_atoms(formula):
         for var in atom.dist.variables():
             space.index(var)
         for var in atom.penalty.variables:
             space.index(var)
-        if not isinstance(atom.dist, EmpiricalRef):
-            unconstrained = set(atom.penalty.variables) - set(atom.dist.variables())
-            if unconstrained:
-                raise ValueError(
-                    f"penalty {atom.penalty.name!r} reads {sorted(unconstrained)} "
-                    f"which the reference distribution leaves at the domain floor"
-                )
+        unconstrained = set(atom.penalty.variables) - set(atom.dist.variables())
+        if unconstrained:
+            raise ValueError(
+                f"penalty {atom.penalty.name!r} reads {sorted(unconstrained)} "
+                f"which the reference distribution leaves at the domain floor"
+            )

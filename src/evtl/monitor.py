@@ -27,6 +27,9 @@ A start index is only trustworthy when the formula's whole window fits into
 the simulated horizon: index i is reliable iff i + horizon(phi) <= k. Later
 indices still get values (the truncated windows simply see fewer candidate
 times) but are flagged.
+
+:func:`evaluate`, :func:`check_formula` and the exact ``chains.exact_robustness``
+all return a :class:`RobustnessSeries`, whose ``satisfied`` is the verdict.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ __all__ = [
     "until_combine",
     "fold",
     "evaluate",
-    "CheckResult",
     "check_formula",
     "save_series",
 ]
@@ -87,8 +89,13 @@ class RobustnessSeries:
 
     @property
     def value(self) -> float:
-        """Robustness at time 0, the usual verdict."""
+        """Robustness at time 0, whose sign is the verdict."""
         return float(self.values[0])
+
+    @property
+    def satisfied(self) -> bool | None:
+        """Sign verdict at time 0; None when the robustness is 0.0 or -0.0."""
+        return None if self.value == 0.0 else self.value > 0.0
 
     @property
     def reliable_steps(self) -> int:
@@ -293,25 +300,6 @@ def evaluate(
     return _score(formula, est.space, base_runs, plan, est.steps, blocks, discount, until_mode)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of checking one formula against one system."""
-
-    series: RobustnessSeries
-
-    @property
-    def robustness(self) -> float:
-        return self.series.value
-
-    @property
-    def satisfied(self) -> bool | None:
-        """Sign verdict at time 0; None when the robustness is exactly 0."""
-        r = self.robustness
-        if r == 0.0:
-            return None
-        return r > 0.0
-
-
 def check_formula(
     kernel: MarkovKernel,
     initial: DataState,
@@ -322,8 +310,8 @@ def check_formula(
     steps: int | None = None,
     discount: Discount = Discount(),
     until_mode: UntilMode = "semantics",
-) -> CheckResult:
-    """Simulate ratio * N runs and score the formula as the states come.
+) -> RobustnessSeries:
+    """Simulate ratio * N runs; return the formula's series, scored as the states come.
 
     ``steps`` defaults to the formula horizon, the shortest run for which
     the verdict at time 0 is reliable. The series is bit for bit that of
@@ -347,11 +335,10 @@ def check_formula(
             if t % width == width - 1 or t == k:
                 yield t - t % width, buf[:, : t % width + 1]
 
-    series = _score(formula, kernel.space, base_runs, plan, k, blocks(), discount, until_mode)
-    return CheckResult(series)
+    return _score(formula, kernel.space, base_runs, plan, k, blocks(), discount, until_mode)
 
 
 def save_series(dest, series: RobustnessSeries) -> None:
     """CSV of the series: time, robustness, reliable flag."""
     columns = (np.arange(series.steps + 1), series.values, series.reliable_mask)
-    write_csv(dest, ("time", "robustness", "reliable"), "%d,%.17g,%d", [columns])
+    write_csv(dest, ("time", "robustness", "reliable"), ("%d", "%.17g", "%d"), [columns])

@@ -309,7 +309,7 @@ def save_trajectory(dest, traj: EvolutionEstimate) -> None:
     if traj.runs != 1:
         raise ValueError(f"a trajectory is one run, got {traj.runs}")
     columns = (np.arange(traj.steps + 1), traj.values[:, 0])
-    write_csv(dest, ("time", *traj.space.names), "%d" + ",%.17g" * traj.space.dim, [columns])
+    write_csv(dest, ("time", *traj.space.names), ("%d", "%.17g"), [columns])
 
 
 def save_estimate(dest, est: EvolutionEstimate) -> None:
@@ -328,4 +328,4 @@ def save_estimate(dest, est: EvolutionEstimate) -> None:
             runs = np.repeat(np.arange(a, a + len(values) // k), k)
             yield np.stack([runs, time[: len(values)]], axis=1), values
 
-    write_csv(dest, ("run", "time", *est.space.names), "%d,%d" + ",%.17g" * est.space.dim, blocks())
+    write_csv(dest, ("run", "time", *est.space.names), ("%d", "%.17g"), blocks())

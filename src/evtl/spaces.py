@@ -276,8 +276,7 @@ def identity_penalty(space: DataSpace, variable: str, name: str | None = None) -
 
 def save_samples(dest, samples: SampleSet) -> None:
     """Write a sample set as CSV: header of variable names, one row per sample."""
-    fmt = ",".join(["%.17g"] * samples.space.dim)
-    write_csv(dest, samples.space.names, fmt, [(samples.values,)])
+    write_csv(dest, samples.space.names, ("%.17g",), [(samples.values,)])
 
 
 def load_samples(path: str) -> SampleSet:

@@ -92,4 +92,4 @@ def save_error_report(dest, report: ErrorReport) -> None:
     times, names = np.repeat(np.arange(k), dim), np.tile(report.names, k)
     columns = (times, names, moments, report.z.ravel(), report.within95.ravel())
     header = ("time", "variable", "mean", "stddev", "stderr", "z", "within95")
-    write_csv(dest, header, "%d,%s,%.17g,%.17g,%.17g,%.17g?,%d?", [columns])
+    write_csv(dest, header, ("%d", "%s", "%.17g", "%.17g?", "%d?"), [columns])

@@ -20,6 +20,7 @@ from evtl.formulas import (
     Discount,
     EmpiricalRef,
     Hazard,
+    Not,
     PointMass,
     ProductNormal,
     Target,
@@ -275,6 +276,24 @@ def test_statistical_monitor_converges_to_exact():
     est = estimate(ChainKernel(chain), chain.initial_state(), 6, 2 * 2000, RandomnessPlan(9))
     stat = evaluate(est, f, 2000, RandomnessPlan(9)).values
     assert stat == pytest.approx(exact, abs=0.05)
+
+
+@pytest.mark.parametrize(
+    "threshold, negate, want",
+    [(0.3, False, True), (0.3, True, False), (0.0, False, None), (0.0, True, None)],
+)
+def test_statistical_and_exact_series_give_one_verdict(threshold, negate, want):
+    # the chain starts in state 0, whose penalty is the point's, so index 0
+    # has distance 0 on both routes and the robustness is +-threshold
+    chain = two_state_chain(0.4, 0.15)
+    atom = Target(PointMass((("x", 0.0),)), chain.penalty, threshold)
+    f = Not(atom) if negate else atom
+    est = estimate(ChainKernel(chain), chain.initial_state(), 3, 20, RandomnessPlan(9))
+    for series in (exact_robustness(chain, f, steps=3), evaluate(est, f, 10, RandomnessPlan(9))):
+        assert series.value == (-threshold if negate else threshold)
+        # 0.0 and -0.0 are both a tie
+        assert math.copysign(1.0, series.value) == (-1.0 if negate else 1.0)
+        assert series.satisfied is want
 
 
 # --- divergence and the witness atom ---------------------------------------

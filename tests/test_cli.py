@@ -373,6 +373,40 @@ def test_non_finite_tank_parameters_exit_2(setting, tmp_path, capsys):
     assert code == 2 and stdout == "" and "must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "command, setting",
+    [
+        ("check", "tanks.gravity=1e308"),
+        ("check", "tanks.dt=1e308"),
+        ("check", "tanks.pipe_area=1e308"),
+        ("check", "tanks.area=1e-320"),
+        ("stats", "tanks.l_m=-1e308"),
+    ],
+)
+def test_overflow_inside_the_engine_exits_4(command, setting, capsys):
+    # finite but extreme parameters pass the config checks and overflow in the kernel
+    argv = [command, "--config", str(REPO / "presets" / "three-tanks-scenario-1.cfg")]
+    if command == "check":
+        argv += ["--formula", str(REPO / "properties" / "settle-on-goal.evtl")]
+    argv += ["--set", "steps=5", "--set", "runs=4", "--set", "ell=2", "--set", setting]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 4 and stdout == ""
+    assert err.startswith("numeric error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_penalty_reading_a_column_the_empirical_file_lacks_exits_3(tmp_path, capsys, monkeypatch):
+    # the file holds l3 and l1; rho2 reads l2, which would sit at its floor
+    prop = tmp_path / "prop.evtl"
+    prop.write_text('target(empirical("tests/data/levels-near-goal.csv"), rho2, 0.3)\n')
+    argv = ["check", "--config", str(REPO / "presets" / "three-tanks-scenario-1.cfg"),
+            "--formula", str(prop), "--steps", "5"]
+    monkeypatch.chdir(REPO)
+    code, stdout, err = run(capsys, *argv)
+    assert code == 3 and stdout == ""
+    assert err.startswith("formula error: ") and "leaves at the domain floor" in err
+
+
 def test_negative_run_index_exits_2(capsys):
     code, stdout, err = run(capsys, "simulate", *CHAIN, "--steps", "3", "--run", "-1")
     assert code == 2 and stdout == "" and "--run must be >= 0" in err

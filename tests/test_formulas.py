@@ -235,6 +235,7 @@ def test_validate_checks_variables(space, pen):
     bad = Target(ProductNormal((("x", 0.5, 0.01),)), ypen, 0.5)
     with pytest.raises(ValueError):
         validate(bad, space)
-    # empirical references are exempt from that check
+    # an empirical reference is held to the same rule: y is no stored column
     stored = SampleSet(DataSpace({"x": Interval(0.0, 1.0)}), np.array([[0.5]]))
-    validate(Target(EmpiricalRef(samples=stored), ypen, 0.5), space)
+    with pytest.raises(ValueError, match="domain floor"):
+        validate(Target(EmpiricalRef(samples=stored), ypen, 0.5), space)

@@ -60,7 +60,7 @@ def batched_timed(values: np.ndarray, rows: int) -> str:
     header = ("time", *(f"v{c}" for c in range(values.shape[1])))
     time = np.arange(len(values))
     blocks = [(time[a : a + rows], values[a : a + rows]) for a in range(0, len(values), rows)]
-    write_csv(buf, header, "%d" + ",%.17g" * values.shape[1], blocks)
+    write_csv(buf, header, ("%d", "%.17g"), blocks)
     return buf.getvalue()
 
 
@@ -166,7 +166,7 @@ def batched_rows(row_fmt: str, columns, rows: int = BLOCK_ROWS) -> str:
     buf = io.StringIO()
     n = len(columns[0])
     blocks = [tuple(c[a : a + rows] for c in columns) for a in range(0, n, rows)]
-    write_csv(buf, [f"c{i}" for i in range(len(columns))], row_fmt, blocks)
+    write_csv(buf, [f"c{i}" for i in range(len(columns))], tuple(row_fmt.split(",")), blocks)
     head, body = buf.getvalue().split("\n", 1)
     return body
 
@@ -200,6 +200,15 @@ def test_text_cells_equal_percent_s():
     assert batched_rows("%d,%s,%.17g,%s", columns) == oracle_rows("%d,%s,%.17g,%s", columns)
     blank = np.array([""] * 4)
     assert batched_rows("%s,%s", (blank, blank)) == ",\n" * 4
+
+
+def test_one_format_per_column_or_value_error():
+    # a 2-D column is one column with one format, whatever its width
+    columns = (np.arange(3), np.ones((3, 4)))
+    assert batched_rows("%d,%.17g", columns) == "0,1,1,1,1\n1,1,1,1,1\n2,1,1,1,1\n"
+    for formats in (("%d",), ("%d", "%.17g", "%d")):
+        with pytest.raises(ValueError):
+            write_csv(io.StringIO(), ("a", "b"), formats, [columns])
 
 
 @settings(max_examples=100, deadline=None)

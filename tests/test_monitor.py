@@ -444,7 +444,9 @@ def test_block_draws_equal_written_out_draws(case, kind, ell, block_values, monk
     monkeypatch.setattr(monitor, "_BLOCK_VALUES", block_values)
     names, dist = BLOCK_DISTS[case]
     est = mixed_estimate(names, steps=20, runs=ell * 12)
-    avg = Penalty("avg", names, lambda rows, tau: rows.mean(axis=0))
+    # the average reads every variable that both the estimate and the reference hold
+    shared = tuple(v for v in names if v in dist.variables())
+    avg = Penalty("avg", shared, lambda rows, tau: rows.mean(axis=0))
     diff = Penalty("diff", DIFF_VARIABLES[names], lambda rows, tau: rows[0] - rows[1])
     plan, discount = RandomnessPlan(5), Discount.exponential(0.9)
     for pen in (avg, diff):
@@ -531,11 +533,11 @@ def test_check_formula_defaults_steps_to_horizon(unit):
     space, pen = unit
     f = eventually(0, 5, Target(PointMass((("x", 1.0),)), pen, 0.4))
     res = check_formula(HoldKernel(space), space.state(x=0.5), f, 10, 3, RandomnessPlan(1))
-    assert res.series.steps == horizon(f) == 5
+    assert res.steps == horizon(f) == 5
     est = estimate(HoldKernel(space), space.state(x=0.5), 5, 30, RandomnessPlan(1))
-    assert np.array_equal(res.series.values, evaluate(est, f, 10, RandomnessPlan(1)).values)
-    assert res.series.reliable_steps == 1
-    assert res.robustness == 0.4
+    assert np.array_equal(res.values, evaluate(est, f, 10, RandomnessPlan(1)).values)
+    assert res.reliable_steps == 1
+    assert res.value == 0.4
     assert res.satisfied is True
 
 
@@ -543,10 +545,10 @@ def test_check_formula_sign_verdicts(unit):
     space, pen = unit
     bad = Target(PointMass((("x", 0.0),)), pen, 0.2)
     res = check_formula(HoldKernel(space), space.state(x=0.5), bad, 10, 1, RandomnessPlan(1))
-    assert res.robustness == pytest.approx(-0.3)
+    assert res.value == pytest.approx(-0.3)
     assert res.satisfied is False
     res0 = check_formula(HoldKernel(space), space.state(x=0.5), Or(bad, Not(bad)), 10, 1, RandomnessPlan(1))
-    assert res0.robustness == 0.3  # |v|, not a tie
+    assert res0.value == 0.3  # |v|, not a tie
     with pytest.raises(ValueError):
         check_formula(HoldKernel(space), space.state(x=0.5), bad, 10, 0, RandomnessPlan(1))
 
@@ -618,7 +620,7 @@ def test_streamed_check_equals_evaluate_on_the_stored_estimate(case, ell, width,
     want = evaluate(est, formula, base_runs, plan, discount)
     # width time indices per block: 4 does not divide the 21 indices, 64 holds them all
     monkeypatch.setattr(monitor, "_BLOCK_VALUES", width * ell * base_runs)
-    got = check_formula(kernel, initial, formula, base_runs, ell, plan, steps, discount).series
+    got = check_formula(kernel, initial, formula, base_runs, ell, plan, steps, discount)
     assert got.values.tobytes() == want.values.tobytes()
     assert got.formula_horizon == want.formula_horizon
 
