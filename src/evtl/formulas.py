@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -96,11 +96,10 @@ class Discount:
             if kind == "const":
                 return cls.constant(float(arg))
             if kind == "exp":
-                parts = arg.split(",")
-                rate = float(parts[0])
-                scale = float(parts[1]) if len(parts) > 1 else 1.0
-                return cls.exponential(rate, scale)
-        except (ValueError, IndexError) as exc:
+                # a third field is left in the scale, which then fails to parse
+                rate, sep, scale = arg.partition(",")
+                return cls.exponential(float(rate), float(scale) if sep else 1.0)
+        except ValueError as exc:
             raise ValueError(f"bad discount spec {text!r}: {exc}") from None
         raise ValueError(f"bad discount spec {text!r} (want const:c or exp:r)")
 
@@ -130,34 +129,23 @@ class Distribution:
     ``sample_block(space, n, rngs, variables)`` returns a ``(k, rows, n)``
     array for the k requested ``variables``: ``out[i, r]`` holds n draws of
     ``variables[i]`` from the r-th generator of ``rngs``, and each generator
-    is drawn from before the next is taken. A requested variable that the
-    reference leaves unset sits at its domain floor. ``sample`` is the
-    one-row case over every variable of the space.
+    is drawn from before the next is taken. Asking for a variable that the
+    reference does not constrain raises ``KeyError``. ``sample`` is the
+    one-row case over the reference's own ``variables()``, with their
+    domains taken from the space.
     """
 
     __slots__ = ()
 
     def sample(self, space: DataSpace, n: int, rng: np.random.Generator | None) -> SampleSet:
-        return SampleSet(space, self.sample_block(space, n, (rng,), space.names)[:, 0].T)
-
-
-def _variable_rows(
-    space: DataSpace,
-    variables: Sequence[str],
-    shape: tuple[int, ...],
-    row: Callable[[str], np.ndarray | float | None],
-) -> np.ndarray:
-    """(k, *shape) array of the requested variables: ``row(var)``, or the floor if that is None."""
-    out = np.empty((len(variables), *shape))
-    for i, var in enumerate(variables):
-        got = row(var)
-        out[i] = space.floor[space.index(var)] if got is None else got
-    return out
+        names = self.variables()
+        own = DataSpace([(var, space.domain(var)) for var in names])
+        return SampleSet(own, self.sample_block(space, n, (rng,), names)[:, 0].T)
 
 
 @dataclass(frozen=True)
 class ProductNormal(Distribution):
-    """Independent normals on selected variables, others at their domain floor.
+    """Independent normals on selected variables.
 
     Each entry is (variable, mean, variance). The second moment parameter is
     a VARIANCE, not a standard deviation; samplers take its square root.
@@ -188,14 +176,11 @@ class ProductNormal(Distribution):
         """Per generator, n draws of every entry in listed order, requested or not."""
         z = np.array([rng.standard_normal((len(self.entries), n)) for rng in rngs])
         at = {var: (mu, s2, z[:, e]) for e, (var, mu, s2) in enumerate(self.entries)}
-
-        def row(var: str) -> np.ndarray | None:
-            if var not in at:
-                return None
+        out = np.empty((len(variables), len(z), n))
+        for i, var in enumerate(variables):
             mu, s2, z_var = at[var]
-            return space.domain(var).clamp_array(mu + np.sqrt(s2) * z_var)
-
-        return _variable_rows(space, variables, (len(z), n), row)
+            out[i] = space.domain(var).clamp_array(mu + np.sqrt(s2) * z_var)
+        return out
 
     def pretty(self) -> str:
         inner = ", ".join(f"{v}; {_fmt(m)}, {_fmt(s)}" for v, m, s in self.entries)
@@ -204,7 +189,7 @@ class ProductNormal(Distribution):
 
 @dataclass(frozen=True)
 class PointMass(Distribution):
-    """Deterministic reference: listed variables fixed, others at domain floor."""
+    """Deterministic reference: the listed variables at fixed values."""
 
     assignments: tuple[tuple[str, float], ...]
 
@@ -225,11 +210,10 @@ class PointMass(Distribution):
     ) -> np.ndarray:
         """The point, once per entry of ``rngs``; draws nothing."""
         fixed = dict(self.assignments)
-
-        def row(var: str) -> float | None:
-            return space.domain(var).clamp(fixed[var]) if var in fixed else None
-
-        return _variable_rows(space, variables, (sum(1 for _ in rngs), n), row)
+        out = np.empty((len(variables), sum(1 for _ in rngs), n))
+        for i, var in enumerate(variables):
+            out[i] = space.domain(var).clamp(fixed[var])
+        return out
 
     def pretty(self) -> str:
         inner = ", ".join(f"{v}={_fmt(x)}" for v, x in self.assignments)
@@ -283,14 +267,11 @@ class EmpiricalRef(Distribution):
     ) -> np.ndarray:
         """Per generator, n stored row picks; a column is gathered only if it is requested."""
         picks = np.array([rng.choice(len(self.samples), size=n, p=self.weights) for rng in rngs])
-        stored = self.samples.space.names
-
-        def row(var: str) -> np.ndarray | None:
-            if var not in stored:
-                return None
-            return space.domain(var).clamp_array(self.samples.values[picks, stored.index(var)])
-
-        return _variable_rows(space, variables, picks.shape, row)
+        out = np.empty((len(variables), *picks.shape))
+        for i, var in enumerate(variables):
+            column = self.samples.values[picks, self.samples.space.index(var)]
+            out[i] = space.domain(var).clamp_array(column)
+        return out
 
     def pretty(self) -> str:
         if self.path is not None:
@@ -470,5 +451,5 @@ def validate(formula: Formula, space: DataSpace) -> None:
         if unconstrained:
             raise ValueError(
                 f"penalty {atom.penalty.name!r} reads {sorted(unconstrained)} "
-                f"which the reference distribution leaves at the domain floor"
+                f"which the reference distribution does not constrain"
             )

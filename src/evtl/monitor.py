@@ -317,7 +317,8 @@ def check_formula(
     the verdict at time 0 is reliable. The series is bit for bit that of
     :func:`evaluate` on the ratio * N run estimate, which is never stored: a
     check holds the (l*N, steps) noise, drawn per run up front because a
-    run's stream is consumed in step order, and one block of states.
+    run's stream is consumed in step order, and one block of states. Like
+    the simulations, it raises ``FloatingPointError`` on an overflow.
     """
     if ratio < 1:
         raise ValueError("oversampling ratio must be >= 1")
@@ -325,17 +326,18 @@ def check_formula(
         raise ValueError("need at least one reference run")
     validate(formula, kernel.space)
     k = horizon(formula) if steps is None else steps
-    noise = _run_noise(kernel, plan, k, range(ratio * base_runs))
-    width = max(1, _BLOCK_VALUES // len(noise))
-    buf = np.empty((kernel.space.dim, width, len(noise)))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        noise = _run_noise(kernel, plan, k, range(ratio * base_runs))
+        width = max(1, _BLOCK_VALUES // len(noise))
+        buf = np.empty((kernel.space.dim, width, len(noise)))
 
-    def blocks() -> Iterator[tuple[int, np.ndarray]]:
-        for t, rows in enumerate(_paths(kernel, initial, noise)):
-            buf[:, t % width] = rows
-            if t % width == width - 1 or t == k:
-                yield t - t % width, buf[:, : t % width + 1]
+        def blocks() -> Iterator[tuple[int, np.ndarray]]:
+            for t, rows in enumerate(_paths(kernel, initial, noise)):
+                buf[:, t % width] = rows
+                if t % width == width - 1 or t == k:
+                    yield t - t % width, buf[:, : t % width + 1]
 
-    return _score(formula, kernel.space, base_runs, plan, k, blocks(), discount, until_mode)
+        return _score(formula, kernel.space, base_runs, plan, k, blocks(), discount, until_mode)
 
 
 def save_series(dest, series: RobustnessSeries) -> None:

@@ -9,7 +9,9 @@ in one wide array operation. Everything stochastic flows through a
 :class:`RandomnessPlan`, which derives independent, reproducible generator
 streams from a single master seed and a structured purpose key. Run j of
 an estimate always draws from stream ``(0, j)``, so a run's states do not
-depend on which other runs share its batch.
+depend on which other runs share its batch. An overflow, an invalid
+operation or a division by zero inside a simulation raises
+``FloatingPointError``; underflow to zero is a value.
 """
 
 from __future__ import annotations
@@ -252,8 +254,9 @@ def simulate(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     noise = np.empty((1, steps))
-    kernel.noise(rng, noise[0])
-    return _collect(kernel, initial, noise)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        kernel.noise(rng, noise[0])
+        return _collect(kernel, initial, noise)
 
 
 def estimate(
@@ -270,7 +273,8 @@ def estimate(
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    return _collect(kernel, initial, _run_noise(kernel, plan, steps, range(runs)))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        return _collect(kernel, initial, _run_noise(kernel, plan, steps, range(runs)))
 
 
 # fixed accumulation block for run_moments; the float fold order, and so the
@@ -295,13 +299,14 @@ def run_moments(
     if runs < 1:
         raise ValueError("need at least one run")
     total = np.zeros((steps + 1, kernel.space.dim))
-    for a in range(0, runs, _MOMENT_BLOCK):
-        noise = _run_noise(kernel, plan, steps, range(a, min(a + _MOMENT_BLOCK, runs)))
-        for i, rows in enumerate(_paths(kernel, initial, noise)):
-            # an accumulation's last entry adds the runs one after another; a
-            # plain sum along the row would be pairwise and change the last bits
-            total[i] += np.add.accumulate(rows, axis=1)[:, -1]
-    return total / runs
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for a in range(0, runs, _MOMENT_BLOCK):
+            noise = _run_noise(kernel, plan, steps, range(a, min(a + _MOMENT_BLOCK, runs)))
+            for i, rows in enumerate(_paths(kernel, initial, noise)):
+                # an accumulation's last entry adds the runs one after another; a
+                # plain sum along the row would be pairwise and change the last bits
+                total[i] += np.add.accumulate(rows, axis=1)[:, -1]
+        return total / runs
 
 
 def save_trajectory(dest, traj: EvolutionEstimate) -> None:

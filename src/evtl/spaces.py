@@ -91,7 +91,7 @@ Domain = Interval | FiniteSet
 class DataSpace:
     """Ordered collection of named variables with their domains."""
 
-    __slots__ = ("names", "domains", "floor", "_index")
+    __slots__ = ("names", "domains", "_index")
 
     def __init__(self, variables: Mapping[str, Domain] | Sequence[tuple[str, Domain]]):
         items = list(variables.items()) if isinstance(variables, Mapping) else list(variables)
@@ -102,10 +102,6 @@ class DataSpace:
             raise ValueError("duplicate variable names")
         self.names: tuple[str, ...] = names
         self.domains: tuple[Domain, ...] = tuple(dom for _, dom in items)
-        # each variable's domain minimum, read-only as every sampler shares it
-        floor = [d.lo if isinstance(d, Interval) else d.values[0] for d in self.domains]
-        self.floor = np.array(floor, dtype=np.float64)
-        self.floor.flags.writeable = False
         self._index = {name: i for i, name in enumerate(names)}
 
     @property

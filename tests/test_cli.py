@@ -395,8 +395,19 @@ def test_overflow_inside_the_engine_exits_4(command, setting, capsys):
     assert "Traceback" not in err
 
 
+def test_discount_with_a_third_field_exits_2(capsys):
+    code, stdout, err = run(
+        capsys, "check", "--config", str(REPO / "presets" / "three-tanks-scenario-1.cfg"),
+        "--formula", str(REPO / "properties" / "settle-on-goal.evtl"), "--steps", "5",
+        "--set", "discount=exp:0.9,1,junk",
+    )
+    assert code == 2 and stdout == ""
+    assert "bad discount spec" in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_penalty_reading_a_column_the_empirical_file_lacks_exits_3(tmp_path, capsys, monkeypatch):
-    # the file holds l3 and l1; rho2 reads l2, which would sit at its floor
+    # the file holds l3 and l1; rho2 reads l2, which the reference does not constrain
     prop = tmp_path / "prop.evtl"
     prop.write_text('target(empirical("tests/data/levels-near-goal.csv"), rho2, 0.3)\n')
     argv = ["check", "--config", str(REPO / "presets" / "three-tanks-scenario-1.cfg"),
@@ -404,7 +415,7 @@ def test_penalty_reading_a_column_the_empirical_file_lacks_exits_3(tmp_path, cap
     monkeypatch.chdir(REPO)
     code, stdout, err = run(capsys, *argv)
     assert code == 3 and stdout == ""
-    assert err.startswith("formula error: ") and "leaves at the domain floor" in err
+    assert err.startswith("formula error: ") and "does not constrain" in err
 
 
 def test_negative_run_index_exits_2(capsys):

@@ -60,6 +60,11 @@ def test_discount_parse_round_trip():
         Discount.parse("exp:1.5")
 
 
+def test_discount_parse_rejects_a_third_field():
+    with pytest.raises(ValueError, match="bad discount spec"):
+        Discount.parse("exp:0.9,0.5,0.1")
+
+
 def test_discount_is_non_increasing():
     d = Discount.exponential(0.99)
     vals = [d(t) for t in range(50)]
@@ -75,8 +80,8 @@ def test_product_normal_sampling_clamps_and_floors(space):
     rng = np.random.default_rng(0)
     ss = dist.sample(space, 500, rng)
     assert np.all(ss.column("x") >= 0.0) and np.all(ss.column("x") <= 1.0)
-    # y is unconstrained: sits at its domain floor
-    assert np.all(ss.column("y") == -1.0)
+    # y is unconstrained, so the sample holds x alone
+    assert ss.space.names == ("x",)
 
 
 def test_product_normal_variance_is_variance_not_std(space):
@@ -138,9 +143,35 @@ def test_empirical_ref_resamples_stored_rows(space):
     ss = ref.sample(space, 1000, np.random.default_rng(3))
     vals = set(ss.column("x"))
     assert vals == {0.1, 0.9}
-    assert np.all(ss.column("y") == -1.0)
+    assert ss.space.names == ("x",)
     # roughly uniform over the two rows
     assert np.mean(ss.column("x") == 0.9) == pytest.approx(0.5, abs=0.06)
+
+
+# each reference lists y before x, against the space's order; none constrains z
+XYZ = DataSpace([("x", Interval(0.0, 1.0)), ("y", Interval(-1.0, 1.0)), ("z", Interval(0.0, 2.0))])
+OWN_REFERENCES = {
+    "normal": ProductNormal((("y", 0.2, 0.09), ("x", 0.5, 0.04))),
+    "point": PointMass((("y", 0.4), ("x", 0.75))),
+    "empirical": EmpiricalRef(
+        SampleSet(DataSpace({"y": Interval(-2.0, 2.0), "x": Interval(-2.0, 2.0)}),
+                  np.array([[0.1, 1.5], [-1.5, 0.3]]))
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OWN_REFERENCES))
+def test_reference_samples_only_the_variables_it_constrains(kind):
+    dist = OWN_REFERENCES[kind]
+    rngs = [np.random.default_rng(0)]
+    with pytest.raises(KeyError):
+        dist.sample_block(XYZ, 4, rngs, ("x", "z"))
+    ss = dist.sample(XYZ, 4, np.random.default_rng(0))
+    assert ss.space.names == dist.variables()
+    # the domains are the space's, and every draw is clamped into them
+    assert ss.space.domains == (XYZ.domain("y"), XYZ.domain("x"))
+    for row in ss.values.tolist():
+        ss.space.state(dict(zip(ss.space.names, row)))
 
 
 def test_empirical_ref_weights(space):
@@ -230,12 +261,12 @@ def test_validate_checks_variables(space, pen):
     validate(ok, space)
     with pytest.raises(KeyError):
         validate(Target(ProductNormal((("z", 0.0, 1.0),)), pen, 0.5), space)
-    # penalty reading a variable the reference leaves at the floor
+    # penalty reading a variable the reference does not constrain
     ypen = identity_penalty(space, "y", name="py")
     bad = Target(ProductNormal((("x", 0.5, 0.01),)), ypen, 0.5)
     with pytest.raises(ValueError):
         validate(bad, space)
     # an empirical reference is held to the same rule: y is no stored column
     stored = SampleSet(DataSpace({"x": Interval(0.0, 1.0)}), np.array([[0.5]]))
-    with pytest.raises(ValueError, match="domain floor"):
+    with pytest.raises(ValueError, match="does not constrain"):
         validate(Target(EmpiricalRef(samples=stored), ypen, 0.5), space)

@@ -1,4 +1,4 @@
-"""Every module under ``src/evtl`` uses each name it imports."""
+"""Every module under ``src/evtl`` uses each name it imports, and each private name it defines."""
 
 import ast
 from pathlib import Path
@@ -49,3 +49,41 @@ def test_module_uses_every_name_it_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = _imported(tree) - _used(tree) - {n for m, n in TRACED if m == path.stem}
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+def _private_definitions(tree: ast.Module):
+    """``(name, statement)`` for each module-level ``def _x``, ``class _X`` and ``_X = ...``."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((n, stmt) for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names a statement reads: loaded names, attributes and names it imports."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name)
+    return out
+
+
+def test_every_private_name_is_read_outside_its_definition():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    reads = [(stmt, _reads(stmt)) for tree in trees.values() for stmt in tree.body]
+    dead = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name, stmt in _private_definitions(tree)
+        if not any(name in names for other, names in reads if other is not stmt)
+    ]
+    assert not dead, f"private names that nothing in src/evtl reads: {dead}"

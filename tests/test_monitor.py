@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from evtl import monitor
 from evtl.chains import ChainKernel, load_chain
-from evtl.config import build_model, load_config
+from evtl.config import apply_setting, build_model, load_config
 from evtl.formulas import (
     Discount,
     EmpiricalRef,
@@ -33,7 +33,7 @@ from evtl.monitor import (
     until_combine,
 )
 from evtl.parsing import load_formula
-from evtl.simulation import EvolutionEstimate, RandomnessPlan, estimate
+from evtl.simulation import EvolutionEstimate, RandomnessPlan, estimate, run_moments, simulate
 from evtl.spaces import DataSpace, FiniteSet, Interval, Penalty, SampleSet, identity_penalty
 from evtl.wasserstein import one_sided_wasserstein
 
@@ -380,21 +380,22 @@ def test_atom_series_equals_the_per_index_route(kind, discount, ell, block_value
 def written_out_sample(dist, space, n, rng):
     """One index's reference draws, spelled out draw by draw without blocks.
 
-    A normal draws its entries in the listed order, n at a time; an empirical
-    reference picks n stored rows; every column is clamped into its domain.
+    The sample holds the reference's own variables, with the space's
+    domains. A normal draws its entries in the listed order, n at a time; an
+    empirical reference picks n stored rows; every column is clamped into
+    its domain.
     """
-    out = np.tile(space.floor, (n, 1))
+    own = DataSpace([(var, space.domain(var)) for var in dist.variables()])
+    out = np.empty((n, own.dim))
     if isinstance(dist, ProductNormal):
-        for var, mean, variance in dist.entries:
-            j = space.index(var)
+        for j, (var, mean, variance) in enumerate(dist.entries):
             draws = mean + np.sqrt(variance) * rng.standard_normal(n)
-            out[:, j] = space.domains[j].clamp_array(draws)
+            out[:, j] = own.domains[j].clamp_array(draws)
     else:
         rows = rng.choice(len(dist.samples), size=n, replace=True, p=dist.weights)
-        for i, var in enumerate(dist.samples.space.names):
-            j = space.index(var)
-            out[:, j] = space.domains[j].clamp_array(dist.samples.values[rows, i])
-    return SampleSet(space, out)
+        for j in range(own.dim):
+            out[:, j] = own.domains[j].clamp_array(dist.samples.values[rows, j])
+    return SampleSet(own, out)
 
 
 # x on an interval, g on a finite set, y on a wider interval
@@ -403,7 +404,7 @@ MIXED = DataSpace([("x", Interval(0.0, 1.0)), ("g", FiniteSet((0.0, 0.3, 0.6, 1.
 # stored rows partly outside the domains, so resampled values are clamped
 STORED = np.array([[0.1, 0.2, 0.9], [0.45, 0.7, -1.5], [1.7, 0.5, 0.2], [0.8, 0.0, 0.35]])
 STORED_SPACE = DataSpace([(n, Interval(-2.0, 2.0)) for n in MIXED.names])
-# columns y and x only, in that order: g stays at its floor
+# columns y and x only, in that order: no reference value of g exists
 SUBSET = SampleSet(DataSpace([("y", Interval(-2.0, 2.0)), ("x", Interval(-2.0, 2.0))]),
                    STORED[:, [2, 0]])
 BLOCK_DISTS = {
@@ -457,12 +458,13 @@ def test_block_draws_equal_written_out_draws(case, kind, ell, block_values, monk
 
 
 # (case, requested variables); None asks for every variable of the space
+# that the reference constrains, in the space's order
 SAMPLE_BLOCK_CASES = {case: (case, None) for case in BLOCK_DISTS} | {
     # the normal's first entry is not read, but its draws are still taken
     "normal-2d-x": ("normal-2d", ("x",)),
     "normal-3d-y-x": ("normal-3d", ("y", "x")),
-    # g is no stored column, so it sits at its floor
-    "empirical-subset-g-y": ("empirical-subset", ("g", "y")),
+    # one of the two stored columns, and only it is gathered
+    "empirical-subset-x": ("empirical-subset", ("x",)),
 }
 
 
@@ -471,13 +473,14 @@ def test_sample_block_rows_are_one_generator_each(case):
     case, variables = SAMPLE_BLOCK_CASES[case]
     names, dist = BLOCK_DISTS[case]
     space = mixed_estimate(names, 0, 1).space
-    variables = variables or space.names
+    variables = variables or tuple(v for v in space.names if v in dist.variables())
     rngs = [np.random.default_rng(s) for s in range(4)]
     block = dist.sample_block(space, 9, iter(rngs), variables)
     written = [np.random.default_rng(s) for s in range(4)]
-    want = np.stack([written_out_sample(dist, space, 9, rng).values for rng in written])
+    samples = [written_out_sample(dist, space, 9, rng) for rng in written]
+    want = np.stack([ss.values for ss in samples])
     assert block.shape == (len(variables), 4, 9)
-    assert np.array_equal(block, space.rows(want, variables))
+    assert np.array_equal(block, samples[0].space.rows(want, variables))
     # each generator is left where the written-out route leaves it
     assert [rng.random() for rng in rngs] == [rng.random() for rng in written]
 
@@ -658,9 +661,34 @@ def test_check_formula_rejects_bad_input_before_drawing_noise():
     with pytest.raises(KeyError):
         stray = Target(ProductNormal((("z", 0.0, 1.0),)), pen, 0.5)
         check_formula(kernel, start, stray, 10, 3, RandomnessPlan(1))
-    with pytest.raises(ValueError, match="leaves at the domain floor"):
+    with pytest.raises(ValueError, match="does not constrain"):
         floor = Target(PointMass((("y", 1.0),)), pen, 0.4)
         check_formula(kernel, start, Or(ok, floor), 10, 3, RandomnessPlan(1))
+
+
+def overflow_case():
+    """Preset 1 with a finite gravity of 1e308, which passes the config checks."""
+    cfg = load_config(str(REPO / "presets" / "three-tanks-scenario-1.cfg"))
+    kernel, initial, penalties = build_model(apply_setting(cfg, "tanks.gravity", "1e308"))
+    path = REPO / "properties" / "recover-from-overflow-risk.evtl"
+    return kernel, initial, load_formula(str(path), penalties, kernel.space)
+
+
+OVERFLOW_CALLS = {
+    "simulate": lambda k, x0, f: simulate(k, x0, 5, np.random.default_rng(1)),
+    "estimate": lambda k, x0, f: estimate(k, x0, 5, 8, RandomnessPlan(1)),
+    "run_moments": lambda k, x0, f: run_moments(k, x0, 5, 8, RandomnessPlan(1)),
+    "check_formula": lambda k, x0, f: check_formula(k, x0, f, 4, 2, RandomnessPlan(1), 5),
+}
+
+
+@pytest.mark.parametrize("call", sorted(OVERFLOW_CALLS))
+def test_overflow_raises_and_restores_the_error_state(call):
+    # the level clamp would turn the NaN flows into bounds and a confident verdict
+    before = np.geterr()
+    with pytest.raises(FloatingPointError):
+        OVERFLOW_CALLS[call](*overflow_case())
+    assert np.geterr() == before
 
 
 def test_save_series_format():
