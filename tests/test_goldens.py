@@ -13,7 +13,10 @@ until modes are pinned; the ``-exp`` cases pin a decaying discount.
 ``-long`` cases four-digit time columns and series longer than one
 block of CSV rows. The ``-run2e32`` and ``-run2e64`` cases use run
 indices of two and three 32-bit words, so multi-word stream keys are
-pinned. ``check-p1-empirical`` reads a formula whose atoms resample a
+pinned. The ``-shuffled`` cases run a 7-state chain from ``tests/data``
+whose values are listed out of order, with zero transitions and two rows
+that sum to 1 - 1 ulp, so the kernel's value-to-state mapping is pinned.
+``check-p1-empirical`` reads a formula whose atoms resample a
 stored file; its path is relative to the repository root, where every
 case runs, so the printed formula (and the stdout hash) is the same on
 every machine.
@@ -33,6 +36,9 @@ P1 = ["--config", str(REPO / "presets" / "three-tanks-scenario-1.cfg")]
 P2 = ["--config", str(REPO / "presets" / "three-tanks-scenario-2.cfg")]
 DRIFT = ["--set", "model=chain", "--set", f"chain.file={REPO / 'chains' / 'drift.json'}"]
 FAST = ["--set", "model=chain", "--set", f"chain.file={REPO / 'chains' / 'drift-fast.json'}"]
+SHUFFLED = [
+    "--set", "model=chain", "--set", f"chain.file={REPO / 'tests' / 'data' / 'shuffled-chain.json'}",
+]
 SETTLE = ["--formula", str(REPO / "properties" / "settle-on-goal.evtl")]
 LEFT_CHAIN = ["--formula", str(REPO / "tests" / "data" / "until-left-chain.evtl")]
 LEFT_TANKS = ["--formula", str(REPO / "tests" / "data" / "until-left-tanks.evtl")]
@@ -51,6 +57,7 @@ CASES: dict[str, list[str]] = {
     "estimate-p1": ["estimate", *P1, "--steps", "15", "--runs", "24"],
     "estimate-p2": ["estimate", *P2, "--steps", "15", "--runs", "24"],
     "estimate-drift": ["estimate", *DRIFT, "--steps", "10", "--runs", "20"],
+    "estimate-shuffled": ["estimate", *SHUFFLED, "--steps", "10", "--runs", "20"],
     "estimate-p1-wide": ["estimate", *P1, "--steps", "120", "--runs", "120"],
     "distance-p1-p2": [
         "distance", *P1, "--against", P2[1], "--penalty", "rho3",
@@ -80,6 +87,13 @@ CASES: dict[str, list[str]] = {
     "check-drift-left-figure": [
         "check", *DRIFT, *LEFT_CHAIN, "--steps", "40", "--runs", "20", "--ell", "2",
         "--set", "until-mode=figure",
+    ],
+    "check-shuffled": [
+        "check", *SHUFFLED, *LEFT_CHAIN, "--steps", "40", "--runs", "20", "--ell", "2",
+    ],
+    "check-shuffled-long": [
+        "check", *SHUFFLED, "--formula", str(REPO / "bench" / "inputs" / "long-horizon.evtl"),
+        "--steps", "1500", "--runs", "10", "--ell", "2",
     ],
     "check-p1-left": ["check", *P1, *LEFT_TANKS, "--steps", "45", "--runs", "30", "--ell", "3"],
     "check-p1-left-figure": [
@@ -148,6 +162,14 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "7db193b38f4b7045ce3b3af62971acdd80fec4496547511a4c6cba83dbd2c414",
         "9e2bb91b18376d2c25658437a81b6278ae17bdd20613172e426a8c0c69a4dcbc",
     ),
+    "check-shuffled": (
+        "c206e42c3d488ad63828cdec473b463056c450fc1a5105d34e1c53ae44a5e261",
+        "8b8249e38a3fddad6ad6ccb4e2b6ce051f45b1662ebe7a9e076195b1e02ddc01",
+    ),
+    "check-shuffled-long": (
+        "0d61c753ce9a9aa648e0c094583368e77a42a6fe3791660014893279898784f9",
+        "59b66493ef96ceecaeb21387ea168a071fc4ceea6e99c1fb549458679b2ba124",
+    ),
     "distance-p1-p2": (
         "012372f125697e7ed1950dabbe03676544839a53446fd8fee88fc011010f31d4",
         "4f1318c6a1f6b899e67f295c4d161b53bbd891b67cd1cf9ff4b497b8d1951982",
@@ -170,6 +192,10 @@ GOLDEN: dict[str, tuple[str, str]] = {
     ),
     "estimate-p1-wide": (
         "58d3ab70f4f642fa860dc46e8b49d6b5fdf768bdc6eef2b11510f1dd44d93fda",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "estimate-shuffled": (
+        "640c8bbad9e663f0f43115c9152f484d1044166a3217e87b9f37c6f2b01bc56e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "estimate-p2": (
