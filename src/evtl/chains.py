@@ -129,21 +129,26 @@ class FiniteChain:
 
 
 class ChainKernel:
-    """Simulation view of a chain: one step samples each run's next state from its row."""
+    """Simulation view of a chain: one step samples each run's next state from its row.
+
+    A block of steps runs in state-index space: the values are mapped to
+    listed state indices once, each step maps indices to indices, and the
+    indices are mapped back to values once.
+    """
 
     def __init__(self, chain: FiniteChain):
         self.chain = chain
         self._values = np.asarray(chain.values)
-        order = np.argsort(self._values)
-        self._sorted = self._values[order]
+        # listed index of each value, found by sorted value
+        self._order = np.argsort(self._values)
+        self._sorted = self._values[self._order]
         # inverse-CDF sampling as Generator.choice does it, dividing each
         # cumulative row by its last entry: a row summing to 1 - 1 ulp must
         # still pick the same state as choice for every uniform draw. The
-        # rows are stored transposed, one contiguous row per cumulative
-        # entry with columns in sorted-value order, so a run's value finds
-        # its column with one searchsorted
+        # rows are stored transposed, (S next, S current), so the runs'
+        # current states pick their rows with one column take
         cdf = np.cumsum(chain.transition, axis=1)
-        self._cdf = np.ascontiguousarray((cdf / cdf[:, -1:])[order].T)
+        self._cdf = np.ascontiguousarray((cdf / cdf[:, -1:]).T)
 
     @property
     def space(self) -> DataSpace:
@@ -153,11 +158,20 @@ class ChainKernel:
         """One uniform draw per step, the one ``Generator.choice`` would consume."""
         rng.random(out=out)
 
-    def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        cdf = self._cdf.take(self._sorted.searchsorted(values[0]), axis=1)
-        # searchsorted(cdf_row, u, side="right"), one column per run
-        nxt = np.add.reduce(cdf <= noise, axis=0)
-        return self._values.take(nxt)[None, :]
+    def advance(self, values: np.ndarray, noise: np.ndarray, out: np.ndarray) -> None:
+        runs = values.shape[1]
+        index = np.empty((len(noise), runs), dtype=np.intp)
+        cdf = np.empty((len(self._cdf), runs))
+        cut = np.empty(cdf.shape, dtype=bool)
+        state = self._order.take(self._sorted.searchsorted(values[0]))
+        for u, nxt in zip(noise, index):
+            # unchecked here: the take back to values checks every index row
+            self._cdf.take(state, axis=1, out=cdf, mode="clip")
+            # searchsorted(cdf_row, u, side="right"), one column per run
+            np.less_equal(cdf, u, out=cut)
+            np.add.reduce(cut, axis=0, out=nxt)
+            state = nxt
+        self._values.take(index, out=out[0])
 
 
 def _numbers(x: object, depth: int) -> bool:

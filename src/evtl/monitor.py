@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import Callable, Iterable, Iterator, Literal
+from typing import Callable, Iterable, Literal
 
 import numpy as np
 
@@ -328,16 +328,8 @@ def check_formula(
     k = horizon(formula) if steps is None else steps
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         noise = _run_noise(kernel, plan, k, range(ratio * base_runs))
-        width = max(1, _BLOCK_VALUES // len(noise))
-        buf = np.empty((kernel.space.dim, width, len(noise)))
-
-        def blocks() -> Iterator[tuple[int, np.ndarray]]:
-            for t, rows in enumerate(_paths(kernel, initial, noise)):
-                buf[:, t % width] = rows
-                if t % width == width - 1 or t == k:
-                    yield t - t % width, buf[:, : t % width + 1]
-
-        return _score(formula, kernel.space, base_runs, plan, k, blocks(), discount, until_mode)
+        blocks = _paths(kernel, initial, noise, max(1, _BLOCK_VALUES // len(noise)))
+        return _score(formula, kernel.space, base_runs, plan, k, blocks, discount, until_mode)
 
 
 def save_series(dest, series: RobustnessSeries) -> None:

@@ -1,11 +1,15 @@
 """Batched simulation of discrete-time Markov kernels.
 
 A kernel owns a data space and steps many runs at once: ``noise`` fills one
-run's row of the noise block from that run's generator, and ``step_batch`` maps
-the states of N runs, given one noise value per run, to their successors.
-States are laid out as a (dim, N) array, one contiguous row per variable, so
-a kernel updates each variable, or a group of like variables, for every run
-in one wide array operation. Everything stochastic flows through a
+run's row of the noise block from that run's generator, and ``advance``
+writes the states of w consecutive steps of N runs into a (dim, w, N) block,
+given one noise value per run and step. A step's states are a (dim, N)
+array, one contiguous row per variable, so a kernel updates each variable,
+or a group of like variables, for every run in one wide array operation,
+and it can keep its own per-block representation (a chain steps in state
+indices) between the steps of a block. The consumers (:func:`estimate`,
+:func:`run_moments` and ``monitor.check_formula``) read the states one
+block of time indices at a time. Everything stochastic flows through a
 :class:`RandomnessPlan`, which derives independent, reproducible generator
 streams from a single master seed and a structured purpose key. Run j of
 an estimate always draws from stream ``(0, j)``, so a run's states do not
@@ -40,7 +44,7 @@ __all__ = [
 
 @runtime_checkable
 class MarkovKernel(Protocol):
-    """One-step stochastic transition function over a data space, for a batch of runs."""
+    """Stochastic transition function over a data space, stepped for a batch of runs."""
 
     @property
     def space(self) -> DataSpace: ...
@@ -49,9 +53,14 @@ class MarkovKernel(Protocol):
         """Fill ``out`` with one run's draws, one value per step."""
         ...
 
-    def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        """Successors of the (dim, N) states: row i holds variable i of every
-        run, and column j, run j, consumes ``noise[j]``."""
+    def advance(self, values: np.ndarray, noise: np.ndarray, out: np.ndarray) -> None:
+        """Step the (dim, N) states ``values`` w times, writing step i's
+        successors to ``out[:, i]``, a (dim, w, N) block.
+
+        Row v of a state holds variable v of every run; run j consumes
+        ``noise[i, j]`` at step i, so ``noise`` is (w, N). ``values`` does
+        not overlap ``out``, and w may be 0.
+        """
         ...
 
 
@@ -219,28 +228,46 @@ def _run_noise(kernel: MarkovKernel, plan: RandomnessPlan, steps: int, runs: ran
     return noise
 
 
-def _paths(kernel: MarkovKernel, initial: DataState, noise: np.ndarray) -> Iterator[np.ndarray]:
-    """States of a batch of runs at steps 0..steps, one (dim, runs) array per step.
+def _paths(
+    kernel: MarkovKernel, initial: DataState, noise: np.ndarray, width: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """States of a batch of runs at steps 0..steps, as ``(t0, block)`` pairs.
 
     ``noise`` is (runs, steps): row j holds run j's draws, column i the draws
-    the step to i+1 consumes. A run's states depend only on its own row, so
-    any batching of runs gives the same bits.
+    the step to i+1 consumes. ``block`` is (dim, w, runs) with w <= ``width``:
+    ``block[:, r]`` holds step t0 + r, read only until the next block is
+    taken. A run's states depend only on its own row, so any batching of
+    runs, and any width, gives the same bits.
     """
     if initial.space != kernel.space:
         raise ValueError("initial state space differs from kernel space")
-    values = np.tile(np.asarray(initial.values, dtype=np.float64)[:, None], (1, noise.shape[0]))
-    yield values
-    for z in noise.T:
-        values = kernel.step_batch(values, z)
-        yield values
+    runs, steps = noise.shape
+    width = min(width, steps + 1)
+    block = np.empty((kernel.space.dim, width, runs))
+    block[:, 0] = np.asarray(initial.values, dtype=np.float64)[:, None]
+    kernel.advance(block[:, 0], noise[:, : width - 1].T, block[:, 1:])
+    yield 0, block
+    # the state a block steps from; the block itself is overwritten
+    last = np.empty_like(block[:, 0])
+    for t0 in range(width, steps + 1, width):
+        w = min(width, steps + 1 - t0)
+        np.copyto(last, block[:, -1])
+        block = block[:, :w]
+        kernel.advance(last, noise[:, t0 - 1 : t0 - 1 + w].T, block)
+        yield t0, block
+
+
+# states per block of _collect and run_moments; a block is a copy next to what
+# they keep, so at 1024 runs it holds one step and moves no peak
+_BLOCK_STATES = 1 << 10
 
 
 def _collect(kernel: MarkovKernel, initial: DataState, noise: np.ndarray) -> EvolutionEstimate:
     """Every state of the runs whose noise is given, as an estimate."""
     runs, steps = noise.shape
     values = np.empty((steps + 1, runs, kernel.space.dim))
-    for i, rows in enumerate(_paths(kernel, initial, noise)):
-        values[i] = rows.T
+    for t0, block in _paths(kernel, initial, noise, max(1, _BLOCK_STATES // runs)):
+        values[t0 : t0 + block.shape[1]] = block.transpose(1, 2, 0)
     return EvolutionEstimate(kernel.space, values)
 
 
@@ -302,10 +329,10 @@ def run_moments(
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for a in range(0, runs, _MOMENT_BLOCK):
             noise = _run_noise(kernel, plan, steps, range(a, min(a + _MOMENT_BLOCK, runs)))
-            for i, rows in enumerate(_paths(kernel, initial, noise)):
+            for t0, block in _paths(kernel, initial, noise, max(1, _BLOCK_STATES // len(noise))):
                 # an accumulation's last entry adds the runs one after another; a
                 # plain sum along the row would be pairwise and change the last bits
-                total[i] += np.add.accumulate(rows, axis=1)[:, -1]
+                total[t0 : t0 + block.shape[1]] += np.add.accumulate(block, axis=2)[:, :, -1].T
         return total / runs
 
 

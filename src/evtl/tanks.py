@@ -82,15 +82,8 @@ def initial_state(params: TankParams, space: DataSpace | None = None) -> DataSta
     return space.state(l1=m, l2=m, l3=m, q1=0.0, q2=0.0, q0=0.0)
 
 
-def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """``min(hi, max(lo, x))`` per element, keeping Python's choice between
-    equal values, so that signed zeros come out as a scalar clamp gives them."""
-    x = np.where(x > lo, x, lo)
-    return np.where(x < hi, x, hi)
-
-
 class TankKernel:
-    """One-step transition of the plant under scenario 1 or 2."""
+    """Transition of the plant under scenario 1 or 2, stepped a block at a time."""
 
     def __init__(self, params: TankParams = TankParams(), scenario: int = 1):
         if scenario not in (1, 2):
@@ -124,33 +117,41 @@ class TankKernel:
         """One standard normal draw per step, for the stochastic inflow."""
         rng.standard_normal(out=out)
 
-    def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        levels, flows = values[:3], values[3:]
-        q1, q2, q0 = flows
+    def advance(self, values: np.ndarray, noise: np.ndarray, out: np.ndarray) -> None:
+        lo, hi, qmax = self._lo, self._hi, self._qmax
+        for z, nxt in zip(noise, out.swapaxes(0, 1)):
+            levels, flows = values[:3], values[3:]
+            q1, q2, q0 = flows
 
-        # signed Torricelli flows through both pipes at once, rows [q12, q23]
-        d = levels[:2] - levels[1:]
-        q12, q23 = np.copysign(self._pipe * np.sqrt(self._two_g * np.abs(d)), d)
+            # signed Torricelli flows through both pipes at once, rows [q12, q23]
+            d = levels[:2] - levels[1:]
+            q12, q23 = np.copysign(self._pipe * np.sqrt(self._two_g * np.abs(d)), d)
 
-        # each tank's net inflow, scaled onto its level
-        out = np.empty_like(values)
-        np.subtract(q1, q12, out=out[0])
-        np.subtract(q12, q23, out=out[1])
-        np.subtract(q2 + q23, q0, out=out[2])
-        out[:3] *= self._scale
-        out[:3] += levels
-        out[:3] = _clamp(out[:3], self._lo, self._hi)
+            # each tank's net inflow, scaled onto its level
+            lv = nxt[:3]
+            np.subtract(q1, q12, out=nxt[0])
+            np.subtract(q12, q23, out=nxt[1])
+            np.subtract(q2 + q23, q0, out=nxt[2])
+            lv *= self._scale
+            lv += levels
+            # min(hi, max(lo, x)) in place, keeping Python's choice between
+            # equal values, so that signed zeros and NaN come out as a scalar
+            # clamp gives them
+            np.copyto(lv, lo, where=~(lv > lo))
+            np.copyto(lv, hi, where=~(lv < hi))
 
-        # controllers read the pre-update levels l1, l3 and step q1, q0; the
-        # final clamp into [0, flow_max] also bounds each controller branch
-        lv, q, qs = levels[::2], flows[::2], self._qstep
-        out[3::2] = np.where(lv > self._hi_band, q + qs, np.where(lv < self._lo_band, q - qs, q))
-        if self.scenario == 1:
-            out[4] = self.params.inflow_mean + self._inflow_std * noise
-        else:
-            out[4] = q2 + noise
-        out[3:] = _clamp(out[3:], 0.0, self._qmax)
-        return out
+            # controllers read the pre-update levels l1, l3 and step q1, q0; the
+            # final clamp into [0, flow_max] also bounds each controller branch
+            lc, q, qs = levels[::2], flows[::2], self._qstep
+            nxt[3::2] = np.where(lc > self._hi_band, q + qs, np.where(lc < self._lo_band, q - qs, q))
+            if self.scenario == 1:
+                nxt[4] = self.params.inflow_mean + self._inflow_std * z
+            else:
+                nxt[4] = q2 + z
+            fl = nxt[3:]
+            np.copyto(fl, 0.0, where=~(fl > 0.0))
+            np.copyto(fl, qmax, where=~(fl < qmax))
+            values = nxt
 
 
 def tank_penalties(params: TankParams) -> dict[str, Penalty]:

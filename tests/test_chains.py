@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from evtl.chains import (
@@ -109,11 +110,13 @@ def test_kernel_batch_step_equals_one_row_steps():
     chain = random_chain(rng, 4, values=[0.75, 0.0, 1.0, 0.25])
     kernel = ChainKernel(chain)
     values = rng.choice(chain.values, 50)[None, :]
-    noise = rng.random(50)
-    batch = kernel.step_batch(values, noise)
+    noise = rng.random((3, 50))
+    batch = np.empty((1, 3, 50))
+    kernel.advance(values, noise, batch)
     for j in range(50):
-        one = kernel.step_batch(values[:, j : j + 1], noise[j : j + 1])
-        assert np.array_equal(batch[:, j : j + 1], one)
+        one = np.empty((1, 3, 1))
+        kernel.advance(values[:, j : j + 1], noise[:, j : j + 1], one)
+        assert np.array_equal(batch[:, :, j : j + 1], one)
 
 
 def test_kernel_step_matches_generator_choice():
@@ -125,10 +128,11 @@ def test_kernel_step_matches_generator_choice():
         for i, value in enumerate(chain.values):
             for seed in range(20):
                 want = np.random.default_rng(seed).choice(n_states, p=chain.transition[i])
-                u = np.empty(1)
-                kernel.noise(np.random.default_rng(seed), u)
-                got = kernel.step_batch(np.array([[value]]), u)
-                assert got[0, 0] == chain.values[want]
+                u = np.empty((1, 1))
+                kernel.noise(np.random.default_rng(seed), u[0])
+                got = np.empty((1, 1, 1))
+                kernel.advance(np.array([[value]]), u, got)
+                assert got[0, 0, 0] == chain.values[want]
 
 
 def test_kernel_normalises_the_cdf_like_choice():
@@ -139,8 +143,57 @@ def test_kernel_normalises_the_cdf_like_choice():
     row = drift.transition[0]
     assert row.sum() == 0.9999999999999999
     assert np.cumsum(row).searchsorted(0.6, "right") == 1
-    got = ChainKernel(drift).step_batch(np.array([[0.0]]), np.array([0.6]))
-    assert got[0, 0] == drift.values[0]
+    got = np.empty((1, 1, 1))
+    ChainKernel(drift).advance(np.array([[0.0]]), np.array([[0.6]]), got)
+    assert got[0, 0, 0] == drift.values[0]
+
+
+# drift.json's first row, which sums to 1 - 1 ulp
+ULP_ROW = [0.6, 0.3, 0.1]
+
+
+@st.composite
+def chain_blocks(draw):
+    """A chain of 1-40 states listed out of order, start states, and a block of noise.
+
+    The weights and draws come from a numpy generator seeded by hypothesis;
+    hypothesis picks the sizes, the value order, the share of zero
+    transitions and whether a row is drift.json's 1 - 1 ulp row.
+    """
+    n = draw(st.integers(1, 40))
+    values = [v / 8 for v in draw(st.permutations(range(n)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random((n, n)) * (rng.random((n, n)) >= draw(st.sampled_from([0.0, 0.5, 0.9])))
+    weights[np.arange(n), rng.integers(0, n, n)] += weights.sum(axis=1) == 0.0
+    rows = weights / weights.sum(axis=1, keepdims=True)
+    if n >= 3 and draw(st.booleans()):
+        rows[rng.integers(0, n)] = ULP_ROW + [0.0] * (n - 3)
+    chain = FiniteChain("x", values, rows, np.eye(n)[0], np.zeros(n))
+    runs, steps = draw(st.integers(1, 12)), draw(st.integers(0, 10))
+    starts = rng.integers(0, n, runs)
+    # the cuts of every row come up as draws too, so ties with the CDF are exercised
+    cdf = np.cumsum(rows, axis=1)
+    cuts = (cdf / cdf[:, -1:]).ravel()
+    noise = rng.random((steps, runs))
+    at_cut = rng.random((steps, runs)) < 0.3
+    noise[at_cut] = rng.choice(cuts[cuts < 1.0], at_cut.sum()) if np.any(cuts < 1.0) else 0.0
+    return chain, starts, noise
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=chain_blocks())
+def test_kernel_block_equals_per_run_inverse_cdf(case):
+    chain, starts, noise = case
+    kernel = ChainKernel(chain)
+    values = np.array([[chain.values[i] for i in starts]])
+    got = np.empty((1, *noise.shape))
+    kernel.advance(values, noise, got)
+    # each run on its own, searching its row's normalised CDF as Generator.choice does
+    for j, state in enumerate(starts):
+        for t, u in enumerate(noise[:, j]):
+            cdf = np.cumsum(chain.transition[state])
+            state = int(np.searchsorted(cdf / cdf[-1], u, side="right"))
+            assert got[0, t, j] == chain.values[state]
 
 
 def test_kernel_frequencies_approach_transients():

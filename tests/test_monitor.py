@@ -37,7 +37,7 @@ from evtl.simulation import EvolutionEstimate, RandomnessPlan, estimate, run_mom
 from evtl.spaces import DataSpace, FiniteSet, Interval, Penalty, SampleSet, identity_penalty
 from evtl.wasserstein import one_sided_wasserstein
 
-from test_simulation import WalkKernel
+from test_simulation import WalkKernel, assert_widths_agree
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -54,8 +54,13 @@ class HoldKernel:
     def noise(self, rng: np.random.Generator, out: np.ndarray) -> None:
         out[:] = 0.0
 
-    def step_batch(self, values: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        return values
+    def advance(self, values: np.ndarray, noise: np.ndarray, out: np.ndarray) -> None:
+        out[...] = values[:, None]
+
+
+def test_hold_kernel_paths_do_not_depend_on_block_width():
+    space = DataSpace({"x": Interval(0.0, 1.0), "y": Interval(0.0, 1.0)})
+    assert_widths_agree(HoldKernel(space), space.state(x=0.25, y=0.75))
 
 
 @pytest.fixture

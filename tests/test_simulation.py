@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from evtl import simulation
-from evtl.chains import ChainKernel, FiniteChain, transient_distributions
+from evtl.chains import ChainKernel, FiniteChain, load_chain, transient_distributions
 from evtl.simulation import (
     RandomnessPlan,
     estimate,
@@ -16,6 +18,8 @@ from evtl.spaces import DataSpace, Interval
 from evtl.tanks import TankKernel, TankParams
 
 from conftest import two_state_chain, random_chain
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class WalkKernel:
@@ -32,8 +36,10 @@ class WalkKernel:
     def noise(self, rng, out):
         rng.standard_normal(out=out)
 
-    def step_batch(self, values, noise):
-        return np.clip(values + self.step_std * noise[None, :], 0.0, 1.0)
+    def advance(self, values, noise, out):
+        for z, nxt in zip(noise, out.swapaxes(0, 1)):
+            np.clip(values + self.step_std * z, 0.0, 1.0, out=nxt)
+            values = nxt
 
 
 def test_simulate_shapes_and_start():
@@ -143,6 +149,52 @@ def test_noise_fills_the_draws_of_one_stream(kernel, draw):
     assert np.isnan(block[[0, 2]]).all()
     # and leaves the stream where the sized draw leaves it
     assert rng.bit_generator.state == want.bit_generator.state
+
+
+# --- blocks of steps -----------------------------------------------------------
+
+
+def stacked_paths(kernel, initial, noise, width):
+    """Every block of ``_paths`` at one width, joined into a (dim, steps+1, runs) array."""
+    steps = noise.shape[1]
+    blocks = [(t0, block.copy()) for t0, block in simulation._paths(kernel, initial, noise, width)]
+    assert [t0 for t0, _ in blocks] == list(range(0, steps + 1, width))
+    assert all(block.shape[1] <= width for _, block in blocks)
+    return np.concatenate([block for _, block in blocks], axis=1)
+
+
+def assert_widths_agree(kernel, initial, runs=9, steps=20, seed=3):
+    """``_paths`` gives the same bits at widths 1, 2, 7 and steps + 1."""
+    noise = simulation._run_noise(kernel, RandomnessPlan(seed), steps, range(runs))
+    want = stacked_paths(kernel, initial, noise, 1)
+    assert want.shape == (kernel.space.dim, steps + 1, runs)
+    assert np.array_equal(want[:, 0], np.tile(np.array(initial.values)[:, None], (1, runs)))
+    for width in (2, 7, steps + 1):
+        got = stacked_paths(kernel, initial, noise, width)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), width
+
+
+SHUFFLED = ChainKernel(load_chain(str(REPO / "tests" / "data" / "shuffled-chain.json")))
+
+
+@pytest.mark.parametrize(
+    "kernel, initial",
+    [
+        (TankKernel(TankParams(), 1), None),
+        (TankKernel(TankParams(), 2), None),
+        (SHUFFLED, SHUFFLED.chain.initial_state()),
+        (WalkKernel(step_std=0.3), WalkKernel().space.state(x=0.5)),
+    ],
+    ids=["tank-1", "tank-2", "chain", "walk"],
+)
+def test_paths_block_width_does_not_change_bits(kernel, initial):
+    assert_widths_agree(kernel, initial or kernel.initial_state())
+
+
+def test_paths_with_no_steps_yield_the_initial_block():
+    k = WalkKernel()
+    [(t0, block)] = simulation._paths(k, k.space.state(x=0.25), np.empty((4, 0)), 7)
+    assert t0 == 0 and block.shape == (1, 1, 4) and np.all(block == 0.25)
 
 
 def test_estimate_rows_are_runs():

@@ -11,9 +11,16 @@ from evtl.tanks import TankKernel, TankParams, initial_state, tank_penalties, ta
 
 
 def step(kernel, state, z=0.0):
-    """One-run ``step_batch`` call with normal draw ``z``, read back as a state."""
-    col = kernel.step_batch(np.array([state.values]).T, np.array([z]))[:, 0]
+    """One-run, one-step ``advance`` call with normal draw ``z``, read back as a state."""
+    col = advance(kernel, np.array([state.values]).T, [z])[:, 0]
     return DataState(kernel.space, tuple(float(x) for x in col))
+
+
+def advance(kernel, values, noise):
+    """Successors of the (dim, N) states after one step with noise row ``noise``."""
+    out = np.empty((len(values), 1, values.shape[1]))
+    kernel.advance(values, np.array([noise]), out)
+    return out[:, 0]
 
 
 def mk_state(space, **kw):
@@ -159,9 +166,9 @@ def test_batch_step_equals_one_row_steps(scenario):
     flows[:4] = [[0.0, 6.0, 0.0], [6.0, 0.0, 6.0]] * 2
     values = np.hstack([levels, flows]).T
     noise = rng.standard_normal(n) * 3.0
-    batch = kernel.step_batch(values, noise)
+    batch = advance(kernel, values, noise)
     for j in range(n):
-        one = kernel.step_batch(values[:, j : j + 1], noise[j : j + 1])
+        one = advance(kernel, values[:, j : j + 1], noise[j : j + 1])
         assert np.array_equal(batch[:, j : j + 1], one)
 
 
@@ -205,7 +212,7 @@ def test_step_batch_equals_scalar_balance_equations(scenario, runs):
     p = TankParams()
     kernel = TankKernel(p, scenario)
     cols = np.array(runs)
-    got = kernel.step_batch(np.ascontiguousarray(cols[:, :6].T), np.ascontiguousarray(cols[:, 6]))
+    got = advance(kernel, np.ascontiguousarray(cols[:, :6].T), cols[:, 6])
     for j, run in enumerate(runs):
         # bit for bit, so a signed zero must match too
         want = np.array(oracle_step(p, scenario, *run))
