@@ -155,11 +155,24 @@ class TankKernel:
 
 
 def tank_penalties(params: TankParams) -> dict[str, Penalty]:
-    """rho1..rho3: normalized distance of each level from the goal."""
+    """rho1..rho3: normalized distance of each level from the goal;
+    over1..over3: how far each level is above the goal, over the room above it.
+
+    A rho penalty scores an empty tank as badly as a full one. An over
+    penalty scores every level at or below the goal 0, so it tells a tank
+    near overflow from an empty one.
+    """
     denom = max(params.level_max - params.goal, params.goal - params.level_min)
-    goal = params.goal
+    goal, room = params.goal, params.level_max - params.goal
 
     def rho(rows: np.ndarray, tau: int | np.ndarray) -> np.ndarray:
         return np.abs(rows[0] - goal) / denom
 
-    return {f"rho{i}": Penalty(f"rho{i}", (f"l{i}",), rho) for i in (1, 2, 3)}
+    def over(rows: np.ndarray, tau: int | np.ndarray) -> np.ndarray:
+        return np.maximum(rows[0] - goal, 0.0) / room
+
+    return {
+        f"{name}{i}": Penalty(f"{name}{i}", (f"l{i}",), fn)
+        for name, fn in (("rho", rho), ("over", over))
+        for i in (1, 2, 3)
+    }

@@ -110,7 +110,7 @@ def test_build_tank_model():
     kernel, start, pens = build_model(parse_config("model = three-tanks\nscenario = 2"))
     assert isinstance(kernel, TankKernel) and kernel.scenario == 2
     assert start.values[:3] == (0.0, 0.0, 0.0)
-    assert set(pens) == {"rho1", "rho2", "rho3"}
+    assert set(pens) == {"rho1", "rho2", "rho3", "over1", "over2", "over3"}
     # inconsistent physical parameters surface as config errors
     with pytest.raises(ConfigError):
         build_model(parse_config("tanks.l_g = 25"))

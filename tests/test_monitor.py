@@ -24,6 +24,7 @@ from evtl.formulas import (
     content_words,
     eventually,
     horizon,
+    iter_atoms,
 )
 from evtl.monitor import (
     RobustnessSeries,
@@ -592,6 +593,19 @@ def tank_case():
     )
     path = REPO / "properties" / "recover-from-overflow-risk.evtl"
     return kernel, initial, load_formula(str(path), penalties, kernel.space)
+
+
+@pytest.mark.parametrize("preset", ["three-tanks-scenario-1", "three-tanks-scenario-2"])
+def test_overflow_hazards_hold_at_time_0_from_the_empty_plant(preset):
+    # an empty tank is as far from overflow as a level can be, so no hazard
+    # of the shipped overflow property may flag it
+    kernel, initial, penalties = build_model(load_config(str(REPO / "presets" / f"{preset}.cfg")))
+    path = REPO / "properties" / "recover-from-overflow-risk.evtl"
+    formula = load_formula(str(path), penalties, kernel.space)
+    hazards = [a for a in dict.fromkeys(iter_atoms(formula)) if isinstance(a, Hazard)]
+    assert len(hazards) == 3 and initial.values[:3] == (0.0, 0.0, 0.0)
+    for a in hazards:
+        assert check_formula(kernel, initial, a, 100, 2, RandomnessPlan(42), 0).value > 0.0
 
 
 def tank_diff_case():

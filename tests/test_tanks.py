@@ -234,7 +234,7 @@ def test_penalties_measure_goal_distance():
     p = TankParams()
     pens = tank_penalties(p)
     space = tank_space(p)
-    assert set(pens) == {"rho1", "rho2", "rho3"}
+    assert set(pens) == {"rho1", "rho2", "rho3", "over1", "over2", "over3"}
     assert score(pens["rho1"], mk_state(space, l1=10.0)) == 0.0
     assert score(pens["rho1"], mk_state(space, l1=0.0)) == 1.0
     assert score(pens["rho2"], mk_state(space, l2=20.0)) == 1.0
@@ -249,6 +249,22 @@ def test_penalties_measure_goal_distance():
     skew = tank_penalties(TankParams(goal=15.0))
     assert score(skew["rho1"], mk_state(space, l1=0.0)) == 1.0
     assert score(skew["rho1"], mk_state(space, l1=20.0)) == pytest.approx(1.0 / 3.0)
+
+
+def test_over_penalties_score_only_levels_above_the_goal():
+    p = TankParams()
+    pens = tank_penalties(p)
+    space = tank_space(p)
+    assert score(pens["over1"], mk_state(space, l1=0.0)) == 0.0
+    assert score(pens["over1"], mk_state(space, l1=10.0)) == 0.0
+    assert score(pens["over2"], mk_state(space, l2=15.0)) == 0.5
+    assert score(pens["over3"], mk_state(space, l3=20.0)) == 1.0
+    # each reads its own level only
+    assert score(pens["over3"], mk_state(space, l1=20.0, l2=20.0, l3=5.0)) == 0.0
+    # normalised by the room above the goal, not the wider side
+    skew = tank_penalties(TankParams(goal=15.0))
+    assert score(skew["over1"], mk_state(space, l1=17.5)) == 0.5
+    assert score(skew["over1"], mk_state(space, l1=0.0)) == 0.0
 
 
 @pytest.mark.parametrize("scenario", [1, 2])
