@@ -159,8 +159,8 @@ GOLDEN: dict[str, tuple[str, str]] = {
         "cdcd216c6620b47eb6592af0ac39a0bd49c4b1fabbaf137dfd0a5f1da68f785f",
     ),
     "check-p2-overflow": (
-        "7db193b38f4b7045ce3b3af62971acdd80fec4496547511a4c6cba83dbd2c414",
-        "9e2bb91b18376d2c25658437a81b6278ae17bdd20613172e426a8c0c69a4dcbc",
+        "c4955dfd8e097b8875af3a7015a06f861a930775392d4f4794e603700bad53fd",
+        "2ce7f6cfb0393237b7eff0a3c5144fefed0362ed74513ca7a4610c553726b193",
     ),
     "check-shuffled": (
         "c206e42c3d488ad63828cdec473b463056c450fc1a5105d34e1c53ae44a5e261",
