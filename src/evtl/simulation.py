@@ -58,8 +58,10 @@ class MarkovKernel(Protocol):
         successors to ``out[:, i]``, a (dim, w, N) block.
 
         Row v of a state holds variable v of every run; run j consumes
-        ``noise[i, j]`` at step i, so ``noise`` is (w, N). ``values`` does
-        not overlap ``out``, and w may be 0.
+        ``noise[i, j]`` at step i, so ``noise`` is (w, N), and w may be 0.
+        ``values`` is either disjoint from ``out`` or is ``out[:, -1]``, the
+        last state of the previous block, so a kernel reads all of it
+        before it writes any step.
         """
         ...
 
@@ -247,26 +249,30 @@ def _paths(
     block[:, 0] = np.asarray(initial.values, dtype=np.float64)[:, None]
     kernel.advance(block[:, 0], noise[:, : width - 1].T, block[:, 1:])
     yield 0, block
-    # the state a block steps from; the block itself is overwritten
-    last = np.empty_like(block[:, 0])
     for t0 in range(width, steps + 1, width):
         w = min(width, steps + 1 - t0)
-        np.copyto(last, block[:, -1])
+        # the next block steps from the last state of this one, in place
+        kernel.advance(block[:, -1], noise[:, t0 - 1 : t0 - 1 + w].T, block[:, :w])
         block = block[:, :w]
-        kernel.advance(last, noise[:, t0 - 1 : t0 - 1 + w].T, block)
         yield t0, block
 
 
-# states per block of _collect and run_moments; a block is a copy next to what
-# they keep, so at 1024 runs it holds one step and moves no peak
-_BLOCK_STATES = 1 << 10
+# floats per block of _collect and run_moments; a block is a copy next to what
+# they keep, so it stays at one step of six variables over 1024 runs and moves
+# no peak
+_BLOCK_FLOATS = 1 << 13
+
+
+def _width(space: DataSpace, runs: int) -> int:
+    """Steps per block of _collect and run_moments."""
+    return max(1, _BLOCK_FLOATS // (space.dim * runs))
 
 
 def _collect(kernel: MarkovKernel, initial: DataState, noise: np.ndarray) -> EvolutionEstimate:
     """Every state of the runs whose noise is given, as an estimate."""
     runs, steps = noise.shape
     values = np.empty((steps + 1, runs, kernel.space.dim))
-    for t0, block in _paths(kernel, initial, noise, max(1, _BLOCK_STATES // runs)):
+    for t0, block in _paths(kernel, initial, noise, _width(kernel.space, runs)):
         values[t0 : t0 + block.shape[1]] = block.transpose(1, 2, 0)
     return EvolutionEstimate(kernel.space, values)
 
@@ -329,7 +335,7 @@ def run_moments(
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for a in range(0, runs, _MOMENT_BLOCK):
             noise = _run_noise(kernel, plan, steps, range(a, min(a + _MOMENT_BLOCK, runs)))
-            for t0, block in _paths(kernel, initial, noise, max(1, _BLOCK_STATES // len(noise))):
+            for t0, block in _paths(kernel, initial, noise, _width(kernel.space, len(noise))):
                 # an accumulation's last entry adds the runs one after another; a
                 # plain sum along the row would be pairwise and change the last bits
                 total[t0 : t0 + block.shape[1]] += np.add.accumulate(block, axis=2)[:, :, -1].T

@@ -119,7 +119,14 @@ class TankKernel:
 
     def advance(self, values: np.ndarray, noise: np.ndarray, out: np.ndarray) -> None:
         lo, hi, qmax = self._lo, self._hi, self._qmax
-        for z, nxt in zip(noise, out.swapaxes(0, 1)):
+        # each step is computed in a contiguous (dim, N) buffer, two in turn, and
+        # then copied into the block: the block's (dim, N) step slices are strided
+        # for w > 1, and the row-group ufuncs run about 10% slower on them. So
+        # ``values`` is read in full before the block is written, as may be
+        # needed when it is the block's last state
+        scratch = np.empty((2, *values.shape))
+        for i, (z, dst) in enumerate(zip(noise, out.swapaxes(0, 1))):
+            nxt = scratch[i % 2]
             levels, flows = values[:3], values[3:]
             q1, q2, q0 = flows
 
@@ -151,6 +158,7 @@ class TankKernel:
             fl = nxt[3:]
             np.copyto(fl, 0.0, where=~(fl > 0.0))
             np.copyto(fl, qmax, where=~(fl < qmax))
+            dst[...] = nxt
             values = nxt
 
 
