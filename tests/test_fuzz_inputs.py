@@ -8,7 +8,6 @@ line on stderr: never a traceback, a numpy warning, or a robustness outside
 [-1, 1]. The mutations are a fixed list, so every run tries the same ones.
 """
 
-import copy
 import json
 import math
 from pathlib import Path
@@ -96,7 +95,7 @@ def shape_mutants() -> list[dict]:
         {**DRIFT, "transition": [rows[0], rows[1]]},
         {**DRIFT, "transition": rows + [rows[0]]},
         {**DRIFT, "transition": [rows[0], None, rows[2]]},
-        {**DRIFT, "transition": [row[::-1] for row in rows[::-1]][::-1]},
+        {**DRIFT, "transition": [row[::-1] for row in rows]},
         {**DRIFT, "initial": [0.5, 0.5, 0.0]},
         {**DRIFT, "initial": [0.0, 0.0, 0.0]},
         {**DRIFT, "values": [0.0, 0.5, 0.5]},
@@ -124,7 +123,7 @@ def test_any_chain_file_fails_cleanly_or_checks_in_range(field, tmp_path, capsys
     if field == "shape":
         mutants = shape_mutants()
     else:
-        mutants = [{**copy.deepcopy(DRIFT), field: value} for value in JSON_PALETTE]
+        mutants = [{**DRIFT, field: value} for value in JSON_PALETTE]
     bad = []
     for i, doc in enumerate(mutants):
         path = tmp_path / f"chain-{i}.json"
