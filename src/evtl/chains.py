@@ -29,7 +29,7 @@ from .formulas import (
     Target,
     horizon,
 )
-from .monitor import RobustnessSeries, UntilMode, fold
+from .monitor import RobustnessSeries, UntilMode, robustness
 from .wasserstein import DivergenceReport, exact_one_sided_wasserstein
 
 __all__ = [
@@ -282,7 +282,7 @@ def exact_robustness(
 
     Atom distances are exact one-sided distances between finite penalty
     distributions; the formula's structure goes through the same
-    :func:`~evtl.monitor.fold` the statistical monitor uses. This is the
+    :func:`~evtl.monitor.robustness` the statistical monitor uses. This is the
     convergence target for the sampled pipeline.
     """
     k = horizon(formula) if steps is None else steps
@@ -302,7 +302,7 @@ def exact_robustness(
                 out[t] = discount(t) * d - atom.threshold
         return out
 
-    return RobustnessSeries(fold(formula, k, atom_series, until_mode), horizon(formula))
+    return robustness(formula, k, atom_series, until_mode)
 
 
 def _directional_profile(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -44,8 +44,9 @@ __all__ = [
     "implies",
     "eventually",
     "always",
+    "fold",
     "horizon",
-    "iter_atoms",
+    "atoms",
     "content_words",
     "validate",
 ]
@@ -370,6 +371,7 @@ class Until:
 
 
 Formula = Union[Truth, Target, Hazard, Not, Or, Until]
+T = TypeVar("T")
 
 
 # macro constructors
@@ -394,34 +396,58 @@ def always(lo: int, hi: int, child: Formula) -> Formula:
     return Not(eventually(lo, hi, Not(child)))
 
 
+def fold(
+    formula: Formula,
+    truth: T,
+    atom: Callable[[Target | Hazard], T],
+    neg: Callable[[T], T],
+    or_: Callable[[T, T], T],
+    until: Callable[[T, T, int, int], T],
+) -> T:
+    """The one walk over a formula: its value in the algebra given by the five rules.
+
+    ``until`` also takes the window's ``lo`` and ``hi``; no rule returns None,
+    which the cache reads as a miss. Each distinct subformula is computed once
+    (the cache is keyed by equality), and the walk takes two frames a level,
+    which the parser's height limit keeps well inside Python's.
+    """
+    cache: dict[Formula, T] = {}
+
+    def walk(f: Formula) -> T:
+        got = cache.get(f)
+        if got is None:
+            cache[f] = got = compute(f)
+        return got
+
+    def compute(f: Formula) -> T:
+        match f:
+            case Truth():
+                return truth
+            case Target() | Hazard():
+                return atom(f)
+            case Not(child=c):
+                return neg(walk(c))
+            case Or(left=l, right=r):
+                return or_(walk(l), walk(r))
+            case Until(left=l, right=r, lo=lo, hi=hi):
+                return until(walk(l), walk(r), lo, hi)
+        raise TypeError(f"not a formula: {f!r}")
+
+    return walk(formula)
+
+
 def horizon(formula: Formula) -> int:
     """Number of future steps the formula can look at."""
-    match formula:
-        case Truth() | Target() | Hazard():
-            return 0
-        case Not(child=c):
-            return horizon(c)
-        case Or(left=l, right=r):
-            return max(horizon(l), horizon(r))
-        case Until(left=l, right=r, hi=hi):
-            return hi + max(horizon(l), horizon(r))
-    raise TypeError(f"not a formula: {formula!r}")
+    return fold(formula, 0, lambda a: 0, lambda c: c, max, lambda l, r, lo, hi: hi + max(l, r))
 
 
-def iter_atoms(formula: Formula) -> Iterator[Target | Hazard]:
-    """All distribution atoms, in depth-first order (duplicates retained)."""
-    match formula:
-        case Target() | Hazard():
-            yield formula
-        case Not(child=c):
-            yield from iter_atoms(c)
-        case Or(left=l, right=r) | Until(left=l, right=r):
-            yield from iter_atoms(l)
-            yield from iter_atoms(r)
-        case Truth():
-            return
-        case _:
-            raise TypeError(f"not a formula: {formula!r}")
+def atoms(formula: Formula) -> tuple[Target | Hazard, ...]:
+    """The distinct distribution atoms, in order of first occurrence."""
+
+    def union(left: tuple, right: tuple, *window: int) -> tuple:
+        return tuple(dict.fromkeys(left + right))
+
+    return fold(formula, (), lambda a: (a,), lambda c: c, union, union)
 
 
 def content_words(formula: Formula) -> tuple[int, ...]:
@@ -442,10 +468,8 @@ def validate(formula: Formula, space: DataSpace) -> None:
     that the penalty only reads variables the reference actually constrains:
     a normal's entries, a point's coordinates, an empirical file's columns.
     """
-    for atom in iter_atoms(formula):
-        for var in atom.dist.variables():
-            space.index(var)
-        for var in atom.penalty.variables:
+    for atom in atoms(formula):
+        for var in (*atom.dist.variables(), *atom.penalty.variables):
             space.index(var)
         unconstrained = set(atom.penalty.variables) - set(atom.dist.variables())
         if unconstrained:

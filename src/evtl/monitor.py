@@ -1,11 +1,11 @@
 """Statistical robustness monitoring of formulas over evolution estimates.
 
-:func:`fold` is the robustness semantics: it computes each distinct
-subformula once, as a value in [-1, 1] for every start index 0..k, by array
-algebra on its children's series (sliding-window maxima for ``F`` and ``G``,
-one array pass per window offset for a general until).
-The atoms' series come from the function it is given, so the exact chain
-oracle folds the same way over its own atom values.
+:func:`robustness` is the robustness semantics: through ``formulas.fold`` it
+computes each distinct subformula once, as a value in [-1, 1] for every
+start index 0..k, by array algebra on its children's series (sliding-window
+maxima for ``F`` and ``G``, one array pass per window offset for a general
+until). The atoms' series come from the function it is given, so the exact
+chain oracle folds the same way over its own atom values.
 
 Statistical atom values come from one-sided distances between freshly
 sampled reference distributions and the estimated per-step samples,
@@ -35,6 +35,7 @@ all return a :class:`RobustnessSeries`, whose ``satisfied`` is the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice, repeat
 from typing import Callable, Iterable, Literal
 
@@ -45,15 +46,12 @@ from .formulas import (
     Discount,
     Formula,
     Hazard,
-    Not,
-    Or,
     PointMass,
     Target,
-    Truth,
-    Until,
+    atoms,
     content_words,
+    fold,
     horizon,
-    iter_atoms,
     validate,
 )
 from .simulation import EvolutionEstimate, MarkovKernel, RandomnessPlan, _paths, _run_noise
@@ -67,7 +65,7 @@ __all__ = [
     "UntilMode",
     "RobustnessSeries",
     "until_combine",
-    "fold",
+    "robustness",
     "evaluate",
     "check_formula",
     "save_series",
@@ -188,41 +186,20 @@ def _eventually(right: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return best
 
 
-def fold(
+def robustness(
     formula: Formula,
     steps: int,
     atom: Callable[[Target | Hazard], np.ndarray],
     until_mode: UntilMode = "semantics",
-) -> np.ndarray:
+) -> RobustnessSeries:
     """Robustness series of a formula at start indices 0..steps.
 
-    ``atom`` gives the series of a leaf; the rest is the same for every
-    route. Each distinct subformula is computed once, so an atom that occurs
-    twice is evaluated once.
+    ``atom`` gives the series of a leaf; the rest, the same for every route, is
+    one :func:`~evtl.formulas.fold`, so an atom that occurs twice is evaluated once.
     """
-    cache: dict[Formula, np.ndarray] = {}
-
-    def walk(f: Formula) -> np.ndarray:
-        got = cache.get(f)
-        if got is None:
-            cache[f] = got = compute(f)
-        return got
-
-    def compute(f: Formula) -> np.ndarray:
-        match f:
-            case Truth():
-                return np.ones(steps + 1)
-            case Target() | Hazard():
-                return atom(f)
-            case Not(child=c):
-                return -walk(c)
-            case Or(left=l, right=r):
-                return np.maximum(walk(l), walk(r))
-            case Until(left=l, right=r, lo=lo, hi=hi):
-                return until_combine(walk(l), walk(r), lo, hi, until_mode)
-        raise TypeError(f"not a formula: {f!r}")
-
-    return walk(formula)
+    until = partial(until_combine, mode=until_mode)
+    values = fold(formula, np.ones(steps + 1), atom, np.negative, np.maximum, until)
+    return RobustnessSeries(values, horizon(formula))
 
 
 # states per block of time indices; no block temporary holds more states than this
@@ -247,7 +224,7 @@ def _score(
     distinct atom draws index t's reference, only the penalty's variables,
     from stream ``(1, *words, t)``.
     """
-    series = {a: np.empty(steps + 1) for a in dict.fromkeys(iter_atoms(formula))}
+    series = {a: np.empty(steps + 1) for a in atoms(formula)}
     # a point mass draws nothing, so it takes no streams; the others keep theirs across blocks
     keys = {a: (1, *content_words(a)) for a in series if not isinstance(a.dist, PointMass)}
     streams = {a: plan.substreams(key, range(steps + 1)) for a, key in keys.items()}
@@ -260,11 +237,11 @@ def _score(
         # one time index per row, broadcast against the row's states
         taus = np.arange(t0, t1)[:, None]
         scale = np.array([discount(t) for t in range(t0, t1)])
-        for pen, atoms in by_penalty.items():
+        for pen, group in by_penalty.items():
             # targets observe all l*N runs, hazards the first N
-            n_obs = runs if any(isinstance(a, Target) for a in atoms) else base_runs
+            n_obs = runs if any(isinstance(a, Target) for a in group) else base_runs
             seen = pen.project(states[[space.index(v) for v in pen.variables], :, :n_obs], taus)
-            for a in atoms:
+            for a in group:
                 target = isinstance(a, Target)
                 # islice takes no stream past the block
                 rngs = islice(streams.get(a, repeat(None)), t1 - t0)
@@ -273,7 +250,7 @@ def _score(
                 obs = seen if target else seen[:, :base_runs]
                 d = scale * (one_sided_rows(ref, obs) if target else one_sided_rows(obs, ref))
                 series[a][t0:t1] = a.threshold - d if target else d - a.threshold
-    return RobustnessSeries(fold(formula, steps, series.__getitem__, until_mode), horizon(formula))
+    return robustness(formula, steps, series.__getitem__, until_mode)
 
 
 def evaluate(

@@ -105,10 +105,11 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str, penalties: Mapping[str, Penalty]):
+    def __init__(self, text: str, penalties: Mapping[str, Penalty], space: DataSpace | None):
         self.text = text
         self.tokens = _tokenize(text)
         self.penalties = penalties
+        self.space = space
         self.pos = 0
         self.depth = 0
         # levels of every node built so far, by id: each stays in the tree, so ids are unique
@@ -233,7 +234,10 @@ class _Parser:
         thr_tok = self.cur
         threshold = self.number("threshold")
         self.expect_op(")")
-        return self.build(cls, thr_tok, dist, self.penalties[pname], threshold)
+        node = self.build(cls, thr_tok, dist, self.penalties[pname], threshold)
+        if self.space is not None:
+            self.build(validate, head, node, self.space)
+        return node
 
     def distribution(self):
         head_tok = self.cur
@@ -285,14 +289,14 @@ class _Parser:
         return (var, self.number("value"))
 
     def build(self, ctor, tok: _Token, *args):
-        """Run a node constructor, converting its ValueError into a located one.
+        """Run a node constructor or check, turning its ValueError or KeyError into a located one.
 
         A node more than ``_MAX_HEIGHT`` levels high fails at ``tok``.
         """
         try:
             node = ctor(*args)
-        except ValueError as exc:
-            self.fail(str(exc), tok)
+        except (KeyError, ValueError) as exc:
+            self.fail(exc.args[0], tok)
         if isinstance(node, Formula) and self.height(node) > _MAX_HEIGHT:
             self.fail("formula nested too deeply", tok)
         return node
@@ -311,14 +315,8 @@ def parse_formula(
     penalties: Mapping[str, Penalty],
     space: DataSpace | None = None,
 ) -> Formula:
-    """Parse formula text; with a space, also check atoms are evaluable on it."""
-    formula = _Parser(text, penalties).parse()
-    if space is not None:
-        try:
-            validate(formula, space)
-        except (KeyError, ValueError) as exc:
-            raise FormulaError(str(exc), 1, 1) from None
-    return formula
+    """Parse formula text; with a space, also check that each atom is evaluable on it."""
+    return _Parser(text, penalties, space).parse()
 
 
 def load_formula(

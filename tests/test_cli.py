@@ -418,6 +418,34 @@ def test_penalty_reading_a_column_the_empirical_file_lacks_exits_3(tmp_path, cap
     assert err.startswith("formula error: ") and "does not constrain" in err
 
 
+def test_unknown_variable_is_placed_at_its_atom_without_quotes(tmp_path, capsys):
+    doc = json.loads(Path(DRIFT).read_text())
+    chain = tmp_path / "y-chain.json"
+    chain.write_text(json.dumps({**doc, "variable": "y"}))
+    code, stdout, err = run(
+        capsys, "check", "--set", "model=chain", "--set", f"chain.file={chain}",
+        "--formula", str(REPO / "tests" / "data" / "until-left-chain.evtl"),
+        "--steps", "5", "--runs", "4",
+    )
+    # line 5 opens with "(!hazard(point(x = 1.0), ...": the atom's keyword is column 3
+    assert code == 3 and stdout == ""
+    assert err == "formula error: 5:3: unknown variable 'x'; space has y\n"
+
+
+def test_unconstrained_penalty_is_placed_at_its_atom(tmp_path, capsys):
+    prop = tmp_path / "prop.evtl"
+    prop.write_text("F[0,3] target(normal(l1; 10, 1), rho2, 0.2)\n")
+    code, stdout, err = run(
+        capsys, "check", "--config", str(REPO / "presets" / "three-tanks-scenario-1.cfg"),
+        "--formula", str(prop), "--steps", "5",
+    )
+    assert code == 3 and stdout == ""
+    assert err == (
+        "formula error: 1:8: penalty 'rho2' reads ['l2'] "
+        "which the reference distribution does not constrain\n"
+    )
+
+
 def test_negative_run_index_exits_2(capsys):
     code, stdout, err = run(capsys, "simulate", *CHAIN, "--steps", "3", "--run", "-1")
     assert code == 2 and stdout == "" and "--run must be >= 0" in err

@@ -17,8 +17,8 @@ from evtl.formulas import (
     content_words,
     eventually,
     horizon,
+    atoms,
     implies,
-    iter_atoms,
     validate,
 )
 from evtl.spaces import DataSpace, FiniteSet, Interval, Penalty, SampleSet, identity_penalty
@@ -232,10 +232,10 @@ def test_horizon_cases(pen):
     assert horizon(Until(inner, a, 1, 4)) == 24
 
 
-def test_iter_atoms_depth_first(pen):
+def test_atoms_distinct_in_order_of_first_occurrence(pen):
     a, b = atom(pen, 0.1), atom(pen, 0.9)
     f = Or(Not(a), Until(b, a, 0, 2))
-    assert list(iter_atoms(f)) == [a, b, a]
+    assert atoms(f) == (a, b)
 
 
 def test_content_words_identify_atoms_not_positions(pen):

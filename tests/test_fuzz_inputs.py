@@ -1,18 +1,22 @@
 """Every config key set to every value of a hostile palette, through the CLI,
-and every field of a chain file mutated the same way.
+every field of a chain file mutated the same way, and formula files with
+tokens inserted, deleted and swapped.
 
 Each call runs a small problem (5 steps, 4 runs, ratio 2) and then sets one
 key to one palette value, or checks a mutated copy of ``chains/drift.json``.
 Whatever the value, a command either succeeds or exits 2, 3 or 4 with one
 line on stderr: never a traceback, a numpy warning, or a robustness outside
-[-1, 1]. The mutations are a fixed list, so every run tries the same ones.
+[-1, 1]. The mutations are a fixed list, or drawn by a derandomized
+hypothesis, so every run tries the same ones.
 """
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from evtl.cli import main
 
@@ -136,3 +140,53 @@ def test_any_chain_file_fails_cleanly_or_checks_in_range(field, tmp_path, capsys
         if failed_badly("check", code, out, err):
             bad.append((doc, code, err, out[-200:]))
     assert bad == []
+
+
+# formula files and the model each one is written for
+CHAIN_MODEL = ["--set", "model=chain", "--set", f"chain.file={REPO / 'chains' / 'drift.json'}"]
+FORMULAS = {
+    **{p: ["--config", PRESET] for p in sorted((REPO / "properties").glob("*.evtl"))},
+    REPO / "tests" / "data" / "until-left-chain.evtl": CHAIN_MODEL,
+}
+# a token, a comment or a run of whitespace; a mutation moves only tokens
+PIECE = re.compile(
+    r"""\s+|#[^\n]*|\|\||&&|->|"[^"\n]*"|-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|\w+|."""
+)
+# tokens to insert besides a file's own: every keyword and operator, and hostile literals
+INSERTS = ["(", ")", "[", "]", ",", ";", "=", "!", "&&", "||", "->", "U", "F", "G", "true",
+           "target", "hazard", "normal", "point", "empirical", '"missing.csv"', "x", "l1", "rho",
+           "-1", "0", "0.5", "2", "1e400", "nan", str(2**70), "%", "\u00e9"]
+
+
+@st.composite
+def token_mutants(draw):
+    """A formula file with one to three token insertions, deletions or swaps."""
+    path = draw(st.sampled_from(sorted(FORMULAS)))
+    pieces = PIECE.findall(path.read_text(encoding="utf-8"))
+    for _ in range(draw(st.integers(1, 3))):
+        tokens = [i for i, p in enumerate(pieces) if p and not (p.isspace() or p[0] == "#")]
+        kind = draw(st.sampled_from(["insert", "delete", "swap"]))
+        i = draw(st.sampled_from(tokens))
+        if kind == "insert":
+            new = draw(st.sampled_from(INSERTS + [pieces[t] for t in tokens]))
+            pieces[i:i] = [new, " "]
+        elif kind == "delete":
+            pieces[i] = ""
+        else:
+            j = draw(st.sampled_from(tokens))
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+    return path, "".join(pieces)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutant=token_mutants())
+def test_any_formula_token_mutation_fails_cleanly_or_checks_in_range(mutant, tmp_path, capsys):
+    path, text = mutant
+    prop = tmp_path / "mutant.evtl"
+    prop.write_text(text, encoding="utf-8")
+    argv = ["check", *FORMULAS[path], "--formula", str(prop),
+            "--steps", "30", "--runs", "5", "--ell", "1"]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert not failed_badly("check", code, out, err), (text, code, err, out[-200:])

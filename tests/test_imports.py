@@ -1,4 +1,5 @@
-"""Every module under ``src/evtl`` uses each name it imports, and each private name it defines."""
+"""Every module under ``src/evtl`` uses each name it imports, and each private name it defines;
+``formulas.fold`` is the one walk that matches on formula node kinds."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,30 @@ def test_every_private_name_is_read_outside_its_definition():
         if not any(name in names for other, names in reads if other is not stmt)
     ]
     assert not dead, f"private names that nothing in src/evtl reads: {dead}"
+
+
+# the node kinds a formula walk dispatches on; an ``isinstance(a, Target)`` check is not a walk
+NODE_KINDS = {"Truth", "Not", "Or", "Until"}
+
+
+def _node_kind_matches(tree: ast.Module):
+    """Top-level definitions holding a ``match`` with a class pattern over a node kind."""
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Match) and any(
+                isinstance(p, ast.MatchClass)
+                and getattr(p.cls, "id", getattr(p.cls, "attr", None)) in NODE_KINDS
+                for case in node.cases
+                for p in ast.walk(case.pattern)
+            ):
+                yield getattr(stmt, "name", "<module>")
+                break
+
+
+def test_formulas_fold_is_the_only_walk_over_node_kinds():
+    walks = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _node_kind_matches(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert walks == {"formulas.fold"}, f"write these as an algebra for formulas.fold: {walks}"

@@ -20,16 +20,17 @@ from evtl.formulas import (
     Target,
     Truth,
     Until,
+    atoms,
     conj,
     content_words,
     eventually,
     horizon,
-    iter_atoms,
 )
 from evtl.monitor import (
     RobustnessSeries,
     check_formula,
     evaluate,
+    robustness,
     save_series,
     until_combine,
 )
@@ -187,6 +188,96 @@ def test_until_of_a_true_left_matches_the_scalar_loop_bit_for_bit(right, lo, wid
     left = np.ones(len(right))
     got = until_combine(left, right, lo, lo + width, mode)
     assert got.tobytes() == scalar_until(left, right, lo, lo + width, mode).tobytes()
+
+
+# --- the one formula walk against recursive oracles ------------------------
+
+_FOLD_STEPS = 12
+_FOLD_SPACE = DataSpace({"x": Interval(0.0, 1.0)})
+_FOLD_PEN = identity_penalty(_FOLD_SPACE, "x", name="px")
+# five atoms with fixed series; signed zeros and ties, so min/max rules show
+_FOLD_ATOMS = [
+    kind(PointMass((("x", v),)), _FOLD_PEN, 0.25)
+    for kind, v in ((Target, 0.0), (Target, 0.5), (Hazard, 0.0), (Hazard, 1.0), (Target, 1.0))
+]
+_FOLD_TABLE = {
+    a: np.random.default_rng(i).choice([-1.0, -0.5, -0.0, 0.0, 0.25, 0.7, 1.0], _FOLD_STEPS + 1)
+    for i, a in enumerate(_FOLD_ATOMS)
+}
+
+
+@st.composite
+def formula_dags(draw):
+    """A formula whose nodes are drawn from a growing pool, so subtrees and atoms repeat."""
+    pool = [Truth(), *draw(st.lists(st.sampled_from(_FOLD_ATOMS), min_size=1, max_size=4))]
+    for _ in range(draw(st.integers(0, 12))):
+        pick = st.sampled_from(pool)
+        kind = draw(st.sampled_from(["not", "or", "until"]))
+        if kind == "not":
+            pool.append(Not(draw(pick)))
+        elif kind == "or":
+            pool.append(Or(draw(pick), draw(pick)))
+        else:
+            lo = draw(st.integers(0, 6))
+            pool.append(Until(draw(pick), draw(pick), lo, lo + draw(st.integers(0, 8))))
+    return pool[-1]
+
+
+def oracle_horizon(f):
+    match f:
+        case Truth() | Target() | Hazard():
+            return 0
+        case Not(child=c):
+            return oracle_horizon(c)
+        case Or(left=l, right=r):
+            return max(oracle_horizon(l), oracle_horizon(r))
+        case Until(left=l, right=r, hi=hi):
+            return hi + max(oracle_horizon(l), oracle_horizon(r))
+
+
+def oracle_atoms(f):
+    """Depth-first, duplicates kept."""
+    match f:
+        case Target() | Hazard():
+            return [f]
+        case Not(child=c):
+            return oracle_atoms(c)
+        case Or(left=l, right=r) | Until(left=l, right=r):
+            return oracle_atoms(l) + oracle_atoms(r)
+    return []
+
+
+def oracle_robustness(f, mode):
+    match f:
+        case Truth():
+            return np.ones(_FOLD_STEPS + 1)
+        case Target() | Hazard():
+            return _FOLD_TABLE[f]
+        case Not(child=c):
+            return -oracle_robustness(c, mode)
+        case Or(left=l, right=r):
+            return np.maximum(oracle_robustness(l, mode), oracle_robustness(r, mode))
+        case Until(left=l, right=r, lo=lo, hi=hi):
+            left, right = oracle_robustness(l, mode), oracle_robustness(r, mode)
+            return until_combine(left, right, lo, hi, mode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(formula=formula_dags(), mode=st.sampled_from(["semantics", "figure"]))
+def test_fold_matches_the_recursive_walks(formula, mode):
+    assert horizon(formula) == oracle_horizon(formula)
+    assert atoms(formula) == tuple(dict.fromkeys(oracle_atoms(formula)))
+    calls = []
+    got = robustness(formula, _FOLD_STEPS, lambda a: calls.append(a) or _FOLD_TABLE[a], mode)
+    assert got.values.tobytes() == oracle_robustness(formula, mode).tobytes()
+    assert got.formula_horizon == oracle_horizon(formula)
+    # each distinct atom is asked for once, however often it occurs
+    assert sorted(map(_FOLD_ATOMS.index, calls)) == sorted(map(_FOLD_ATOMS.index, atoms(formula)))
+
+
+def test_fold_rejects_a_non_formula():
+    with pytest.raises(TypeError, match="not a formula"):
+        horizon(Not("x"))
 
 
 def test_until_keeps_python_tie_rules_on_signed_zeros():
@@ -495,14 +586,14 @@ def test_point_mass_atom_is_sampled_once_without_streams(monkeypatch):
     est, _, _ = stochastic_setup(steps=15, runs=24)
     pen = identity_penalty(est.space, "x", name="px")
     plan = RandomnessPlan(5)
-    atoms = [kind(PointMass((("x", 0.6),)), pen, 0.1) for kind in (Target, Hazard)]
-    want = [per_index_atom(a, est, 12, plan, Discount()) for a in atoms]
+    pair = [kind(PointMass((("x", 0.6),)), pen, 0.1) for kind in (Target, Hazard)]
+    want = [per_index_atom(a, est, 12, plan, Discount()) for a in pair]
     streams = []
     for name in ("substream", "substreams"):
         real = getattr(RandomnessPlan, name)
         record = lambda self, *k, real=real: streams.append(k) or real(self, *k)  # noqa: E731
         monkeypatch.setattr(RandomnessPlan, name, record)
-    for atom, series in zip(atoms, want):
+    for atom, series in zip(pair, want):
         assert np.array_equal(evaluate(est, atom, 12, plan).values, series)
     assert streams == []
 
@@ -602,7 +693,7 @@ def test_overflow_hazards_hold_at_time_0_from_the_empty_plant(preset):
     kernel, initial, penalties = build_model(load_config(str(REPO / "presets" / f"{preset}.cfg")))
     path = REPO / "properties" / "recover-from-overflow-risk.evtl"
     formula = load_formula(str(path), penalties, kernel.space)
-    hazards = [a for a in dict.fromkeys(iter_atoms(formula)) if isinstance(a, Hazard)]
+    hazards = [a for a in atoms(formula) if isinstance(a, Hazard)]
     assert len(hazards) == 3 and initial.values[:3] == (0.0, 0.0, 0.0)
     for a in hazards:
         assert check_formula(kernel, initial, a, 100, 2, RandomnessPlan(42), 0).value > 0.0
