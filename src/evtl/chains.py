@@ -30,7 +30,7 @@ from .formulas import (
     horizon,
 )
 from .monitor import RobustnessSeries, UntilMode, robustness
-from .wasserstein import DivergenceReport, exact_one_sided_wasserstein
+from .wasserstein import DivergenceReport, _observation_times, exact_one_sided_wasserstein
 
 __all__ = [
     "FiniteChain",
@@ -47,7 +47,8 @@ __all__ = [
 class FiniteChain:
     """Markov chain on finitely many values of a single variable."""
 
-    __slots__ = ("variable", "values", "transition", "initial", "penalty_values", "space", "penalty")
+    __slots__ = ("variable", "values", "transition", "initial", "penalty_values", "space",
+                 "penalty", "_order", "_sorted")
 
     def __init__(
         self,
@@ -83,17 +84,12 @@ class FiniteChain:
         self.initial = pi0 / pi0.sum()
         self.penalty_values = rho
         self.space = DataSpace({variable: FiniteSet(vals)})
-        # values need not be listed in order, so scores are found by sorted value
-        order = np.argsort(vals)
-        keys, scores = np.asarray(vals)[order], rho[order]
-
-        def lookup(rows: np.ndarray, tau: int | np.ndarray) -> np.ndarray:
-            pos = np.minimum(np.searchsorted(keys, rows[0]), n - 1)
-            if not np.array_equal(keys[pos], rows[0]):
-                raise KeyError("value is not a state of the chain")
-            return scores[pos]
-
-        self.penalty = Penalty(penalty_name, (variable,), lookup)
+        # values need not be listed in order, so states are found by sorted value
+        self._order = np.argsort(vals)
+        self._sorted = np.asarray(vals)[self._order]
+        self.penalty = Penalty(
+            penalty_name, (variable,), lambda rows, tau: rho[self.state_index(rows[0])]
+        )
 
     @property
     def n_states(self) -> int:
@@ -102,8 +98,12 @@ class FiniteChain:
     def state(self, value: float) -> DataState:
         return self.space.state({self.variable: value})
 
-    def state_index(self, value: float) -> int:
-        return self.values.index(value)
+    def state_index(self, values: float | np.ndarray) -> np.ndarray:
+        """Listed index of each value; ``KeyError`` if any value is not a state."""
+        pos = np.minimum(self._sorted.searchsorted(values), self.n_states - 1)
+        if not np.array_equal(self._sorted[pos], values):
+            raise KeyError("value is not a state of the chain")
+        return self._order[pos]
 
     def initial_state(self) -> DataState:
         """The initial value; a simulated run cannot start from a distribution."""
@@ -139,9 +139,6 @@ class ChainKernel:
     def __init__(self, chain: FiniteChain):
         self.chain = chain
         self._values = np.asarray(chain.values)
-        # listed index of each value, found by sorted value
-        self._order = np.argsort(self._values)
-        self._sorted = self._values[self._order]
         # inverse-CDF sampling as Generator.choice does it, dividing each
         # cumulative row by its last entry: a row summing to 1 - 1 ulp must
         # still pick the same state as choice for every uniform draw. The
@@ -163,7 +160,7 @@ class ChainKernel:
         index = np.empty((len(noise), runs), dtype=np.intp)
         cdf = np.empty((len(self._cdf), runs))
         cut = np.empty(cdf.shape, dtype=bool)
-        state = self._order.take(self._sorted.searchsorted(values[0]))
+        state = self.chain.state_index(values[0])
         for u, nxt in zip(noise, index):
             # unchecked here: the take back to values checks every index row
             self._cdf.take(state, axis=1, out=cdf, mode="clip")
@@ -220,29 +217,21 @@ def transient_distributions(chain: FiniteChain, steps: int) -> np.ndarray:
     return out
 
 
-def _normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def _snapped_weights(chain: FiniteChain, mean: float, variance: float) -> np.ndarray:
     """Exact distribution of a normal draw snapped to the chain's values.
 
     Mirrors the sampler: draws land on the nearest admissible value, so each
     value owns the interval between the midpoints to its sorted neighbours.
     """
-    order = np.argsort(chain.values)
-    sorted_vals = np.asarray(chain.values)[order]
+    w = np.zeros(chain.n_states)
     if variance == 0.0:
-        w = np.zeros(chain.n_states)
-        snapped = FiniteSet(chain.values).clamp(mean)
-        w[chain.state_index(snapped)] = 1.0
+        w[chain.state_index(chain.space.domains[0].clamp(mean))] = 1.0
         return w
     std = math.sqrt(variance)
-    cuts = (sorted_vals[:-1] + sorted_vals[1:]) / 2.0
-    cdf = np.array([_normal_cdf((c - mean) / std) for c in cuts])
-    probs_sorted = np.diff(np.concatenate(([0.0], cdf, [1.0])))
-    w = np.zeros(chain.n_states)
-    w[order] = probs_sorted
+    cuts = (chain._sorted[:-1] + chain._sorted[1:]) / 2.0
+    # the normal CDF at each cut
+    cdf = np.array([0.5 * (1.0 + math.erf((c - mean) / std / math.sqrt(2.0))) for c in cuts])
+    w[chain._order] = np.diff(np.concatenate(([0.0], cdf, [1.0])))
     return w
 
 
@@ -258,17 +247,11 @@ def _reference_weights(chain: FiniteChain, dist) -> np.ndarray:
         return _snapped_weights(chain, mean, variance)
     if isinstance(dist, PointMass):
         return _snapped_weights(chain, dict(dist.assignments)[var], 0.0)
-    snap = FiniteSet(chain.values)
     col = dist.samples.column(var)
-    sample_w = (
-        dist.weights
-        if dist.weights is not None
-        else np.full(len(col), 1.0 / len(col))
-    )
-    w = np.zeros(chain.n_states)
-    for x, wx in zip(col, sample_w):
-        w[chain.state_index(snap.clamp(float(x)))] += wx
-    return w
+    sample_w = dist.weights if dist.weights is not None else np.full(len(col), 1.0 / len(col))
+    # bincount adds each state's sample weights in sample order
+    idx = chain.state_index(chain.space.domains[0].clamp_array(col))
+    return np.bincount(idx, weights=sample_w, minlength=chain.n_states)
 
 
 def exact_robustness(
@@ -292,31 +275,27 @@ def exact_robustness(
         ref_w = _reference_weights(chain, atom.dist)
         # row t scores the states at time t; the reference and the marginal weigh the same states
         scores = chain.penalty_scores(atom.penalty, np.arange(k + 1)[:, None])
-        out = np.empty(k + 1)
-        for t in range(k + 1):
-            if isinstance(atom, Target):
-                d = exact_one_sided_wasserstein(scores[t], ref_w, scores[t], marginals[t])
-                out[t] = atom.threshold - discount(t) * d
-            else:
-                d = exact_one_sided_wasserstein(scores[t], marginals[t], scores[t], ref_w)
-                out[t] = discount(t) * d - atom.threshold
-        return out
+        if isinstance(atom, Target):
+            return atom.threshold - _profile(discount, range(k + 1), scores, ref_w, marginals)
+        return _profile(discount, range(k + 1), scores, marginals, ref_w) - atom.threshold
 
     return robustness(formula, k, atom_series, until_mode)
 
 
-def _directional_profile(
-    discount: Discount,
-    times: tuple[int, ...],
-    scores: np.ndarray,
-    marg_a: np.ndarray,
-    marg_b: np.ndarray,
-) -> tuple[float, ...]:
-    """Discounted one-sided distance from a to b at each time; both chains share ``scores``."""
-    return tuple(
-        discount(t) * exact_one_sided_wasserstein(scores, marg_a[t], scores, marg_b[t])
+def _profile(
+    discount: Discount, times: Sequence[int], scores: np.ndarray,
+    w_from: np.ndarray, w_to: np.ndarray,
+) -> np.ndarray:
+    """Discounted exact one-sided distance from ``w_from`` to ``w_to`` at each time.
+
+    Row t of each argument scores or weighs the states at time t; a 1-D
+    argument serves every time.
+    """
+    scores, w_from, w_to = np.broadcast_arrays(scores, w_from, w_to)
+    return np.array([
+        discount(t) * exact_one_sided_wasserstein(scores[t], w_from[t], scores[t], w_to[t])
         for t in times
-    )
+    ])
 
 
 def exact_divergence(
@@ -330,24 +309,23 @@ def exact_divergence(
 
     Both chains must share the state space and penalty table, though they
     may list the states in different orders; the overall two-sided
-    evolution distance is the max of the two report values.
+    evolution distance is the max of the two report values. ``times`` are checked as
+    :func:`~evtl.wasserstein.evolution_divergence` checks them, with no upper limit.
     """
     if a.space != b.space:
         raise ValueError("chains live on different spaces")
     # b's states in a's listed order, so one scoring serves both chains
-    order = [b.state_index(v) for v in a.values]
+    order = b.state_index(np.asarray(a.values))
     if not np.array_equal(a.penalty_values, b.penalty_values[order]):
         raise ValueError("chains disagree on the penalty table")
-    if times is None:
-        times = tuple(range(steps + 1))
-    steps = max(times)
-    marg_a = transient_distributions(a, steps)
-    marg_b = transient_distributions(b, steps)[:, order]
+    times = _observation_times(times, steps if times is None else None)
+    marg_a = transient_distributions(a, times[-1])
+    marg_b = transient_distributions(b, times[-1])[:, order]
     # the chain penalty is its table, so the scores do not depend on the time
     scores = a.penalty_scores()
-    fwd = _directional_profile(discount, times, scores, marg_a, marg_b)
-    rev = _directional_profile(discount, times, scores, marg_b, marg_a)
-    return DivergenceReport(times, fwd), DivergenceReport(times, rev)
+    fwd = _profile(discount, times, scores, marg_a, marg_b)
+    rev = _profile(discount, times, scores, marg_b, marg_a)
+    return tuple(DivergenceReport(times, tuple(p.tolist())) for p in (fwd, rev))
 
 
 @dataclass(frozen=True)

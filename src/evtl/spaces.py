@@ -224,7 +224,8 @@ class Penalty:
     ``rows`` has shape ``(k, *lead)`` for k variables. It returns raw scores
     of shape ``lead``, one per state. ``tau`` is the time index: an int, or
     an integer array that broadcasts over ``lead``, so one call can score
-    the states of many time indices. Scores are clamped to [0, 1].
+    the states of many time indices. Scores are clamped to [0, 1]; a NaN
+    score raises ``ValueError``.
     """
 
     __slots__ = ("name", "variables", "fn")
@@ -247,7 +248,11 @@ class Penalty:
         raw = np.asarray(self.fn(rows, tau), dtype=np.float64)
         if raw.shape != rows.shape[1:]:
             raise ValueError(f"penalty {self.name!r} returned shape {raw.shape} for {rows.shape}")
-        return np.clip(raw, 0.0, 1.0)
+        scores = np.clip(raw, 0.0, 1.0)
+        # a NaN survives the clip and makes every comparison false; one sum finds it
+        if np.isnan(scores.sum()):
+            raise ValueError(f"penalty {self.name!r} returned NaN")
+        return scores
 
     def __repr__(self) -> str:
         return f"Penalty({self.name!r})"

@@ -18,6 +18,7 @@ with a matched integer size ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -48,8 +49,9 @@ def exact_one_sided_wasserstein(
     """
     av, aw = _checked(a_values, a_weights)
     bv, bw = _checked(b_values, b_weights)
-    ca = np.cumsum(aw)
-    cb = np.cumsum(bw)
+    # a partial sum may round past 1, so the ladders are capped to stay sorted
+    ca = np.minimum(np.cumsum(aw), 1.0)
+    cb = np.minimum(np.cumsum(bw), 1.0)
     ca[-1] = 1.0
     cb[-1] = 1.0
     levels = np.union1d(ca, cb)
@@ -122,6 +124,19 @@ class DivergenceReport:
         return self.times[int(np.argmax(self.values))]
 
 
+def _observation_times(times: Iterable[int] | None, steps: int | None) -> tuple[int, ...]:
+    """Sorted distinct ``times`` (every step 0..steps if None); ``ValueError`` if there are
+    none or one lies outside 0..steps. ``steps=None`` sets no upper limit."""
+    times = sorted(set(int(t) for t in (range(steps + 1) if times is None else times)))
+    if not times:
+        raise ValueError("no observation times")
+    if times[0] < 0:
+        raise ValueError(f"negative observation time {times[0]}")
+    if steps is not None and times[-1] > steps:
+        raise ValueError(f"observation times outside 0..{steps}")
+    return tuple(times)
+
+
 def evolution_divergence(
     a,
     b,
@@ -140,15 +155,7 @@ def evolution_divergence(
     """
     if a.space != b.space:
         raise ValueError("estimates live on different spaces")
-    steps = min(a.steps, b.steps)
-    if times is None:
-        times = tuple(range(steps + 1))
-    else:
-        times = tuple(sorted(set(int(t) for t in times)))
-        if times and (times[0] < 0 or times[-1] > steps):
-            raise ValueError(f"observation times outside 0..{steps}")
-    if not times:
-        raise ValueError("no observation times")
+    times = _observation_times(times, min(a.steps, b.steps))
     at = np.array(times)
     omega, nu = (
         penalty.project(e.space.rows(e.values[at], penalty.variables), at[:, None]) for e in (a, b)

@@ -407,6 +407,35 @@ def test_divergence_does_not_depend_on_state_listing_order():
             exact_divergence(a, flipped, steps=2)
 
 
+def test_divergence_normalises_its_times():
+    drift = load_chain(str(REPO / "chains" / "drift.json"))
+    fast = load_chain(str(REPO / "chains" / "drift-fast.json"))
+    full = exact_divergence(drift, fast, steps=3)
+    # sorted and distinct, whatever order they are asked in
+    for got, want in zip(exact_divergence(drift, fast, times=(3, 1, 3)), full):
+        assert got.times == (1, 3)
+        assert got.values == (want.values[1], want.values[3])
+    # a negative time used to read a marginal from the end of the table
+    for times, match in (((3, -2), "negative"), ((-1,), "negative"), ((), "no observation")):
+        with pytest.raises(ValueError, match=match):
+            exact_divergence(drift, fast, times=times)
+        with pytest.raises(ValueError, match=match):
+            distinguishing_formula(drift, fast, times=times)
+
+
+def test_exact_robustness_with_a_seven_sample_reference():
+    # seven equal weights, normalised by their sum, add up past 1 before the
+    # last state's zero weight
+    chain = FiniteChain("x", np.arange(6.0), np.full((6, 6), 1 / 6), np.full(6, 1 / 6),
+                        np.arange(6) / 5)
+    samples = SampleSet(chain.space, np.array([[0.0], [0.0], [1.0], [2.0], [2.0], [3.0], [4.0]]))
+    ref = EmpiricalRef(samples=samples, weights=np.full(7, 1 / 7))
+    assert _reference_weights(chain, ref).cumsum()[-2] > 1.0
+    for cls in (Target, Hazard):
+        series = exact_robustness(chain, cls(ref, chain.penalty, 0.1), steps=2)
+        assert np.isfinite(series.values).all()
+
+
 def test_divergence_scores_the_states_once(monkeypatch):
     a, b = chain_pair(np.random.default_rng(3), 3)
     calls = []
@@ -478,8 +507,18 @@ def test_array_penalty_equals_scalar_penalty_in_any_state_order(name):
         )
         states = rng.permutation(np.repeat(shuffled.values, 4))
         got = shuffled.penalty.project(states[None])
-        want = [shuffled.penalty_values[shuffled.state_index(v)] for v in states]
+        want = [shuffled.penalty_values[shuffled.values.index(v)] for v in states]
         assert got.tolist() == want
+
+
+def test_state_index_maps_an_array_of_values_to_listed_states():
+    chain = FiniteChain("x", [1.0, 0.0, 0.5], np.eye(3), [1, 0, 0], [1, 0, 0.5])
+    values = np.array([[0.5, 1.0], [0.0, 0.5]])
+    assert chain.state_index(values).tolist() == [[2, 0], [1, 2]]
+    assert chain.state_index(0.0) == 1
+    for stray in (0.25, -1.0, 7.0, np.nan):
+        with pytest.raises(KeyError):
+            chain.state_index(np.array([0.0, stray]))
 
 
 def test_array_penalty_rejects_a_value_that_is_no_state():

@@ -6,10 +6,13 @@ Each call runs a small problem (5 steps, 4 runs, ratio 2) and then sets one
 key to one palette value, or checks a mutated copy of ``chains/drift.json``.
 Whatever the value, a command either succeeds or exits 2, 3 or 4 with one
 line on stderr: never a traceback, a numpy warning, or a robustness outside
-[-1, 1]. The mutations are a fixed list, or drawn by a derandomized
-hypothesis, so every run tries the same ones.
+[-1, 1]. Every call writes to an ``--out`` file, and a file that is written
+must be a CSV of constant width with finite or blank numeric cells. The
+mutations are a fixed list, or drawn by a derandomized hypothesis, so every
+run tries the same ones.
 """
 
+import csv
 import json
 import math
 import re
@@ -42,8 +45,36 @@ PALETTE = ["nan", "inf", "-inf", "1e308", "-1e308", "-0", "", str(2**70), "-1", 
 PREFIXES = {2: ("error: ",), 3: ("formula error: ",), 4: ("numeric error: ", "error: out of memory: ")}
 
 
-def failed_badly(command: str, code: int, out: str, err: str) -> bool:
-    """Whether a call broke the contract: a clean success or one prefixed error line."""
+# CSV columns that hold names, not numbers
+TEXT_COLUMNS = {"variable"}
+
+
+def finite_or_blank(cell: str) -> bool:
+    try:
+        return cell == "" or math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
+def bad_csv(path: Path) -> bool:
+    """Whether ``path`` exists and is not a constant-width CSV of finite or blank cells."""
+    if not path.exists():
+        return False
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    path.unlink()
+    return any(
+        len(row) != len(header)
+        or not all(finite_or_blank(c) for name, c in zip(header, row) if name not in TEXT_COLUMNS)
+        for row in rows
+    )
+
+
+def failed_badly(command: str, code: int, out: str, err: str, written: Path) -> bool:
+    """Whether a call broke the contract: a clean success or one prefixed error line, and
+    a readable ``--out`` file if one was written."""
+    if bad_csv(written):
+        return True
     if code == 0:
         ok = err == ""
         if ok and command == "check":
@@ -61,15 +92,16 @@ def failed_badly(command: str, code: int, out: str, err: str) -> bool:
 
 @pytest.mark.parametrize("key", KEYS)
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_any_config_value_fails_cleanly_or_checks_in_range(command, key, capsys):
+def test_any_config_value_fails_cleanly_or_checks_in_range(command, key, tmp_path, capsys):
     bad = []
     for value in PALETTE:
         # --set, not the shortcut flags, which would override the fuzzed value
         argv = [command, "--config", PRESET, "--set", "steps=5", "--set", "runs=4",
-                "--set", "ell=2", *COMMANDS[command], "--set", f"{key}={value}"]
+                "--set", "ell=2", *COMMANDS[command], "--set", f"{key}={value}",
+                "--out", str(tmp_path / "out.csv")]
         code = main(argv)
         out, err = capsys.readouterr()
-        if failed_badly(command, code, out, err):
+        if failed_badly(command, code, out, err, tmp_path / "out.csv"):
             bad.append((value, code, err, out[-200:]))
     assert bad == []
 
@@ -134,10 +166,10 @@ def test_any_chain_file_fails_cleanly_or_checks_in_range(field, tmp_path, capsys
         path.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["check", "--set", "model=chain", "--set", f"chain.file={path}",
                 "--formula", str(REPO / "tests" / "data" / "until-left-chain.evtl"),
-                "--steps", "5", "--runs", "4", "--ell", "2"]
+                "--steps", "5", "--runs", "4", "--ell", "2", "--out", str(tmp_path / "out.csv")]
         code = main(argv)
         out, err = capsys.readouterr()
-        if failed_badly("check", code, out, err):
+        if failed_badly("check", code, out, err, tmp_path / "out.csv"):
             bad.append((doc, code, err, out[-200:]))
     assert bad == []
 
@@ -185,8 +217,9 @@ def test_any_formula_token_mutation_fails_cleanly_or_checks_in_range(mutant, tmp
     path, text = mutant
     prop = tmp_path / "mutant.evtl"
     prop.write_text(text, encoding="utf-8")
+    written = tmp_path / "out.csv"
     argv = ["check", *FORMULAS[path], "--formula", str(prop),
-            "--steps", "30", "--runs", "5", "--ell", "1"]
+            "--steps", "30", "--runs", "5", "--ell", "1", "--out", str(written)]
     code = main(argv)
     out, err = capsys.readouterr()
-    assert not failed_badly("check", code, out, err), (text, code, err, out[-200:])
+    assert not failed_badly("check", code, out, err, written), (text, code, err, out[-200:])

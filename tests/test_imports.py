@@ -1,5 +1,6 @@
 """Every module under ``src/evtl`` uses each name it imports, and each private name it defines;
-``formulas.fold`` is the one walk that matches on formula node kinds."""
+``formulas.fold`` is the one walk that matches on formula node kinds, and ``FiniteChain`` the
+one owner of the map from values to chain states."""
 
 import ast
 from pathlib import Path
@@ -115,3 +116,17 @@ def test_formulas_fold_is_the_only_walk_over_node_kinds():
         for name in _node_kind_matches(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert walks == {"formulas.fold"}, f"write these as an algebra for formulas.fold: {walks}"
+
+
+# the calls that find a value among sorted states; in chains.py only FiniteChain makes them
+STATE_MAPS = {"argsort", "searchsorted"}
+
+
+def test_finite_chain_is_the_only_value_to_state_map():
+    tree = ast.parse((SRC / "chains.py").read_text(encoding="utf-8"))
+    outside = {
+        getattr(stmt, "name", "<module>")
+        for stmt in tree.body
+        if getattr(stmt, "name", None) != "FiniteChain" and _reads(stmt) & STATE_MAPS
+    }
+    assert not outside, f"map values to states with FiniteChain.state_index: {sorted(outside)}"

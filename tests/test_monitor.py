@@ -653,6 +653,16 @@ def test_check_formula_sign_verdicts(unit):
         check_formula(HoldKernel(space), space.state(x=0.5), bad, 10, 0, RandomnessPlan(1))
 
 
+def test_check_formula_rejects_a_penalty_that_scores_nan(unit):
+    # a NaN series used to read as unsatisfied for a formula and its negation
+    space, _ = unit
+    pen = Penalty("hole", ("x",), lambda rows, tau: np.where(rows[0] > 0.7, np.nan, rows[0]))
+    atom = Target(PointMass((("x", 1.0),)), pen, 0.2)
+    for f in (atom, Not(atom), eventually(0, 5, atom)):
+        with pytest.raises(ValueError, match="penalty 'hole' returned NaN"):
+            check_formula(HoldKernel(space), space.state(x=0.5), f, 10, 1, RandomnessPlan(1))
+
+
 def walk_case():
     """Normal, point-mass and empirical references on the walk; one atom occurs twice."""
     kernel = WalkKernel()

@@ -72,6 +72,13 @@ def test_penalty_clamps_into_unit_interval():
         pen.project(np.zeros((2, 3)))
 
 
+def test_penalty_rejects_a_nan_score():
+    pen = Penalty("hole", ("x",), lambda rows, tau: np.where(rows[0] > 0.7, np.nan, rows[0]))
+    assert pen.project(np.array([[0.5, 0.7]])).tolist() == [0.5, 0.7]
+    with pytest.raises(ValueError, match="penalty 'hole' returned NaN"):
+        pen.project(np.array([[0.5, 0.75]]))
+
+
 def test_penalty_rows_follow_its_own_variable_order():
     space = DataSpace({"x": Interval(0.0, 1.0), "y": Interval(0.0, 1.0), "z": Interval(0.0, 1.0)})
     states = np.array([[0.75, 0.1, 1.0], [0.25, 0.6, 0.0]])

@@ -60,19 +60,40 @@ def test_exact_split_atoms_do_not_change_value():
     assert a == pytest.approx(b, abs=1e-15)
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_exact_directions_sum_to_scipy_w1(data):
-    n = data.draw(st.integers(1, 8))
-    m = data.draw(st.integers(1, 8))
-    av = data.draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=n, max_size=n))
-    bv = data.draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=m, max_size=m))
-    aw = np.array(data.draw(st.lists(st.floats(0.01, 1), min_size=n, max_size=n)))
-    bw = np.array(data.draw(st.lists(st.floats(0.01, 1), min_size=m, max_size=m)))
-    aw, bw = aw / aw.sum(), bw / bw.sum()
+@st.composite
+def weighted_values(draw):
+    """Support points and weights: drawn and normalised, or built as an empirical
+    reference builds them, each of k samples adding 1/k to its point in sample
+    order, so that a point may weigh 0 and a partial sum may round past 1."""
+    n = draw(st.integers(1, 8))
+    values = draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        w = np.array(draw(st.lists(st.floats(0.01, 1), min_size=n, max_size=n)))
+        return values, w / w.sum()
+    picks = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    return values, np.bincount(picks, weights=np.full(len(picks), 1.0 / len(picks)), minlength=n)
+
+
+@given(weighted_values(), weighted_values())
+@settings(max_examples=300, deadline=None)
+def test_exact_directions_sum_to_scipy_w1(a, b):
+    (av, aw), (bv, bw) = a, b
     fwd = exact_one_sided_wasserstein(av, aw, bv, bw)
     rev = exact_one_sided_wasserstein(bv, bw, av, aw)
     assert fwd + rev == pytest.approx(wasserstein_distance(av, bv, aw, bw), abs=1e-10)
+
+
+def test_exact_ladder_whose_partial_sum_rounds_past_one():
+    # seven samples of weight s on six values: the partial sums reach
+    # 1.0000000000000002 before the zero-weight last value
+    s = 0.14285714285714288
+    values, seven = np.arange(6.0), np.array([2 * s, s, 2 * s, s, s, 0.0])
+    assert np.cumsum(seven)[-2] > 1.0
+    uniform = np.full(6, 1 / 6)
+    fwd = exact_one_sided_wasserstein(values, seven, values, uniform)
+    rev = exact_one_sided_wasserstein(values, uniform, values, seven)
+    assert rev == 0.0
+    assert fwd + rev == pytest.approx(wasserstein_distance(values, values, seven, uniform))
 
 
 # --- sampled estimator -----------------------------------------------------
@@ -214,7 +235,8 @@ def test_evolution_divergence_times_subset(unit_space, unit_penalty):
     plan = RandomnessPlan(9)
     est_a = estimate(k, d0, 8, 20, plan.scoped(0))
     est_b = estimate(k, d0, 8, 20, plan.scoped(1))
-    rep = evolution_divergence(est_a, est_b, unit_penalty, times=(0, 4, 8))
+    rep = evolution_divergence(est_a, est_b, unit_penalty, times=(8, 0, 4, 4))
     assert rep.times == (0, 4, 8)
-    with pytest.raises(ValueError):
-        evolution_divergence(est_a, est_b, unit_penalty, times=(0, 99))
+    for times, match in (((0, 99), "outside 0..8"), ((3, -2), "negative"), ((), "no obs")):
+        with pytest.raises(ValueError, match=match):
+            evolution_divergence(est_a, est_b, unit_penalty, times=times)
