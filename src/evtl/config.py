@@ -27,6 +27,7 @@ from .formulas import Discount
 from .spaces import DataState, Penalty
 from .simulation import MarkovKernel
 from .tanks import TankKernel, TankParams, initial_state, tank_penalties
+from .wasserstein import _observation_times
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "build_model"]
 
@@ -78,17 +79,15 @@ def _parse_times(text: str) -> tuple[int, ...]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            a, _, b = part.partition("-")
-            lo, hi = int(a), int(b)
+        lo, sep, hi = part[1:].partition("-")  # a leading '-' is a sign
+        if sep:
+            lo, hi = int(part[0] + lo), int(hi)
             if hi < lo:
                 raise ConfigError(f"bad time range {part!r}")
             out.update(range(lo, hi + 1))
         else:
             out.add(int(part))
-    if not out:
-        raise ConfigError("empty observation time set")
-    return tuple(sorted(out))
+    return _observation_times(out, None)
 
 
 def _positive_int(key: str, value: str, minimum: int = 1) -> int:

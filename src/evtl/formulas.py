@@ -20,7 +20,7 @@ later deviations can be made to matter less.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 import numpy as np
@@ -292,14 +292,38 @@ class EmpiricalRef(Distribution):
 # --------------------------------------------------------------------------
 # formula nodes
 
+_MAX_HEIGHT = 300  # levels of a formula, parsed or built; a walk takes about two frames a level
 
-@dataclass(frozen=True)
+
+def _node(cls: type) -> type:
+    """Frozen dataclass node; its fields' hash and its height are set once, when built or copied."""
+    check = cls.__dict__.get("__post_init__", lambda self: None)
+    kids = [k for k in ("child", "left", "right") if k in cls.__dict__.get("__annotations__", ())]
+
+    def __post_init__(self) -> None:
+        check(self)
+        height = 1
+        for kid in map(self.__getattribute__, kids):
+            if not isinstance(kid, Formula):
+                raise TypeError(f"not a formula: {kid!r}")
+            height = max(height, kid._height + 1)
+        if height > _MAX_HEIGHT:
+            raise ValueError("formula nested too deeply")
+        vars(self).update(_height=height, _hash=hash(tuple(vars(self).values())))
+
+    cls.__post_init__ = __post_init__
+    cls.__hash__ = lambda self: self._hash  # set before ``dataclass``, which then keeps it
+    cls.__reduce__ = lambda self: (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+    return dataclass(frozen=True)(cls)
+
+
+@_node
 class Truth:
     def pretty(self) -> str:
         return "true"
 
 
-@dataclass(frozen=True)
+@_node
 class _Atom:
     """A reference distribution, a penalty and a threshold in [0, 1].
 
@@ -336,7 +360,7 @@ class Hazard(_Atom):
     """
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     child: "Formula"
 
@@ -344,7 +368,7 @@ class Not:
         return f"!{self.child.pretty()}"
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     left: "Formula"
     right: "Formula"
@@ -353,7 +377,7 @@ class Or:
         return f"({self.left.pretty()} || {self.right.pretty()})"
 
 
-@dataclass(frozen=True)
+@_node
 class Until:
     """Bounded until over window offsets [lo, hi]."""
 
@@ -408,8 +432,8 @@ def fold(
 
     ``until`` also takes the window's ``lo`` and ``hi``; no rule returns None,
     which the cache reads as a miss. Each distinct subformula is computed once
-    (the cache is keyed by equality), and the walk takes two frames a level,
-    which the parser's height limit keeps well inside Python's.
+    (the cache is keyed by equality; a node's hash is computed when it is built),
+    and the walk takes two frames a level, which ``_MAX_HEIGHT`` keeps well inside Python's.
     """
     cache: dict[Formula, T] = {}
 

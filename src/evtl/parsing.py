@@ -82,11 +82,9 @@ _TOKEN_RE = re.compile(
 _BINARY = (("->", implies), ("||", Or), ("&&", conj), ("U", Until))
 _LEVEL = {text: level for level, (text, _) in enumerate(_BINARY)}
 _PREFIX = {"F": eventually, "G": always}
-# nesting limits, well inside Python's recursion limit: parentheses and right
-# operands nested at once (the parser takes at most three frames for each), and
-# the levels of a tree (a walk over it, such as a hash, takes two frames a level)
+# parentheses and right operands nested at once (the parser takes at most three frames
+# for each); the formula nodes limit a tree's levels, and ``build`` places that error
 _MAX_DEPTH = 200
-_MAX_HEIGHT = 300
 
 
 def _at(text: str, offset: int) -> tuple[int, int]:
@@ -112,8 +110,6 @@ class _Parser:
         self.space = space
         self.pos = 0
         self.depth = 0
-        # levels of every node built so far, by id: each stays in the tree, so ids are unique
-        self.heights: dict[int, int] = {}
 
     # token plumbing; a token's text alone tells its kind apart, so ``at`` compares text
 
@@ -289,25 +285,11 @@ class _Parser:
         return (var, self.number("value"))
 
     def build(self, ctor, tok: _Token, *args):
-        """Run a node constructor or check, turning its ValueError or KeyError into a located one.
-
-        A node more than ``_MAX_HEIGHT`` levels high fails at ``tok``.
-        """
+        """Run a node constructor or check; its ValueError or KeyError fails at ``tok``."""
         try:
-            node = ctor(*args)
+            return ctor(*args)
         except (KeyError, ValueError) as exc:
             self.fail(exc.args[0], tok)
-        if isinstance(node, Formula) and self.height(node) > _MAX_HEIGHT:
-            self.fail("formula nested too deeply", tok)
-        return node
-
-    def height(self, node: Formula) -> int:
-        """Levels of a node; only a macro's own few nodes are walked again."""
-        h = self.heights.get(id(node))
-        if h is None:
-            kids = [getattr(node, k) for k in ("child", "left", "right") if hasattr(node, k)]
-            h = self.heights[id(node)] = 1 + max(map(self.height, kids), default=0)
-        return h
 
 
 def parse_formula(

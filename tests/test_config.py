@@ -65,6 +65,10 @@ def test_observation_times_parse():
         parse_config("obs-times = 9-3")
     with pytest.raises(ConfigError):
         parse_config("obs-times = ,")
+    # a leading '-' is a sign: the negative time is named, not split as a range
+    for text in ("-1", "-1-3", "2, -1"):
+        with pytest.raises(ConfigError, match="negative observation time -1$"):
+            parse_config(f"obs-times = {text}")
 
 
 def test_errors_carry_line_numbers():

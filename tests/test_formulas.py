@@ -1,3 +1,6 @@
+import pickle
+from copy import deepcopy
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from evtl.formulas import (
     implies,
     validate,
 )
+from evtl.monitor import robustness
 from evtl.spaces import DataSpace, FiniteSet, Interval, Penalty, SampleSet, identity_penalty
 
 
@@ -236,6 +240,108 @@ def test_atoms_distinct_in_order_of_first_occurrence(pen):
     a, b = atom(pen, 0.1), atom(pen, 0.9)
     f = Or(Not(a), Until(b, a, 0, 2))
     assert atoms(f) == (a, b)
+
+
+# --- construction: one nesting limit, hash and height computed once ----------
+
+LIMIT = 300  # tree levels a formula may have, parsed or built in the library
+
+
+def negations(levels, pen):
+    """A formula ``levels`` high: negations over an atom."""
+    f = atom(pen)
+    for _ in range(levels - 1):
+        f = Not(f)
+    return f
+
+
+@pytest.mark.parametrize(
+    "build, adds",
+    [
+        (Not, 1),
+        (lambda f: Or(Truth(), f), 1),
+        (lambda f: Or(f, Truth()), 1),
+        (lambda f: Until(f, Truth(), 0, 1), 1),
+        (lambda f: Until(Truth(), f, 0, 1), 1),
+        (lambda f: always(0, 1, f), 3),
+        (lambda f: conj(Truth(), f), 3),
+    ],
+    ids=["not", "or-left", "or-right", "until-left", "until-right", "always", "conj"],
+)
+def test_a_node_one_level_over_the_limit_fails_when_built(pen, build, adds):
+    assert atoms(build(negations(LIMIT - adds, pen))) == (atom(pen),)
+    with pytest.raises(ValueError, match="^formula nested too deeply$"):
+        build(negations(LIMIT - adds + 1, pen))
+
+
+def test_a_formula_at_the_limit_builds_and_walks(pen):
+    a, b = atom(pen, 0.1), atom(pen, 0.9)
+
+    def build():
+        f = a
+        for i in range(LIMIT - 1):
+            f = (Not(f), Or(f, b), Until(f, b, 0, 2))[i % 3]
+        return f
+
+    f = build()
+    assert horizon(f) == 2 * 99
+    assert atoms(f) == (a, b)
+    assert f.pretty().count("U[0,2]") == 99
+    # two trees built apart: equality walks all 300 levels
+    assert f == build() and hash(f) == hash(build())
+    with pytest.raises(ValueError, match="nested too deeply"):
+        Not(f)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Not("x"),
+        lambda: Or(Truth(), "x"),
+        lambda: Until("x", Truth(), 0, 1),
+        lambda: always(0, 1, "x"),
+    ],
+    ids=["not", "or", "until", "always"],
+)
+def test_a_non_formula_child_is_a_type_error(build):
+    with pytest.raises(TypeError, match="not a formula: 'x'"):
+        build()
+
+
+class CountingPenalty(Penalty):
+    """A penalty that counts how often it is hashed."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.hashes = 0
+
+    def __hash__(self):
+        self.hashes += 1
+        return object.__hash__(self)
+
+
+def test_an_atom_hashes_its_penalty_once_when_built():
+    pen = CountingPenalty("px", ("x",), lambda rows, tau: rows[0])
+    a = Target(PointMass((("x", 0.5),)), pen, 0.3)
+    assert pen.hashes == 1
+    f = Or(Until(a, Not(a), 0, 3), always(0, 2, Or(a, Hazard(a.dist, pen, 0.3))))
+    assert pen.hashes == 2
+    for _ in range(3):
+        assert horizon(f) == 3
+        assert len(atoms(f)) == 2
+        robustness(f, 4, lambda _: np.zeros(5), "semantics")
+    assert pen.hashes == 2
+
+
+def test_a_copied_node_hashes_like_one_built_from_its_fields():
+    # a deep copy holds a new penalty, hashed by identity, so the copy may not keep the old hash
+    pen = Penalty("px", ("x",), lambda rows, tau: rows[0])
+    a = Target(PointMass((("x", 0.5),)), pen, 0.3)
+    copy = deepcopy(a)
+    rebuilt = Target(copy.dist, copy.penalty, copy.threshold)
+    assert copy != a and copy == rebuilt and hash(copy) == hash(rebuilt)
+    f = Until(Truth(), Not(Truth()), 1, 2)
+    assert pickle.loads(pickle.dumps(f)) == f and hash(pickle.loads(pickle.dumps(f))) == hash(f)
 
 
 def test_content_words_identify_atoms_not_positions(pen):

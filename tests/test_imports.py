@@ -1,6 +1,7 @@
 """Every module under ``src/evtl`` uses each name it imports, and each private name it defines;
-``formulas.fold`` is the one walk that matches on formula node kinds, and ``FiniteChain`` the
-one owner of the map from values to chain states."""
+``formulas.fold`` is the one walk that matches on formula node kinds, ``formulas`` the one
+module that reads a node's children, and ``FiniteChain`` the one owner of the map from values
+to chain states."""
 
 import ast
 from pathlib import Path
@@ -116,6 +117,35 @@ def test_formulas_fold_is_the_only_walk_over_node_kinds():
         for name in _node_kind_matches(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert walks == {"formulas.fold"}, f"write these as an algebra for formulas.fold: {walks}"
+
+
+# the fields that hold a formula node's children
+CHILDREN = {"child", "left", "right"}
+
+
+def _child_reads(tree: ast.Module):
+    """Lines that read a node's children: as an attribute, a ``match`` keyword or a string.
+
+    A string given as a keyword's value, such as ``side="left"``, is an option, not a field.
+    """
+    options = {id(k.value) for k in ast.walk(tree) if isinstance(k, ast.keyword)}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute) and node.attr in CHILDREN
+            or isinstance(node, ast.MatchClass) and CHILDREN & set(node.kwd_attrs)
+            or isinstance(node, ast.Constant) and node.value in CHILDREN and id(node) not in options
+        ):
+            yield node.lineno
+
+
+def test_only_formulas_reads_a_nodes_children():
+    readers = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "formulas"
+        for line in _child_reads(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not readers, f"walk a formula with formulas.fold, not its fields: {readers}"
 
 
 # the calls that find a value among sorted states; in chains.py only FiniteChain makes them

@@ -206,23 +206,50 @@ _FOLD_TABLE = {
 }
 
 
+# up to 30 pool steps, each read from four bytes of one draw: a draw per
+# choice made generating a DAG cost more than checking it
+_STEPS = st.integers(0, 30)
+
+
 @st.composite
 def formula_dags(draw):
-    """A formula whose nodes are drawn from a growing pool, so subtrees and atoms repeat."""
+    """A formula whose nodes are drawn from a growing pool, so subtrees and atoms repeat.
+
+    A step's left child is one of the two newest nodes, so the DAG grows deep;
+    its right child is any node of the pool.
+    """
     pool = [Truth(), *draw(st.lists(st.sampled_from(_FOLD_ATOMS), min_size=1, max_size=4))]
-    for _ in range(draw(st.integers(0, 12))):
-        pick = st.sampled_from(pool)
-        kind = draw(st.sampled_from(["not", "or", "until"]))
-        if kind == "not":
-            pool.append(Not(draw(pick)))
-        elif kind == "or":
-            pool.append(Or(draw(pick), draw(pick)))
+    steps = draw(_STEPS)
+    for code in np.frombuffer(draw(st.binary(min_size=4 * steps, max_size=4 * steps)), ">u4"):
+        shape = (3, min(2, len(pool)), len(pool), 7, 9)
+        kind, i, j, lo, width = map(int, np.unravel_index(int(code) % int(np.prod(shape)), shape))
+        left, right = pool[-1 - i], pool[j]
+        if kind == 0:
+            pool.append(Not(left))
+        elif kind == 1:
+            pool.append(Or(left, right))
         else:
-            lo = draw(st.integers(0, 6))
-            pool.append(Until(draw(pick), draw(pick), lo, lo + draw(st.integers(0, 8))))
+            pool.append(Until(left, right, lo, lo + width))
     return pool[-1]
 
 
+def _by_identity(oracle):
+    """Memoise a recursive oracle by node identity, so it stays linear on a DAG.
+
+    Each entry keeps its node alive, so no later node can reuse its id.
+    """
+    memo = {}
+
+    def cached(f, *args):
+        key = (id(f), *args)
+        if key not in memo:
+            memo[key] = f, oracle(f, *args)
+        return memo[key][1]
+
+    return cached
+
+
+@_by_identity
 def oracle_horizon(f):
     match f:
         case Truth() | Target() | Hazard():
@@ -235,18 +262,20 @@ def oracle_horizon(f):
             return hi + max(oracle_horizon(l), oracle_horizon(r))
 
 
+@_by_identity
 def oracle_atoms(f):
-    """Depth-first, duplicates kept."""
+    """Depth-first; a repeat is dropped, which keeps the list linear in the DAG."""
     match f:
         case Target() | Hazard():
             return [f]
         case Not(child=c):
             return oracle_atoms(c)
         case Or(left=l, right=r) | Until(left=l, right=r):
-            return oracle_atoms(l) + oracle_atoms(r)
+            return list(dict.fromkeys(oracle_atoms(l) + oracle_atoms(r)))
     return []
 
 
+@_by_identity
 def oracle_robustness(f, mode):
     match f:
         case Truth():
