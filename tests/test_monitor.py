@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from evtl import monitor
 from evtl.chains import ChainKernel, load_chain
@@ -20,6 +20,7 @@ from evtl.formulas import (
     Target,
     Truth,
     Until,
+    always,
     atoms,
     conj,
     content_words,
@@ -215,15 +216,18 @@ _STEPS = st.integers(0, 30)
 def formula_dags(draw):
     """A formula whose nodes are drawn from a growing pool, so subtrees and atoms repeat.
 
-    A step's left child is one of the two newest nodes, so the DAG grows deep;
-    its right child is any node of the pool.
+    Half the steps take the newest node as left child, so the DAG grows deep;
+    the rest take any node of the pool, Truth included, so F and G shapes
+    over older subtrees come up. The right child is any node of the pool.
     """
     pool = [Truth(), *draw(st.lists(st.sampled_from(_FOLD_ATOMS), min_size=1, max_size=4))]
     steps = draw(_STEPS)
     for code in np.frombuffer(draw(st.binary(min_size=4 * steps, max_size=4 * steps)), ">u4"):
-        shape = (3, min(2, len(pool)), len(pool), 7, 9)
-        kind, i, j, lo, width = map(int, np.unravel_index(int(code) % int(np.prod(shape)), shape))
-        left, right = pool[-1 - i], pool[j]
+        shape = (3, 2, len(pool), len(pool), 7, 9)
+        kind, anywhere, i, j, lo, width = map(
+            int, np.unravel_index(int(code) % int(np.prod(shape)), shape)
+        )
+        left, right = pool[i] if anywhere else pool[-1], pool[j]
         if kind == 0:
             pool.append(Not(left))
         elif kind == 1:
@@ -293,6 +297,9 @@ def oracle_robustness(f, mode):
 
 @settings(max_examples=200, deadline=None)
 @given(formula=formula_dags(), mode=st.sampled_from(["semantics", "figure"]))
+# F and G over composites, the shapes the shipped properties use most
+@example(formula=eventually(0, 3, Or(_FOLD_ATOMS[0], _FOLD_ATOMS[2])), mode="semantics")
+@example(formula=always(1, 4, Until(_FOLD_ATOMS[1], Not(_FOLD_ATOMS[3]), 0, 2)), mode="figure")
 def test_fold_matches_the_recursive_walks(formula, mode):
     assert horizon(formula) == oracle_horizon(formula)
     assert atoms(formula) == tuple(dict.fromkeys(oracle_atoms(formula)))
