@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Sequence, TypeVar, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -109,6 +109,12 @@ class Discount:
             return self.base
         return self.base * self.rate**tau
 
+    def factors(self, steps: int) -> np.ndarray:
+        """The factors at tau = 0..steps, each bit for bit ``self(tau)``."""
+        if self.kind == "const":
+            return np.full(steps + 1, self.base)
+        return np.array([self.base * self.rate**tau for tau in range(steps + 1)])
+
     def spec(self) -> str:
         if self.kind == "const":
             return f"const:{_fmt(self.base)}"
@@ -121,19 +127,18 @@ class Discount:
 # reference distributions
 
 
-Generators = Iterable["np.random.Generator"]
+Generators = Sequence["np.random.Generator"]
 
 
 class Distribution:
     """Reference distribution, sampled variable-major.
 
-    ``sample_block(space, n, rngs, variables)`` returns a ``(k, rows, n)``
+    ``sample_block(space, n, rngs, variables)`` returns a ``(k, len(rngs), n)``
     array for the k requested ``variables``: ``out[i, r]`` holds n draws of
-    ``variables[i]`` from the r-th generator of ``rngs``, and each generator
-    is drawn from before the next is taken. Asking for a variable that the
-    reference does not constrain raises ``KeyError``. ``sample`` is the
-    one-row case over the reference's own ``variables()``, with their
-    domains taken from the space.
+    ``variables[i]`` from ``rngs[r]`` alone, one generator per row, drawn in
+    row order. Asking for a variable that the reference does not constrain
+    raises ``KeyError``. ``sample`` is the one-row case over the reference's
+    own ``variables()``, with their domains taken from the space.
     """
 
     __slots__ = ()
@@ -175,9 +180,11 @@ class ProductNormal(Distribution):
         self, space: DataSpace, n: int, rngs: Generators, variables: Sequence[str]
     ) -> np.ndarray:
         """Per generator, n draws of every entry in listed order, requested or not."""
-        z = np.array([rng.standard_normal((len(self.entries), n)) for rng in rngs])
+        z = np.empty((len(rngs), len(self.entries), n))
+        for row, rng in zip(z, rngs):
+            rng.standard_normal(out=row)
         at = {var: (mu, s2, z[:, e]) for e, (var, mu, s2) in enumerate(self.entries)}
-        out = np.empty((len(variables), len(z), n))
+        out = np.empty((len(variables), len(rngs), n))
         for i, var in enumerate(variables):
             mu, s2, z_var = at[var]
             out[i] = space.domain(var).clamp_array(mu + np.sqrt(s2) * z_var)
@@ -207,11 +214,11 @@ class PointMass(Distribution):
         return tuple(v for v, _ in self.assignments)
 
     def sample_block(
-        self, space: DataSpace, n: int, rngs: Iterable[object], variables: Sequence[str]
+        self, space: DataSpace, n: int, rngs: Sequence[object], variables: Sequence[str]
     ) -> np.ndarray:
         """The point, once per entry of ``rngs``; draws nothing."""
         fixed = dict(self.assignments)
-        out = np.empty((len(variables), sum(1 for _ in rngs), n))
+        out = np.empty((len(variables), len(rngs), n))
         for i, var in enumerate(variables):
             out[i] = space.domain(var).clamp(fixed[var])
         return out
@@ -267,7 +274,9 @@ class EmpiricalRef(Distribution):
         self, space: DataSpace, n: int, rngs: Generators, variables: Sequence[str]
     ) -> np.ndarray:
         """Per generator, n stored row picks; a column is gathered only if it is requested."""
-        picks = np.array([rng.choice(len(self.samples), size=n, p=self.weights) for rng in rngs])
+        picks = np.empty((len(rngs), n), dtype=np.intp)
+        for row, rng in zip(picks, rngs):
+            row[:] = rng.choice(len(self.samples), size=n, p=self.weights)
         out = np.empty((len(variables), *picks.shape))
         for i, var in enumerate(variables):
             column = self.samples.values[picks, self.samples.space.index(var)]

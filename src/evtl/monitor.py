@@ -232,11 +232,12 @@ def _score(
     by_penalty: dict[Penalty, list[Target | Hazard]] = {}
     for a in series:
         by_penalty.setdefault(a.penalty, []).append(a)
+    factors = discount.factors(steps)
     for t0, states in blocks:
         t1, runs = t0 + states.shape[1], states.shape[2]
         # one time index per row, broadcast against the row's states
         taus = np.arange(t0, t1)[:, None]
-        scale = np.array([discount(t) for t in range(t0, t1)])
+        scale = factors[t0:t1]
         for pen, group in by_penalty.items():
             # targets observe all l*N runs, hazards the first N
             n_obs = runs if any(isinstance(a, Target) for a in group) else base_runs
@@ -244,7 +245,7 @@ def _score(
             for a in group:
                 target = isinstance(a, Target)
                 # islice takes no stream past the block
-                rngs = islice(streams.get(a, repeat(None)), t1 - t0)
+                rngs = list(islice(streams.get(a, repeat(None)), t1 - t0))
                 n_ref = base_runs if target else runs
                 ref = pen.project(a.dist.sample_block(space, n_ref, rngs, pen.variables), taus)
                 obs = seen if target else seen[:, :base_runs]

@@ -66,15 +66,14 @@ class MarkovKernel(Protocol):
         ...
 
 
-# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+# numpy's SeedSequence hash constants
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
-# streams seeded per vectorised pass; bounds the seeding temporaries: on a
-# preset-1 check, peak RSS grows by about 0.1 MB at 256 against 0.4 MB at
-# 1024, for 0.4 us per stream more
+_M32 = (1 << 32) - 1
+# streams seeded per vectorised pass; bounds the seeding temporaries, a few
+# (256, 8) uint32 arrays and a chunk's seed words, which its generators keep:
+# 1024 seeds no faster per stream (numpy 2.4, 2-vCPU host)
 _SEED_CHUNK = 256
 
 
@@ -83,41 +82,32 @@ def _n_words(n: int) -> int:
     return max(1, -(-n.bit_length() // 32))
 
 
-def _pcg64_states(pool: np.ndarray, hash_a: int, idx: list[int]) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of each stream whose entropy is the pool's plus one index.
+def _pcg64_seeds(pool: np.ndarray, hash_a: int, idx: list[int]) -> np.ndarray:
+    """PCG64 seed words, one (4,) uint64 row per stream whose entropy is the pool's plus one index.
 
     Replays ``SeedSequence``: the words of each index are mixed into a copy
     of the pool (``hash_a`` is the running hash constant after the pool's
-    own entropy), then ``generate_state(4, uint64)`` and PCG64's seeding,
-    ``pcg_setseq_128_srandom_r``, are applied. Vectorised over ``idx``.
+    own entropy), then ``generate_state(4, uint64)``. Vectorised over ``idx``.
     """
     if min(idx) < 0:
         raise ValueError("expected non-negative integer")
-    n, width = len(idx), _n_words(max(idx))
-    counts = np.array([_n_words(i) for i in idx]) if width > 1 else None
-    mixer = np.repeat(pool[None, :], n, axis=0)
-    h = hash_a
+    width = _n_words(max(idx))
+    counts = np.array([_n_words(i) for i in idx])[:, None] if width > 1 else None
+    mixer = pool  # broadcast against the first word's (len(idx), 4) mix
     for w in range(width):
-        word = np.array([(i >> 32 * w) & _M32 for i in idx], dtype=np.uint32)
-        for d in range(4):
-            # hashmix(word) then mix(mixer[d], .), as mix_entropy does per pool word
-            v = (word ^ np.uint32(h)) * np.uint32(h * _MULT_A & _M32)
-            h = h * _MULT_A & _M32
-            x = np.uint32(_MIX_L) * mixer[:, d] - np.uint32(_MIX_R) * (v ^ (v >> np.uint32(16)))
-            x ^= x >> np.uint32(16)
-            # an index with fewer words has no word w to mix
-            mixer[:, d] = x if w == 0 else np.where(counts > w, x, mixer[:, d])
-    out = np.empty((n, 8), dtype=np.uint32)
-    h = _INIT_B
-    for k in range(8):
-        v = (mixer[:, k % 4] ^ np.uint32(h)) * np.uint32(h * _MULT_B & _M32)
-        h = h * _MULT_B & _M32
-        out[:, k] = v ^ (v >> np.uint32(16))
-    states = []
-    for a, b, c, d in out.astype("<u4").view("<u8").astype(np.uint64).tolist():
-        inc = ((c << 64 | d) << 1 | 1) & _M128
-        states.append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, inc))
-    return states
+        word = np.array([(i >> 32 * w) & _M32 for i in idx] if width > 1 else idx, np.uint32)
+        # hashmix(word) then mix(mixer[d], .) per pool word d, as mix_entropy does
+        h = np.array([hash_a * _MULT_A ** (4 * w + j) & _M32 for j in range(5)], np.uint32)
+        v = (word[:, None] ^ h[:4]) * h[1:]
+        x = np.uint32(_MIX_L) * mixer - np.uint32(_MIX_R) * (v ^ (v >> np.uint32(16)))
+        x ^= x >> np.uint32(16)
+        # an index with fewer words has no word w to mix
+        mixer = x if w == 0 else np.where(counts > w, x, mixer)
+    # generate_state's eight hashmix steps; step k multiplies by the constant of step k + 1
+    h = np.array([_INIT_B * _MULT_B**k & _M32 for k in range(9)], np.uint32)
+    v = (np.tile(mixer, 2) ^ h[:8]) * h[1:]
+    out = v ^ (v >> np.uint32(16))
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -138,9 +128,8 @@ class RandomnessPlan:
     The stream of key k is bit-identical to ``Generator(PCG64(SeedSequence(
     master_seed, spawn_key=namespace + k)))``, but streams are seeded in
     batches: :meth:`substreams` builds one ``SeedSequence`` per key prefix
-    and derives the streams of up to 256 last key words at a time with
-    numpy array arithmetic. The generator it yields is one object, reseeded
-    for each stream, so each is valid only until the next one is taken.
+    and derives the PCG64 seed words of up to 256 last key words at a time
+    with numpy array arithmetic; each stream is a generator of its own.
     """
 
     master_seed: int
@@ -158,24 +147,19 @@ class RandomnessPlan:
     ) -> Iterator[np.random.Generator]:
         """The stream of key ``prefix + (i,)`` for each i in ``indices``, in order.
 
-        Every stream is yielded as the same ``Generator``, reseeded in place:
-        a yielded generator is valid only until the next one is taken.
+        Each stream is a new ``Generator``, independent of those yielded before it.
         """
         key = self.namespace + tuple(prefix)
         seq = np.random.SeedSequence(self.master_seed, spawn_key=key)
         # the first 4 entropy words (the seed, zero-padded) take 16 hashmix steps, each later 4
         words = max(4, _n_words(self.master_seed)) + sum(_n_words(int(w)) for w in key)
         hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * (words - 4), 1 << 32) & _M32
-        bitgen = np.random.PCG64(seq)
-        gen = np.random.Generator(bitgen)
-        # one state record, refilled for each stream
-        lcg = {"state": 0, "inc": 0}
-        record = {"bit_generator": "PCG64", "state": lcg, "has_uint32": 0, "uinteger": 0}
+        from ._seed_words import SeedWords  # on first use: it loads numpy.random
+        generator, pcg64 = np.random.Generator, np.random.PCG64
         it = iter(indices)
         while chunk := [operator.index(i) for i in islice(it, _SEED_CHUNK)]:
-            for lcg["state"], lcg["inc"] in _pcg64_states(seq.pool, hash_a, chunk):
-                bitgen.state = record
-                yield gen
+            for row in _pcg64_seeds(seq.pool, hash_a, chunk):
+                yield generator(pcg64(SeedWords(row)))
 
     def substream(self, *key: int) -> np.random.Generator:
         """The stream of a non-empty key, as a generator of its own."""

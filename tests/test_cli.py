@@ -640,6 +640,35 @@ def test_importing_the_cli_loads_no_numpy_random():
     assert after == before, out.stderr
 
 
+SETUPS = [
+    (f"presets/{preset}.cfg", f"properties/{prop}.evtl")
+    for preset in ("three-tanks-scenario-1", "three-tanks-scenario-2")
+    for prop in ("settle-on-goal", "recover-from-overflow-risk")
+] + [(None, "tests/data/until-left-chain.evtl")]
+
+
+@pytest.mark.parametrize("config, formula", SETUPS)
+def test_command_setup_loads_no_numpy_random(config, formula, tmp_path):
+    # what a command does before it simulates: import, config, model, formula
+    if config is None:
+        config = tmp_path / "chain.cfg"
+        config.write_text(f"model = chain\nchain.file = {DRIFT}\n")
+    code = (
+        "import sys, evtl.cli\n"
+        "from evtl.config import build_model, load_config\n"
+        "from evtl.parsing import load_formula\n"
+        "kernel, _, penalties = build_model(load_config(sys.argv[1]))\n"
+        "load_formula(sys.argv[2], penalties, kernel.space)\n"
+        "print('numpy.random' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(config), formula],
+        cwd=REPO, env=env, capture_output=True, text=True,
+    )
+    assert out.stdout.split() == ["False"], out.stderr
+
+
 @pytest.mark.parametrize(
     "text",
     ["(" * 300 + "true" + ")" * 300, "!" * 1000 + "true", " || ".join(["true"] * 1000)],

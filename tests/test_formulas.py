@@ -69,6 +69,19 @@ def test_discount_parse_rejects_a_third_field():
         Discount.parse("exp:0.9,0.5,0.1")
 
 
+@pytest.mark.parametrize(
+    "discount",
+    [Discount(), Discount.constant(0.3), Discount.exponential(0.97), Discount.exponential(0.9, 0.5),
+     Discount.exponential(1e-3)],
+    ids=lambda d: d.spec(),
+)
+def test_discount_factors_are_the_scalar_factors(discount):
+    factors = discount.factors(600)
+    want = np.array([discount(t) for t in range(601)])
+    assert factors.dtype == np.float64 and factors.tobytes() == want.tobytes()
+    assert discount.factors(0).tobytes() == np.array([discount(0)]).tobytes()
+
+
 def test_discount_is_non_increasing():
     d = Discount.exponential(0.99)
     vals = [d(t) for t in range(50)]

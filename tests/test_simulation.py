@@ -1,3 +1,4 @@
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +76,7 @@ def oracle_stream(seed, key):
 
 
 def fingerprint(gen):
-    # the state first: the draws advance it, and a yielded generator is reused
+    # the state first: the draws advance it
     return gen.bit_generator.state, gen.standard_normal(), gen.random()
 
 
@@ -100,6 +101,40 @@ WORDS = st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**100))
 )
 def test_substreams_equal_seed_sequence_streams(seed, namespace, prefix, indices):
     assert_streams_match(seed, namespace, prefix, indices)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**200)),
+    namespace=st.lists(WORDS, max_size=2).map(tuple),
+    prefix=st.lists(WORDS, max_size=3).map(tuple),
+    indices=st.lists(WORDS, max_size=12),
+)
+def test_substreams_hold_the_seed_sequence_words(seed, namespace, prefix, indices):
+    # PCG64 seeds itself from these four words, so they are the whole stream
+    plan = RandomnessPlan(seed).scoped(*namespace)
+    got = [g.bit_generator.seed_seq.generate_state(4, np.uint64)
+           for g in plan.substreams(prefix, indices)]
+    for words, i in zip(got, indices, strict=True):
+        key = (*namespace, *prefix, i)
+        want = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+        assert words.dtype == np.uint64 and words.tobytes() == want.tobytes()
+
+
+def test_substreams_are_generators_of_their_own():
+    # every stream taken before any is drawn from, across a seeding chunk boundary
+    plan = RandomnessPlan(2**32).scoped(3)
+    streams = list(plan.substreams((1, 2**64 + 1), range(300)))
+    assert len({id(g) for g in streams}) == 300
+    want = [fingerprint(oracle_stream(2**32, (3, 1, 2**64 + 1, i))) for i in range(300)]
+    assert [fingerprint(g) for g in streams] == want
+
+
+def test_a_stream_pickles_with_its_seed_words():
+    gen = RandomnessPlan(5).substream(1, 2**40, 3)
+    clone = pickle.loads(pickle.dumps(gen))
+    assert fingerprint(clone) == fingerprint(gen)
+    assert clone.bit_generator.seed_seq.words.tobytes() == gen.bit_generator.seed_seq.words.tobytes()
 
 
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
