@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -110,10 +110,8 @@ class Discount:
         return self.base * self.rate**tau
 
     def factors(self, steps: int) -> np.ndarray:
-        """The factors at tau = 0..steps, each bit for bit ``self(tau)``."""
-        if self.kind == "const":
-            return np.full(steps + 1, self.base)
-        return np.array([self.base * self.rate**tau for tau in range(steps + 1)])
+        """The factors at tau = 0..steps."""
+        return np.array([self(tau) for tau in range(steps + 1)])
 
     def spec(self) -> str:
         if self.kind == "const":
@@ -127,18 +125,19 @@ class Discount:
 # reference distributions
 
 
-Generators = Sequence["np.random.Generator"]
+Generators = Iterable["np.random.Generator"]
 
 
 class Distribution:
     """Reference distribution, sampled variable-major.
 
-    ``sample_block(space, n, rngs, variables)`` returns a ``(k, len(rngs), n)``
+    ``sample_block(space, rows, n, rngs, variables)`` returns a ``(k, rows, n)``
     array for the k requested ``variables``: ``out[i, r]`` holds n draws of
-    ``variables[i]`` from ``rngs[r]`` alone, one generator per row, drawn in
-    row order. Asking for a variable that the reference does not constrain
-    raises ``KeyError``. ``sample`` is the one-row case over the reference's
-    own ``variables()``, with their domains taken from the space.
+    ``variables[i]`` from the r-th generator of ``rngs`` alone, which yields
+    ``rows``. Each is drawn from before the next is taken, so none is kept
+    once its row is written. Asking for a variable that the reference does
+    not constrain raises ``KeyError``. ``sample`` is the one-row case over
+    the reference's own ``variables()``, with their domains taken from the space.
     """
 
     __slots__ = ()
@@ -146,7 +145,7 @@ class Distribution:
     def sample(self, space: DataSpace, n: int, rng: np.random.Generator | None) -> SampleSet:
         names = self.variables()
         own = DataSpace([(var, space.domain(var)) for var in names])
-        return SampleSet(own, self.sample_block(space, n, (rng,), names)[:, 0].T)
+        return SampleSet(own, self.sample_block(space, 1, n, (rng,), names)[:, 0].T)
 
 
 @dataclass(frozen=True)
@@ -177,14 +176,14 @@ class ProductNormal(Distribution):
         return tuple(var for var, _, _ in self.entries)
 
     def sample_block(
-        self, space: DataSpace, n: int, rngs: Generators, variables: Sequence[str]
+        self, space: DataSpace, rows: int, n: int, rngs: Generators, variables: Sequence[str]
     ) -> np.ndarray:
         """Per generator, n draws of every entry in listed order, requested or not."""
-        z = np.empty((len(rngs), len(self.entries), n))
-        for row, rng in zip(z, rngs):
+        z = np.empty((rows, len(self.entries), n))
+        for row, rng in zip(z, rngs, strict=True):
             rng.standard_normal(out=row)
         at = {var: (mu, s2, z[:, e]) for e, (var, mu, s2) in enumerate(self.entries)}
-        out = np.empty((len(variables), len(rngs), n))
+        out = np.empty((len(variables), rows, n))
         for i, var in enumerate(variables):
             mu, s2, z_var = at[var]
             out[i] = space.domain(var).clamp_array(mu + np.sqrt(s2) * z_var)
@@ -214,11 +213,11 @@ class PointMass(Distribution):
         return tuple(v for v, _ in self.assignments)
 
     def sample_block(
-        self, space: DataSpace, n: int, rngs: Sequence[object], variables: Sequence[str]
+        self, space: DataSpace, rows: int, n: int, rngs: Iterable[object], variables: Sequence[str]
     ) -> np.ndarray:
-        """The point, once per entry of ``rngs``; draws nothing."""
+        """The point in every row; takes nothing from ``rngs``."""
         fixed = dict(self.assignments)
-        out = np.empty((len(variables), len(rngs), n))
+        out = np.empty((len(variables), rows, n))
         for i, var in enumerate(variables):
             out[i] = space.domain(var).clamp(fixed[var])
         return out
@@ -271,11 +270,11 @@ class EmpiricalRef(Distribution):
         return self.samples.space.names
 
     def sample_block(
-        self, space: DataSpace, n: int, rngs: Generators, variables: Sequence[str]
+        self, space: DataSpace, rows: int, n: int, rngs: Generators, variables: Sequence[str]
     ) -> np.ndarray:
         """Per generator, n stored row picks; a column is gathered only if it is requested."""
-        picks = np.empty((len(rngs), n), dtype=np.intp)
-        for row, rng in zip(picks, rngs):
+        picks = np.empty((rows, n), dtype=np.intp)
+        for row, rng in zip(picks, rngs, strict=True):
             row[:] = rng.choice(len(self.samples), size=n, p=self.weights)
         out = np.empty((len(variables), *picks.shape))
         for i, var in enumerate(variables):

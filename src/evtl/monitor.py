@@ -245,9 +245,10 @@ def _score(
             for a in group:
                 target = isinstance(a, Target)
                 # islice takes no stream past the block
-                rngs = list(islice(streams.get(a, repeat(None)), t1 - t0))
+                rngs = islice(streams.get(a, repeat(None)), t1 - t0)
                 n_ref = base_runs if target else runs
-                ref = pen.project(a.dist.sample_block(space, n_ref, rngs, pen.variables), taus)
+                block = a.dist.sample_block(space, t1 - t0, n_ref, rngs, pen.variables)
+                ref = pen.project(block, taus)
                 obs = seen if target else seen[:, :base_runs]
                 d = scale * (one_sided_rows(ref, obs) if target else one_sided_rows(obs, ref))
                 series[a][t0:t1] = a.threshold - d if target else d - a.threshold

@@ -182,13 +182,31 @@ def test_reference_samples_only_the_variables_it_constrains(kind):
     dist = OWN_REFERENCES[kind]
     rngs = [np.random.default_rng(0)]
     with pytest.raises(KeyError):
-        dist.sample_block(XYZ, 4, rngs, ("x", "z"))
+        dist.sample_block(XYZ, 1, 4, rngs, ("x", "z"))
     ss = dist.sample(XYZ, 4, np.random.default_rng(0))
     assert ss.space.names == dist.variables()
     # the domains are the space's, and every draw is clamped into them
     assert ss.space.domains == (XYZ.domain("y"), XYZ.domain("x"))
     for row in ss.values.tolist():
         ss.space.state(dict(zip(ss.space.names, row)))
+
+
+@pytest.mark.parametrize("kind", ["normal", "empirical"])
+def test_sample_block_draws_each_generator_before_taking_the_next(kind):
+    taken = []
+
+    def rngs():
+        for seed in range(3):
+            if taken:
+                fresh = np.random.default_rng(seed - 1).bit_generator.state
+                assert taken[-1].bit_generator.state != fresh
+            taken.append(np.random.default_rng(seed))
+            yield taken[-1]
+
+    assert OWN_REFERENCES[kind].sample_block(XYZ, 3, 4, rngs(), ("y",)).shape == (1, 3, 4)
+    # fewer generators than rows
+    with pytest.raises(ValueError):
+        OWN_REFERENCES[kind].sample_block(XYZ, 3, 4, iter(taken[:2]), ("y",))
 
 
 def test_empirical_ref_weights(space):

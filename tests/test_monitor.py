@@ -608,7 +608,7 @@ def test_sample_block_rows_are_one_generator_each(case):
     space = mixed_estimate(names, 0, 1).space
     variables = variables or tuple(v for v in space.names if v in dist.variables())
     rngs = [np.random.default_rng(s) for s in range(4)]
-    block = dist.sample_block(space, 9, rngs, variables)
+    block = dist.sample_block(space, 4, 9, iter(rngs), variables)
     written = [np.random.default_rng(s) for s in range(4)]
     samples = [written_out_sample(dist, space, 9, rng) for rng in written]
     want = np.stack([ss.values for ss in samples])
