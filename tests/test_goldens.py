@@ -16,6 +16,9 @@ indices of two and three 32-bit words, so multi-word stream keys are
 pinned. The ``-shuffled`` cases run a 7-state chain from ``tests/data``
 whose values are listed out of order, with zero transitions and two rows
 that sum to 1 - 1 ulp, so the kernel's value-to-state mapping is pinned.
+``distance-p1-p2-blocks`` compares 100 runs against 1000 over 41 steps,
+so each system is read as six blocks of up to eight time indices, three
+of which hold no observed time.
 ``check-p1-empirical`` reads a formula whose atoms resample a
 stored file; its path is relative to the repository root, where every
 case runs, so the printed formula (and the stdout hash) is the same on
@@ -66,6 +69,11 @@ CASES: dict[str, list[str]] = {
     "distance-p1-p2-exp": [
         "distance", *P1, "--against", P2[1], "--penalty", "rho2",
         "--steps", "20", "--runs", "30", "--ell", "3", "--set", "discount=exp:0.9",
+    ],
+    "distance-p1-p2-blocks": [
+        "distance", *P1, "--against", P2[1], "--penalty", "rho3",
+        "--steps", "40", "--runs", "100", "--ell", "10",
+        "--set", "obs-times=0,3,17-19,40", "--set", "discount=exp:0.95",
     ],
     "distance-p2-p1": [
         "distance", *P2, "--against", P1[1], "--penalty", "rho1",
@@ -177,6 +185,10 @@ GOLDEN: dict[str, tuple[str, str]] = {
     "distance-p1-p2-exp": (
         "9558fec3539ce81295825a808dcdf0063ee2d68bf2d28d9983065037d7c34a67",
         "321cb9aa362c2f33c7feb4e1321c861574b6caf2aefaf98f23e84bf84f37d709",
+    ),
+    "distance-p1-p2-blocks": (
+        "0ba48db0f63220c4153b1b42cde4aaccb2b63f3994a4f0881970c76d1093ec84",
+        "7b8ac883e6c7a5aa46dcba9ba2e0cbdbbc680d498388b6be5106cb957f45eaba",
     ),
     "distance-p2-p1": (
         "51bf6e64586e0f2eeaba5754023e09a9652d168a9b781fbc5941b2214376dab1",
