@@ -19,6 +19,7 @@ from .simulation import (
     EvolutionEstimate,
     MarkovKernel,
     RandomnessPlan,
+    Simulation,
     estimate,
     simulate,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "EvolutionEstimate",
     "MarkovKernel",
     "RandomnessPlan",
+    "Simulation",
     "estimate",
     "simulate",
     "Discount",

@@ -27,7 +27,8 @@ from ._io import write_csv
 from .config import ConfigError, RunConfig, apply_setting, build_model, load_config
 from .monitor import check_formula, save_series
 from .parsing import FormulaError, load_formula
-from .simulation import RandomnessPlan, estimate, run_moments, save_estimate, save_trajectory, simulate
+from .simulation import RandomnessPlan, Simulation, estimate, run_moments, simulate
+from .simulation import save_estimate, save_trajectory
 from .stats import SWEEP_RUNS, error_report, save_error_report
 from .wasserstein import evolution_divergence
 
@@ -108,8 +109,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     if cfg.times is not None and max(cfg.times) > steps:
         raise ConfigError(f"observation times outside 0..{steps}")
     plan = RandomnessPlan(cfg.seed)
-    est_a = estimate(kernel_a, init_a, steps, cfg.runs, plan.scoped(3, 0))
-    est_b = estimate(kernel_b, init_b, steps, cfg.ratio * cfg.runs, plan.scoped(3, 1))
+    est_a = Simulation(kernel_a, init_a, steps, cfg.runs, plan.scoped(3, 0))
+    est_b = Simulation(kernel_b, init_b, steps, cfg.ratio * cfg.runs, plan.scoped(3, 1))
     report = evolution_divergence(est_a, est_b, penalties[name], cfg.discount, cfg.times)
     write_csv(args.out, ("time", "divergence"), ("%d", "%.17g"), [(report.times, report.values)])
     print(

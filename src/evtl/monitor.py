@@ -8,15 +8,15 @@ until). The atoms' series come from the function it is given, so the exact
 chain oracle folds the same way over its own atom values.
 
 Statistical atom values come from one-sided distances between freshly
-sampled reference distributions and the estimated per-step samples,
-computed in blocks of time indices; a check scores each block as it is
-simulated. States are held variable-major, (dim, width, runs), the layout
-the kernels step in, and a penalty reads only the rows of its own
-variables. Each index draws its reference from its own stream, but a
-block's draws come from one ``sample_block`` call for just those
-variables and go through one penalty projection and one row-wise sort,
-so only the generator call is paid per index. Atoms that share a penalty
-share the projection of the block's observed rows.
+sampled reference distributions and the estimated per-step samples.
+:func:`evaluate` reads these as ``est.blocks(width)`` of a stored estimate
+or, in a check, of a ``Simulation``, variable-major (dim, width, runs):
+the layout the kernels step in, and a penalty reads only the rows of its
+own variables. Each index draws its reference from its own stream, but a
+block's draws come from one ``sample_block`` call for just those variables
+and go through one penalty projection and one row-wise sort, so only the
+generator call is paid per index. Atoms that share a penalty share the
+projection of the block's observed rows.
 
 Atom sampling draws from RNG streams keyed by the atom's printed form and
 the time index, never by its position in the tree. Two consequences, both
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice, repeat
-from typing import Callable, Iterable, Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -54,12 +54,12 @@ from .formulas import (
     horizon,
     validate,
 )
-from .simulation import EvolutionEstimate, MarkovKernel, RandomnessPlan, _paths, _run_noise
-from .spaces import DataSpace, DataState, Penalty
+from .simulation import EvolutionEstimate, MarkovKernel, RandomnessPlan, Simulation
+from .spaces import DataState, Penalty
 
 # estimate and one_sided_wasserstein are not called here; bench/run.py traces these names
 from .simulation import estimate  # noqa: F401
-from .wasserstein import one_sided_rows, one_sided_wasserstein  # noqa: F401
+from .wasserstein import _BLOCK_VALUES, one_sided_rows, one_sided_wasserstein  # noqa: F401
 
 __all__ = [
     "UntilMode",
@@ -202,28 +202,27 @@ def robustness(
     return RobustnessSeries(values, horizon(formula))
 
 
-# states per block of time indices; no block temporary holds more states than this
-_BLOCK_VALUES = 1 << 13
-
-
-def _score(
+def evaluate(
+    est: EvolutionEstimate | Simulation,
     formula: Formula,
-    space: DataSpace,
     base_runs: int,
     plan: RandomnessPlan,
-    steps: int,
-    blocks: Iterable[tuple[int, np.ndarray]],
-    discount: Discount,
-    until_mode: UntilMode,
+    discount: Discount = Discount(),
+    until_mode: UntilMode = "semantics",
 ) -> RobustnessSeries:
-    """Robustness series of a formula from ``(t0, states)`` blocks over 0..steps.
+    """Robustness series of a formula over a stored estimate or a ``Simulation``.
 
-    ``states`` is variable-major, (dim, width, l*N): ``states[:, r]`` holds
-    index t0 + r, read only until the next block is taken. Each penalty
-    projects a block's observed rows once for all of its atoms. Each
-    distinct atom draws index t's reference, only the penalty's variables,
-    from stream ``(1, *words, t)``.
+    ``base_runs`` is the reference sample size N; ``est`` must hold l*N runs
+    for an integer oversampling ratio l >= 1. Target atoms compare N
+    reference samples against all l*N estimate samples; hazard atoms
+    compare the first N estimate samples against l*N reference samples.
     """
+    if not 0 < base_runs <= est.runs or est.runs % base_runs != 0:
+        raise ValueError(f"estimate holds {est.runs} runs, not a multiple of N={base_runs}")
+    validate(formula, est.space)
+    # a Simulation draws its noise here, before anything else sized by the steps is built
+    blocks = est.blocks(max(1, _BLOCK_VALUES // est.runs))
+    space, steps = est.space, est.steps
     series = {a: np.empty(steps + 1) for a in atoms(formula)}
     # a point mass draws nothing, so it takes no streams; the others keep theirs across blocks
     keys = {a: (1, *content_words(a)) for a in series if not isinstance(a.dist, PointMass)}
@@ -255,30 +254,6 @@ def _score(
     return robustness(formula, steps, series.__getitem__, until_mode)
 
 
-def evaluate(
-    est: EvolutionEstimate,
-    formula: Formula,
-    base_runs: int,
-    plan: RandomnessPlan,
-    discount: Discount = Discount(),
-    until_mode: UntilMode = "semantics",
-) -> RobustnessSeries:
-    """Robustness series of a formula over an existing estimate.
-
-    ``base_runs`` is the reference sample size N; the estimate must hold
-    l*N runs for an integer oversampling ratio l >= 1. Target atoms compare
-    N reference samples against all l*N estimate samples; hazard atoms
-    compare the first N estimate samples against l*N reference samples.
-    """
-    if base_runs < 1 or est.runs % base_runs != 0:
-        raise ValueError(f"estimate holds {est.runs} runs, not a multiple of N={base_runs}")
-    validate(formula, est.space)
-    width = max(1, _BLOCK_VALUES // est.runs)
-    values = np.moveaxis(est.values, -1, 0)
-    blocks = ((t0, values[:, t0 : t0 + width]) for t0 in range(0, est.steps + 1, width))
-    return _score(formula, est.space, base_runs, plan, est.steps, blocks, discount, until_mode)
-
-
 def check_formula(
     kernel: MarkovKernel,
     initial: DataState,
@@ -293,22 +268,17 @@ def check_formula(
     """Simulate ratio * N runs; return the formula's series, scored as the states come.
 
     ``steps`` defaults to the formula horizon, the shortest run for which
-    the verdict at time 0 is reliable. The series is bit for bit that of
-    :func:`evaluate` on the ratio * N run estimate, which is never stored: a
-    check holds the (l*N, steps) noise, drawn per run up front because a
-    run's stream is consumed in step order, and one block of states. Like
-    the simulations, it raises ``FloatingPointError`` on an overflow.
+    the verdict at time 0 is reliable. As :func:`evaluate` of a ``Simulation``, the series is
+    that of the stored estimate bit for bit; it raises ``FloatingPointError`` on an overflow.
     """
     if ratio < 1:
         raise ValueError("oversampling ratio must be >= 1")
     if base_runs < 1:
         raise ValueError("need at least one reference run")
-    validate(formula, kernel.space)
     k = horizon(formula) if steps is None else steps
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        noise = _run_noise(kernel, plan, k, range(ratio * base_runs))
-        blocks = _paths(kernel, initial, noise, max(1, _BLOCK_VALUES // len(noise)))
-        return _score(formula, kernel.space, base_runs, plan, k, blocks, discount, until_mode)
+        sim = Simulation(kernel, initial, k, ratio * base_runs, plan)
+        return evaluate(sim, formula, base_runs, plan, discount, until_mode)
 
 
 def save_series(dest, series: RobustnessSeries) -> None:

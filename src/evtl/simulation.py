@@ -7,9 +7,10 @@ given one noise value per run and step. A step's states are a (dim, N)
 array, one contiguous row per variable, so a kernel updates each variable,
 or a group of like variables, for every run in one wide array operation,
 and it can keep its own per-block representation (a chain steps in state
-indices) between the steps of a block. The consumers (:func:`estimate`,
-:func:`run_moments` and ``monitor.check_formula``) read the states one
-block of time indices at a time. Everything stochastic flows through a
+indices) between the steps of a block. Consumers read the states one block
+of time indices at a time; a scorer reads the ``blocks(width)`` of an
+:class:`EvolutionEstimate` or of a :class:`Simulation`, which steps again at
+each read and stores nothing. Everything stochastic flows through a
 :class:`RandomnessPlan`, which derives independent, reproducible generator
 streams from a single master seed and a structured purpose key. Run j of
 an estimate always draws from stream ``(0, j)``, so a run's states do not
@@ -34,6 +35,7 @@ __all__ = [
     "MarkovKernel",
     "RandomnessPlan",
     "EvolutionEstimate",
+    "Simulation",
     "simulate",
     "estimate",
     "run_moments",
@@ -203,11 +205,18 @@ class EvolutionEstimate:
         """(steps+1, runs) slice of one variable."""
         return self.values[:, :, self.space.index(name)]
 
+    def blocks(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Steps 0..steps as ``(t0, block)``; ``block`` is a (dim, w, runs) view, w <= width."""
+        values = np.moveaxis(self.values, -1, 0)
+        return ((t0, values[:, t0 : t0 + width]) for t0 in range(0, self.steps + 1, width))
+
 
 def _run_noise(kernel: MarkovKernel, plan: RandomnessPlan, steps: int, runs: range) -> np.ndarray:
     """(len(runs), steps) noise; row j holds the draws of run runs[j], from stream (0, run)."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not runs:
+        raise ValueError("need at least one run")
     noise = np.empty((len(runs), steps))
     for row, rng in zip(noise, plan.substreams((0,), runs)):
         kernel.noise(rng, row)
@@ -239,6 +248,30 @@ def _paths(
         kernel.advance(block[:, -1], noise[:, t0 - 1 : t0 - 1 + w].T, block[:, :w])
         block = block[:, :w]
         yield t0, block
+
+
+@dataclass(frozen=True)
+class Simulation:
+    """The runs of :func:`estimate` with the same arguments, stepped again at each read."""
+
+    kernel: MarkovKernel
+    initial: DataState
+    steps: int
+    runs: int
+    plan: RandomnessPlan
+
+    @property
+    def space(self) -> DataSpace:
+        return self.kernel.space
+
+    def blocks(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
+        """The estimate's blocks bit for bit, each read only until the next is taken.
+
+        Draws and checks the (runs, steps) noise when called; a read holds it and one
+        block, and follows the caller's numpy error state.
+        """
+        noise = _run_noise(self.kernel, self.plan, self.steps, range(self.runs))
+        return _paths(self.kernel, self.initial, noise, width)
 
 
 # floats per block of _collect and run_moments; a block is a copy next to what
@@ -288,8 +321,6 @@ def estimate(
     Run j always uses stream ``(0, j)`` of the plan, so the first N runs of
     any larger estimate equal the N-run estimate.
     """
-    if runs < 1:
-        raise ValueError("need at least one run")
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         return _collect(kernel, initial, _run_noise(kernel, plan, steps, range(runs)))
 

@@ -208,7 +208,7 @@ class SampleSet:
 
     def take(self, n: int) -> "SampleSet":
         """First n rows, preserving stored order."""
-        if n > len(self):
+        if not 0 <= n <= len(self):
             raise ValueError(f"cannot take {n} of {len(self)} samples")
         return SampleSet(self.space, self.values[:n])
 

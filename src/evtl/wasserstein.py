@@ -33,6 +33,8 @@ __all__ = [
     "evolution_divergence",
 ]
 
+_BLOCK_VALUES = 1 << 13  # states per block of time indices, in each evolution a scorer reads
+
 
 def exact_one_sided_wasserstein(
     a_values: np.ndarray,
@@ -146,19 +148,22 @@ def evolution_divergence(
 ) -> DivergenceReport:
     """Discounted one-sided divergence from evolution A to evolution B.
 
-    ``a`` and ``b`` are evolution estimates over the same space; at every
-    observed step the one-sided distance is scaled by the discount factor and
-    the report keeps the whole profile. Symmetrize by taking the max with
-    the swapped call when a two-sided comparison is wanted. The observed
-    steps of each estimate are projected at once, every step at its own
-    time index, and compared row by row.
+    ``a`` and ``b``, stored estimates or ``Simulation``s over one space, are
+    read in lockstep as ``blocks(width)`` at one width, taken first, so a
+    simulation too long to hold fails before anything else sized by its steps
+    is built. In each block the penalty projects the observed steps of its
+    rows at their own time indices; the row-wise distances are scaled by the
+    discount factor. Symmetrize with the max of the swapped call.
     """
     if a.space != b.space:
         raise ValueError("estimates live on different spaces")
+    pairs = zip(*(e.blocks(max(1, _BLOCK_VALUES // max(a.runs, b.runs, 1))) for e in (a, b)))
     times = _observation_times(times, min(a.steps, b.steps))
-    at = np.array(times)
-    omega, nu = (
-        penalty.project(e.space.rows(e.values[at], penalty.variables), at[:, None]) for e in (a, b)
-    )
-    vals = tuple(discount(t) * d for t, d in zip(times, one_sided_rows(omega, nu).tolist()))
-    return DivergenceReport(times, vals)
+    at, factors = np.array(times), discount.factors(times[-1])
+    rows, vals = [a.space.index(v) for v in penalty.variables], []
+    for (t0, x), (_, y) in pairs:
+        seen = at[(at >= t0) & (at < t0 + min(x.shape[1], y.shape[1]))]
+        if len(seen):
+            omega, nu = (penalty.project(e[np.ix_(rows, seen - t0)], seen[:, None]) for e in (x, y))
+            vals += (factors[seen] * one_sided_rows(omega, nu)).tolist()
+    return DivergenceReport(times, tuple(vals))

@@ -576,8 +576,11 @@ _PIB = str(2**47)
         (f"F[0,{_PIB}] true", ["check", "--runs", "1", "--ell", "1"]),
         ("F[0,3] true", ["check", "--steps", _PIB]),
         (None, ["estimate", "--steps", _PIB, "--runs", "1"]),
+        (None, ["distance", "--config", str(REPO / "presets" / "three-tanks-scenario-1.cfg"),
+                "--against", str(REPO / "presets" / "three-tanks-scenario-2.cfg"),
+                "--penalty", "rho3", "--steps", _PIB, "--runs", "1"]),
     ],
-    ids=["check-horizon", "check-steps", "estimate-steps"],
+    ids=["check-horizon", "check-steps", "estimate-steps", "distance-steps"],
 )
 def test_running_out_of_memory_exits_4(formula, argv, tmp_path, capsys):
     if formula is not None:

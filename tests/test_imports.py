@@ -1,7 +1,8 @@
 """Every module under ``src/evtl`` uses each name it imports, and each private name it defines;
 ``formulas.fold`` is the one walk that matches on formula node kinds, ``formulas`` the one
 module that reads a node's children, and ``FiniteChain`` the one owner of the map from values
-to chain states."""
+to chain states. Only ``simulation`` reads a run's noise and paths: every other module
+reads states through ``blocks(width)``."""
 
 import ast
 from pathlib import Path
@@ -160,3 +161,17 @@ def test_finite_chain_is_the_only_value_to_state_map():
         if getattr(stmt, "name", None) != "FiniteChain" and _reads(stmt) & STATE_MAPS
     }
     assert not outside, f"map values to states with FiniteChain.state_index: {sorted(outside)}"
+
+
+# how a simulation draws and steps its runs; a scorer reads states through ``blocks(width)``
+SIMULATION_INTERNALS = {"_run_noise", "_paths"}
+
+
+def test_only_simulation_draws_and_steps_runs():
+    readers = {
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "simulation"
+        and _reads(ast.parse(path.read_text(encoding="utf-8"))) & SIMULATION_INTERNALS
+    }
+    assert not readers, f"read states as a Simulation's blocks(width): {sorted(readers)}"

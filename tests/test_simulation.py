@@ -10,6 +10,7 @@ from evtl._seed_words import SeedWords
 from evtl.chains import ChainKernel, FiniteChain, load_chain, transient_distributions
 from evtl.simulation import (
     RandomnessPlan,
+    Simulation,
     estimate,
     run_moments,
     save_estimate,
@@ -228,6 +229,29 @@ SHUFFLED = ChainKernel(load_chain(str(REPO / "tests" / "data" / "shuffled-chain.
 )
 def test_paths_block_width_does_not_change_bits(kernel, initial):
     assert_widths_agree(kernel, initial or kernel.initial_state())
+
+
+@pytest.mark.parametrize("width", [1, 3, 21])
+def test_simulation_blocks_equal_the_estimates_blocks(width):
+    kernel = TankKernel(TankParams(), 1)
+    args = (kernel, kernel.initial_state(), 20, 7, RandomnessPlan(11))
+    sim, est = Simulation(*args), estimate(*args)
+    assert (sim.space, sim.steps, sim.runs) == (est.space, est.steps, est.runs)
+    # a second read simulates again and gives the same bits
+    for _ in range(2):
+        got = [(t0, block.copy()) for t0, block in sim.blocks(width)]
+        want = list(est.blocks(width))
+        assert [t0 for t0, _ in got] == [t0 for t0, _ in want] == list(range(0, 21, width))
+        for (_, a), (_, b) in zip(got, want):
+            assert a.tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def test_simulation_checks_its_runs_and_steps_when_read():
+    k = WalkKernel()
+    for runs, steps, match in ((0, 5, "at least one run"), (3, -1, "steps must be")):
+        sim = Simulation(k, k.space.state(x=0.5), steps, runs, RandomnessPlan(1))
+        with pytest.raises(ValueError, match=match):
+            sim.blocks(4)
 
 
 def test_paths_with_no_steps_yield_the_initial_block():

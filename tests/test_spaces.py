@@ -110,8 +110,9 @@ def test_sample_set_row_order_and_take(unit_space):
     assert ss.state(1)["x"] == 0.9
     assert ss.column("x").tolist() == [0.1, 0.9, 0.5]
     assert ss.take(2).column("x").tolist() == [0.1, 0.9]
-    with pytest.raises(ValueError):
-        ss.take(4)
+    for n in (4, -1):
+        with pytest.raises(ValueError, match=f"cannot take {n} of 3"):
+            ss.take(n)
 
 
 def test_sample_csv_round_trip(tmp_path, unit_space):

@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import wasserstein_distance
 
+from evtl import wasserstein
+from evtl.config import RunConfig, apply_setting, build_model, load_config
 from evtl.formulas import Discount
-from evtl.simulation import RandomnessPlan, estimate
+from evtl.simulation import RandomnessPlan, Simulation, estimate
 from evtl.spaces import SampleSet
 from evtl.wasserstein import (
     evolution_divergence,
@@ -14,6 +18,8 @@ from evtl.wasserstein import (
 )
 
 from conftest import unit_samples
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 # --- exact oracle ----------------------------------------------------------
@@ -240,3 +246,43 @@ def test_evolution_divergence_times_subset(unit_space, unit_penalty):
     for times, match in (((0, 99), "outside 0..8"), ((3, -2), "negative"), ((), "no obs")):
         with pytest.raises(ValueError, match=match):
             evolution_divergence(est_a, est_b, unit_penalty, times=times)
+
+
+def system_pair(case):
+    """Two systems on one space, each as (kernel, initial), and the penalty comparing them."""
+    if case == "tanks":
+        presets = REPO / "presets"
+        cfgs = [load_config(str(presets / f"three-tanks-scenario-{i}.cfg")) for i in (1, 2)]
+        name = "rho3"
+    else:
+        chain = apply_setting(RunConfig(), "model", "chain")
+        files = (REPO / "chains" / f for f in ("drift.json", "drift-fast.json"))
+        cfgs = [apply_setting(chain, "chain.file", str(f)) for f in files]
+        name = "rho"
+    (ka, ia, penalties), (kb, ib, _) = (build_model(cfg) for cfg in cfgs)
+    return (ka, ia), (kb, ib), penalties[name]
+
+
+# 630 states per block puts 7 time indices of 90 runs in a block: six blocks
+# over 41 indices, three of which hold no time of the subset
+@pytest.mark.parametrize("block_values", [wasserstein._BLOCK_VALUES, 630])
+@pytest.mark.parametrize("case", ["tanks", "drift"])
+def test_divergence_of_simulations_equals_the_stored_route(case, block_values, monkeypatch):
+    monkeypatch.setattr(wasserstein, "_BLOCK_VALUES", block_values)
+    (ka, ia), (kb, ib), penalty = system_pair(case)
+    plan, discount = RandomnessPlan(17), Discount.exponential(0.95)
+    args_a = (ka, ia, 40, 30, plan.scoped(3, 0))
+    args_b = (kb, ib, 40, 90, plan.scoped(3, 1))
+    est_a, est_b = estimate(*args_a), estimate(*args_b)
+    sim_a, sim_b = Simulation(*args_a), Simulation(*args_b)
+    for times in (None, (0, 3, 17, 18, 19, 40)):
+        observed = range(41) if times is None else times
+        # one one-row comparison per time, scaled by its factor
+        want = [
+            discount(t) * one_sided_wasserstein(est_a.at(t), est_b.at(t), penalty, t)
+            for t in observed
+        ]
+        for a, b in ((sim_a, sim_b), (est_a, est_b), (sim_a, est_b), (est_a, sim_b)):
+            got = evolution_divergence(a, b, penalty, discount, times)
+            assert got.times == tuple(observed)
+            assert np.array(got.values).tobytes() == np.array(want).tobytes()
