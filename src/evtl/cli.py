@@ -27,8 +27,8 @@ from ._io import write_csv
 from .config import ConfigError, RunConfig, apply_setting, build_model, load_config
 from .monitor import check_formula, save_series
 from .parsing import FormulaError, load_formula
-from .simulation import RandomnessPlan, Simulation, estimate, run_moments, simulate
-from .simulation import save_estimate, save_trajectory
+from .simulation import EvolutionEstimate, RandomnessPlan, Simulation, estimate, run_moments
+from .simulation import save_estimate, save_trajectory, simulate
 from .stats import SWEEP_RUNS, error_report, save_error_report
 from .wasserstein import evolution_divergence
 
@@ -106,8 +106,10 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     if name not in penalties:
         raise ConfigError(f"unknown penalty {name!r} (one of {', '.join(sorted(penalties))})")
     steps = cfg.require_steps()
-    if cfg.times is not None and max(cfg.times) > steps:
+    if cfg.times is not None and cfg.times[-1] > steps:
         raise ConfigError(f"observation times outside 0..{steps}")
+    # a run's first states do not depend on its later noise: stop at the last observed time
+    steps = steps if cfg.times is None else cfg.times[-1]
     plan = RandomnessPlan(cfg.seed)
     est_a = Simulation(kernel_a, init_a, steps, cfg.runs, plan.scoped(3, 0))
     est_b = Simulation(kernel_b, init_b, steps, cfg.ratio * cfg.runs, plan.scoped(3, 1))
@@ -182,14 +184,13 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     reference = None
     if args.reference_runs is not None:
         reference = run_moments(kernel, init, steps, args.reference_runs, plan.scoped(2))
-    if args.sweep:
-        stem = args.out[: -len(".csv")]
-        for n in SWEEP_RUNS:
-            est = estimate(kernel, init, steps, n, plan)
-            save_error_report(f"{stem}-n{n}.csv", error_report(est, reference))
-        return 0
-    est = estimate(kernel, init, steps, cfg.runs, plan)
-    save_error_report(args.out, error_report(est, reference))
+    # the first n runs of an estimate are the n-run estimate, so the runs are simulated once
+    counts = SWEEP_RUNS if args.sweep else (cfg.runs,)
+    est = estimate(kernel, init, steps, max(counts), plan)
+    for n in counts:
+        dest = f"{args.out[: -len('.csv')]}-n{n}.csv" if args.sweep else args.out
+        report = error_report(EvolutionEstimate(est.space, est.values[:, :n]), reference)
+        save_error_report(dest, report)
     return 0
 
 

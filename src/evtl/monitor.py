@@ -10,13 +10,15 @@ chain oracle folds the same way over its own atom values.
 Statistical atom values come from one-sided distances between freshly
 sampled reference distributions and the estimated per-step samples.
 :func:`evaluate` reads these as ``est.blocks(width)`` of a stored estimate
-or, in a check, of a ``Simulation``, variable-major (dim, width, runs):
-the layout the kernels step in, and a penalty reads only the rows of its
-own variables. Each index draws its reference from its own stream, but a
-block's draws come from one ``sample_block`` call for just those variables
-and go through one penalty projection and one row-wise sort, so only the
-generator call is paid per index. Atoms that share a penalty share the
-projection of the block's observed rows.
+or, in a check, of a ``Simulation``, at ``simulation._block_width``,
+variable-major (dim, width, runs): the layout the kernels step in, and a
+penalty reads only the rows of its own variables. Each index draws its
+reference from its own stream, but a block's draws come from one
+``sample_block`` call for just those variables and go through one penalty
+projection and one row-wise sort, so only the generator call is paid per
+index. Atoms that share a penalty share the projection of the block's
+observed rows. Kernel steps and penalty scores raise their own numeric
+failures under any error state.
 
 Atom sampling draws from RNG streams keyed by the atom's printed form and
 the time index, never by its position in the tree. Two consequences, both
@@ -54,12 +56,12 @@ from .formulas import (
     horizon,
     validate,
 )
-from .simulation import EvolutionEstimate, MarkovKernel, RandomnessPlan, Simulation
+from .simulation import EvolutionEstimate, MarkovKernel, RandomnessPlan, Simulation, _block_width
 from .spaces import DataState, Penalty
 
 # estimate and one_sided_wasserstein are not called here; bench/run.py traces these names
 from .simulation import estimate  # noqa: F401
-from .wasserstein import _BLOCK_VALUES, one_sided_rows, one_sided_wasserstein  # noqa: F401
+from .wasserstein import one_sided_rows, one_sided_wasserstein  # noqa: F401
 
 __all__ = [
     "UntilMode",
@@ -221,7 +223,7 @@ def evaluate(
         raise ValueError(f"estimate holds {est.runs} runs, not a multiple of N={base_runs}")
     validate(formula, est.space)
     # a Simulation draws its noise here, before anything else sized by the steps is built
-    blocks = est.blocks(max(1, _BLOCK_VALUES // est.runs))
+    blocks = est.blocks(_block_width(est.runs))
     space, steps = est.space, est.steps
     series = {a: np.empty(steps + 1) for a in atoms(formula)}
     # a point mass draws nothing, so it takes no streams; the others keep theirs across blocks
@@ -269,16 +271,15 @@ def check_formula(
 
     ``steps`` defaults to the formula horizon, the shortest run for which
     the verdict at time 0 is reliable. As :func:`evaluate` of a ``Simulation``, the series is
-    that of the stored estimate bit for bit; it raises ``FloatingPointError`` on an overflow.
+    that of the stored estimate bit for bit.
     """
     if ratio < 1:
         raise ValueError("oversampling ratio must be >= 1")
     if base_runs < 1:
         raise ValueError("need at least one reference run")
     k = horizon(formula) if steps is None else steps
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        sim = Simulation(kernel, initial, k, ratio * base_runs, plan)
-        return evaluate(sim, formula, base_runs, plan, discount, until_mode)
+    sim = Simulation(kernel, initial, k, ratio * base_runs, plan)
+    return evaluate(sim, formula, base_runs, plan, discount, until_mode)
 
 
 def save_series(dest, series: RobustnessSeries) -> None:

@@ -10,13 +10,14 @@ and it can keep its own per-block representation (a chain steps in state
 indices) between the steps of a block. Consumers read the states one block
 of time indices at a time; a scorer reads the ``blocks(width)`` of an
 :class:`EvolutionEstimate` or of a :class:`Simulation`, which steps again at
-each read and stores nothing. Everything stochastic flows through a
-:class:`RandomnessPlan`, which derives independent, reproducible generator
-streams from a single master seed and a structured purpose key. Run j of
-an estimate always draws from stream ``(0, j)``, so a run's states do not
-depend on which other runs share its batch. An overflow, an invalid
-operation or a division by zero inside a simulation raises
-``FloatingPointError``; underflow to zero is a value.
+each read and stores nothing; every reader sizes its blocks by
+:func:`_block_width`, and no width changes a bit. A kernel step raises
+``FloatingPointError`` on an overflow, an invalid operation or a division
+by zero under any error state; underflow to zero is a value. Everything
+stochastic flows through a :class:`RandomnessPlan`, which derives
+independent, reproducible generator streams from a single master seed and a
+structured purpose key. Run j of an estimate always draws from stream
+``(0, j)``, so a run's states do not depend on which runs share its batch.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class MarkovKernel(Protocol):
     def space(self) -> DataSpace: ...
 
     def noise(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Fill ``out`` with one run's draws, one value per step."""
+        """Fill ``out`` with one run's draws, one per step; arithmetic belongs in ``advance``."""
         ...
 
     def advance(self, values: np.ndarray, noise: np.ndarray, out: np.ndarray) -> None:
@@ -207,6 +208,8 @@ class EvolutionEstimate:
 
     def blocks(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
         """Steps 0..steps as ``(t0, block)``; ``block`` is a (dim, w, runs) view, w <= width."""
+        if width < 1:
+            raise ValueError("block width must be >= 1")
         values = np.moveaxis(self.values, -1, 0)
         return ((t0, values[:, t0 : t0 + width]) for t0 in range(0, self.steps + 1, width))
 
@@ -240,12 +243,12 @@ def _paths(
     width = min(width, steps + 1)
     block = np.empty((kernel.space.dim, width, runs))
     block[:, 0] = np.asarray(initial.values, dtype=np.float64)[:, None]
-    kernel.advance(block[:, 0], noise[:, : width - 1].T, block[:, 1:])
-    yield 0, block
-    for t0 in range(width, steps + 1, width):
+    for t0 in range(0, steps + 1, width):
         w = min(width, steps + 1 - t0)
-        # the next block steps from the last state of this one, in place
-        kernel.advance(block[:, -1], noise[:, t0 - 1 : t0 - 1 + w].T, block[:, :w])
+        s = int(t0 == 0)  # block 0 starts at the initial state, later ones step on from the last
+        # an errstate held across the yield would leak into the reader's context
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            kernel.advance(block[:, s - 1], noise[:, t0 + s - 1 : t0 + w - 1].T, block[:, s:w])
         block = block[:, :w]
         yield t0, block
 
@@ -265,31 +268,26 @@ class Simulation:
         return self.kernel.space
 
     def blocks(self, width: int) -> Iterator[tuple[int, np.ndarray]]:
-        """The estimate's blocks bit for bit, each read only until the next is taken.
-
-        Draws and checks the (runs, steps) noise when called; a read holds it and one
-        block, and follows the caller's numpy error state.
-        """
+        """The estimate's blocks bit for bit, from noise drawn now; each valid until the next."""
+        if width < 1:
+            raise ValueError("block width must be >= 1")
         noise = _run_noise(self.kernel, self.plan, self.steps, range(self.runs))
         return _paths(self.kernel, self.initial, noise, width)
 
 
-# floats per block of _collect and run_moments; a block is a copy next to what
-# they keep, so it stays at one step of six variables over 1024 runs and moves
-# no peak
-_BLOCK_FLOATS = 1 << 13
+_BLOCK_VALUES = 1 << 13  # run states per block, for every reader of runs
 
 
-def _width(space: DataSpace, runs: int) -> int:
-    """Steps per block of _collect and run_moments."""
-    return max(1, _BLOCK_FLOATS // (space.dim * runs))
+def _block_width(runs: int) -> int:
+    """Steps per block of a reader of ``runs`` runs; never changes a bit."""
+    return max(1, _BLOCK_VALUES // max(runs, 1))
 
 
 def _collect(kernel: MarkovKernel, initial: DataState, noise: np.ndarray) -> EvolutionEstimate:
     """Every state of the runs whose noise is given, as an estimate."""
     runs, steps = noise.shape
     values = np.empty((steps + 1, runs, kernel.space.dim))
-    for t0, block in _paths(kernel, initial, noise, _width(kernel.space, runs)):
+    for t0, block in _paths(kernel, initial, noise, _block_width(runs)):
         values[t0 : t0 + block.shape[1]] = block.transpose(1, 2, 0)
     return EvolutionEstimate(kernel.space, values)
 
@@ -304,9 +302,8 @@ def simulate(
     if steps < 0:
         raise ValueError("steps must be >= 0")
     noise = np.empty((1, steps))
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        kernel.noise(rng, noise[0])
-        return _collect(kernel, initial, noise)
+    kernel.noise(rng, noise[0])
+    return _collect(kernel, initial, noise)
 
 
 def estimate(
@@ -321,8 +318,7 @@ def estimate(
     Run j always uses stream ``(0, j)`` of the plan, so the first N runs of
     any larger estimate equal the N-run estimate.
     """
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        return _collect(kernel, initial, _run_noise(kernel, plan, steps, range(runs)))
+    return _collect(kernel, initial, _run_noise(kernel, plan, steps, range(runs)))
 
 
 # fixed accumulation block for run_moments; the float fold order, and so the
@@ -347,10 +343,11 @@ def run_moments(
     if runs < 1:
         raise ValueError("need at least one run")
     total = np.zeros((steps + 1, kernel.space.dim))
+    # the run sum can overflow where no step does, near bounds of 1e308
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for a in range(0, runs, _MOMENT_BLOCK):
             noise = _run_noise(kernel, plan, steps, range(a, min(a + _MOMENT_BLOCK, runs)))
-            for t0, block in _paths(kernel, initial, noise, _width(kernel.space, len(noise))):
+            for t0, block in _paths(kernel, initial, noise, _block_width(len(noise))):
                 # an accumulation's last entry adds the runs one after another; a
                 # plain sum along the row would be pairwise and change the last bits
                 total[t0 : t0 + block.shape[1]] += np.add.accumulate(block, axis=2)[:, :, -1].T

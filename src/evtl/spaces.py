@@ -225,7 +225,7 @@ class Penalty:
     of shape ``lead``, one per state. ``tau`` is the time index: an int, or
     an integer array that broadcasts over ``lead``, so one call can score
     the states of many time indices. Scores are clamped to [0, 1]; a NaN
-    score raises ``ValueError``.
+    score raises ``ValueError``, a numeric failure ``FloatingPointError``.
     """
 
     __slots__ = ("name", "variables", "fn")
@@ -245,7 +245,8 @@ class Penalty:
         if len(rows) != len(self.variables):
             n = len(self.variables)
             raise ValueError(f"penalty {self.name!r} reads {n} variables, got {len(rows)} rows")
-        raw = np.asarray(self.fn(rows, tau), dtype=np.float64)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            raw = np.asarray(self.fn(rows, tau), dtype=np.float64)
         if raw.shape != rows.shape[1:]:
             raise ValueError(f"penalty {self.name!r} returned shape {raw.shape} for {rows.shape}")
         scores = np.clip(raw, 0.0, 1.0)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .spaces import Penalty, SampleSet
 from .formulas import Discount
+from .simulation import _block_width
 
 __all__ = [
     "exact_one_sided_wasserstein",
@@ -32,8 +33,6 @@ __all__ = [
     "DivergenceReport",
     "evolution_divergence",
 ]
-
-_BLOCK_VALUES = 1 << 13  # states per block of time indices, in each evolution a scorer reads
 
 
 def exact_one_sided_wasserstein(
@@ -157,7 +156,7 @@ def evolution_divergence(
     """
     if a.space != b.space:
         raise ValueError("estimates live on different spaces")
-    pairs = zip(*(e.blocks(max(1, _BLOCK_VALUES // max(a.runs, b.runs, 1))) for e in (a, b)))
+    pairs = zip(*(e.blocks(_block_width(max(a.runs, b.runs))) for e in (a, b)))
     times = _observation_times(times, min(a.steps, b.steps))
     at, factors = np.array(times), discount.factors(times[-1])
     rows, vals = [a.space.index(v) for v in penalty.variables], []

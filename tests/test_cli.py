@@ -208,6 +208,31 @@ def test_distance_rejects_observation_times_past_the_steps(tmp_path, capsys):
     assert code == 0 and out.read_text().splitlines()[1:] != []
 
 
+def test_distance_simulates_only_up_to_the_last_observed_time(tmp_path, capsys, monkeypatch):
+    import evtl.cli as cli_mod
+
+    steps = []
+    real = cli_mod.Simulation
+    monkeypatch.setattr(
+        cli_mod, "Simulation", lambda k, x0, n, *rest: steps.append(n) or real(k, x0, n, *rest)
+    )
+    presets = REPO / "presets"
+    args = (
+        "distance", "--config", str(presets / "three-tanks-scenario-1.cfg"), "--against",
+        str(presets / "three-tanks-scenario-2.cfg"), "--penalty", "rho3", "--runs", "100",
+        "--set", "obs-times=0-5",
+    )
+    outputs = []
+    for k in ("1500", "5"):
+        out = tmp_path / f"div-{k}.csv"
+        code, stdout, _ = run(capsys, *args, "--steps", k, "--out", str(out))
+        assert code == 0
+        outputs.append((out.read_bytes(), stdout))
+    # a run's first states do not depend on its later noise
+    assert outputs[0] == outputs[1]
+    assert steps == [5, 5, 5, 5]
+
+
 def test_distance_needs_penalty_choice_for_tanks(tmp_path, capsys):
     cfg = REPO / "presets" / "three-tanks-scenario-1.cfg"
     code, _, err = run(
@@ -303,6 +328,27 @@ def test_stats_sweep_checks_out_before_the_reference(out, capsys, monkeypatch):
         capsys, "stats", "--config", preset, "--reference-runs", "20000", "--sweep", *out
     )
     assert code == 2 and stdout == "" and "--sweep needs --out ending in .csv" in err
+
+
+def test_stats_sweep_simulates_once(tmp_path, capsys, monkeypatch):
+    import evtl.cli as cli_mod
+
+    runs = []
+    real = cli_mod.estimate
+    monkeypatch.setattr(
+        cli_mod, "estimate", lambda k, x0, s, n, plan: runs.append(n) or real(k, x0, s, n, plan)
+    )
+    args = (
+        "stats", "--config", str(REPO / "presets" / "three-tanks-scenario-2.cfg"),
+        "--steps", "5", "--reference-runs", "300",
+    )
+    sweep = tmp_path / "sweep.csv"
+    assert run(capsys, *args, "--sweep", "--out", str(sweep))[0] == 0
+    assert runs == [max(cli_mod.SWEEP_RUNS)]
+    for n in (100, 500):
+        single = tmp_path / f"single-{n}.csv"
+        assert run(capsys, *args, "--runs", str(n), "--out", str(single))[0] == 0
+        assert (tmp_path / f"sweep-n{n}.csv").read_bytes() == single.read_bytes()
 
 
 SHARED = {

@@ -2,7 +2,8 @@
 ``formulas.fold`` is the one walk that matches on formula node kinds, ``formulas`` the one
 module that reads a node's children, and ``FiniteChain`` the one owner of the map from values
 to chain states. Only ``simulation`` reads a run's noise and paths: every other module
-reads states through ``blocks(width)``."""
+reads states through ``blocks(width)``, at the one width rule ``simulation._block_width``.
+Numeric failures are raised where numbers are made, not around the callers."""
 
 import ast
 from pathlib import Path
@@ -175,3 +176,63 @@ def test_only_simulation_draws_and_steps_runs():
         and _reads(ast.parse(path.read_text(encoding="utf-8"))) & SIMULATION_INTERNALS
     }
     assert not readers, f"read states as a Simulation's blocks(width): {sorted(readers)}"
+
+
+def _top_level(path: Path):
+    """``(module.name, statement)`` for each top-level statement; an assignment is named by
+    its first target, anything else unnamed by ``<module>``."""
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        targets = [t.id for t in getattr(stmt, "targets", []) if isinstance(t, ast.Name)]
+        yield f"{path.stem}.{getattr(stmt, 'name', None) or next(iter(targets), '<module>')}", stmt
+
+
+def _mentions(stmt: ast.AST) -> set[str]:
+    """Names a statement reads or binds."""
+    return _reads(stmt) | {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+
+
+# every reader of runs, stored or simulated, sizes its blocks by this rule
+BLOCK_READERS = {
+    "simulation._collect",
+    "simulation.run_moments",
+    "monitor.evaluate",
+    "wasserstein.evolution_divergence",
+}
+
+
+def test_simulation_owns_the_one_block_width_rule():
+    statements = [item for path in sorted(SRC.glob("*.py")) for item in _top_level(path)]
+    owners = {name for name, stmt in statements if "_BLOCK_VALUES" in _mentions(stmt)}
+    assert owners == {"simulation._BLOCK_VALUES", "simulation._block_width"}, owners
+    readers = {name for name, stmt in statements if "_block_width" in _reads(stmt)}
+    # monitor and wasserstein also import it at module level
+    assert readers - {"monitor.<module>", "wasserstein.<module>"} == BLOCK_READERS, readers
+
+
+# where numbers are made (a kernel step, a penalty score, the reference run sum), and the CLI
+ERRSTATE_SITES = {
+    "cli.main",
+    "simulation._paths",
+    "simulation.run_moments",
+    "spaces.Penalty.project",
+}
+
+
+def _errstate_sites(node: ast.AST, name: str):
+    """Qualified names of the definitions under ``node`` that name ``errstate`` or ``seterr``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _errstate_sites(child, f"{name}.{child.name}")
+            continue
+        if {"errstate", "seterr"} & {getattr(child, "attr", getattr(child, "id", None))}:
+            yield name
+        yield from _errstate_sites(child, name)
+
+
+def test_numeric_failures_are_raised_where_numbers_are_made():
+    sites = {
+        site
+        for path in sorted(SRC.glob("*.py"))
+        for site in _errstate_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert sites == ERRSTATE_SITES, f"raise numeric failures where they happen: {sorted(sites)}"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from evtl import monitor
+from evtl import simulation
 from evtl.chains import ChainKernel, load_chain
 from evtl.config import apply_setting, build_model, load_config
 from evtl.formulas import (
@@ -36,9 +36,16 @@ from evtl.monitor import (
     until_combine,
 )
 from evtl.parsing import load_formula
-from evtl.simulation import EvolutionEstimate, RandomnessPlan, estimate, run_moments, simulate
+from evtl.simulation import (
+    EvolutionEstimate,
+    RandomnessPlan,
+    Simulation,
+    estimate,
+    run_moments,
+    simulate,
+)
 from evtl.spaces import DataSpace, FiniteSet, Interval, Penalty, SampleSet, identity_penalty
-from evtl.wasserstein import one_sided_wasserstein
+from evtl.wasserstein import evolution_divergence, one_sided_wasserstein
 
 from test_simulation import WalkKernel, assert_widths_agree
 
@@ -499,7 +506,7 @@ DISCOUNTS = [Discount(), Discount.constant(0.7), Discount.exponential(0.9)]
 def test_atom_series_equals_the_per_index_route(kind, discount, ell, block_values, monkeypatch):
     # 1 << 14 states (like the default, 1 << 13) put the whole horizon in one
     # block; 70 penalty values per block splits it into uneven blocks
-    monkeypatch.setattr(monitor, "_BLOCK_VALUES", block_values)
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", block_values)
     base_runs = 12
     est, _, _ = stochastic_setup(steps=20, runs=ell * base_runs)
     pen = identity_penalty(est.space, "x", name="px")
@@ -570,12 +577,12 @@ def mixed_estimate(names, steps, runs):
     return EvolutionEstimate(space, raw)
 
 
-@pytest.mark.parametrize("block_values", [monitor._BLOCK_VALUES, 70])
+@pytest.mark.parametrize("block_values", [simulation._BLOCK_VALUES, 70])
 @pytest.mark.parametrize("ell", [1, 3])
 @pytest.mark.parametrize("kind", [Target, Hazard])
 @pytest.mark.parametrize("case", sorted(BLOCK_DISTS))
 def test_block_draws_equal_written_out_draws(case, kind, ell, block_values, monkeypatch):
-    monkeypatch.setattr(monitor, "_BLOCK_VALUES", block_values)
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", block_values)
     names, dist = BLOCK_DISTS[case]
     est = mixed_estimate(names, steps=20, runs=ell * 12)
     # the average reads every variable that both the estimate and the reference hold
@@ -637,7 +644,7 @@ def test_point_mass_atom_is_sampled_once_without_streams(monkeypatch):
 @pytest.mark.parametrize("vectorised", [True, False])
 def test_time_dependent_penalty_sees_each_rows_tau(vectorised, monkeypatch):
     # 40 states per block and 20 runs: two time indices per block
-    monkeypatch.setattr(monitor, "_BLOCK_VALUES", 40)
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", 40)
     est, _, _ = stochastic_setup(steps=12, runs=20)
     if vectorised:
         fn = lambda rows, tau: rows[0] * (tau + 1) / 13  # noqa: E731
@@ -778,7 +785,7 @@ def test_streamed_check_equals_evaluate_on_the_stored_estimate(case, ell, width,
     est = estimate(kernel, initial, steps, ell * base_runs, plan)
     want = evaluate(est, formula, base_runs, plan, discount)
     # width time indices per block: 4 does not divide the 21 indices, 64 holds them all
-    monkeypatch.setattr(monitor, "_BLOCK_VALUES", width * ell * base_runs)
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", width * ell * base_runs)
     got = check_formula(kernel, initial, formula, base_runs, ell, plan, steps, discount)
     assert got.values.tobytes() == want.values.tobytes()
     assert got.formula_horizon == want.formula_horizon
@@ -830,11 +837,28 @@ def overflow_case():
     return kernel, initial, load_formula(str(path), penalties, kernel.space)
 
 
+def divide_by_zero_score(*_):
+    """A stored estimate scored by a penalty that divides by zero, which a clip would hide."""
+    est, _, _ = stochastic_setup(steps=5, runs=8)
+    pen = Penalty("inf", ("x",), lambda rows, tau: (rows[0] + 1) / 0.0)
+    return evaluate(est, Target(PointMass((("x", 0.5),)), pen, 0.2), 4, RandomnessPlan(1))
+
+
 OVERFLOW_CALLS = {
     "simulate": lambda k, x0, f: simulate(k, x0, 5, np.random.default_rng(1)),
     "estimate": lambda k, x0, f: estimate(k, x0, 5, 8, RandomnessPlan(1)),
     "run_moments": lambda k, x0, f: run_moments(k, x0, 5, 8, RandomnessPlan(1)),
     "check_formula": lambda k, x0, f: check_formula(k, x0, f, 4, 2, RandomnessPlan(1), 5),
+    # a Simulation read outside check_formula, under the caller's error state
+    "evaluate-simulation": lambda k, x0, f: evaluate(
+        Simulation(k, x0, 5, 8, RandomnessPlan(1)), f, 4, RandomnessPlan(1)
+    ),
+    "divergence-simulations": lambda k, x0, f: evolution_divergence(
+        Simulation(k, x0, 5, 4, RandomnessPlan(1)),
+        Simulation(k, x0, 5, 8, RandomnessPlan(2)),
+        identity_penalty(k.space, k.space.names[0]),
+    ),
+    "penalty-divides-by-zero": divide_by_zero_score,
 }
 
 

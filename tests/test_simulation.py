@@ -254,6 +254,16 @@ def test_simulation_checks_its_runs_and_steps_when_read():
             sim.blocks(4)
 
 
+@pytest.mark.parametrize("width", [0, -1])
+@pytest.mark.parametrize("source", [Simulation, estimate])
+def test_blocks_need_a_width_of_at_least_one(source, width):
+    k = WalkKernel()
+    evolution = source(k, k.space.state(x=0.5), 5, 3, RandomnessPlan(1))
+    # raised when the blocks are asked for, before any is read
+    with pytest.raises(ValueError, match="block width must be >= 1"):
+        evolution.blocks(width)
+
+
 def test_paths_with_no_steps_yield_the_initial_block():
     k = WalkKernel()
     [(t0, block)] = simulation._paths(k, k.space.state(x=0.25), np.empty((4, 0)), 7)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import wasserstein_distance
 
-from evtl import wasserstein
+from evtl import simulation
 from evtl.config import RunConfig, apply_setting, build_model, load_config
 from evtl.formulas import Discount
 from evtl.simulation import RandomnessPlan, Simulation, estimate
@@ -265,10 +265,10 @@ def system_pair(case):
 
 # 630 states per block puts 7 time indices of 90 runs in a block: six blocks
 # over 41 indices, three of which hold no time of the subset
-@pytest.mark.parametrize("block_values", [wasserstein._BLOCK_VALUES, 630])
+@pytest.mark.parametrize("block_values", [simulation._BLOCK_VALUES, 630])
 @pytest.mark.parametrize("case", ["tanks", "drift"])
 def test_divergence_of_simulations_equals_the_stored_route(case, block_values, monkeypatch):
-    monkeypatch.setattr(wasserstein, "_BLOCK_VALUES", block_values)
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", block_values)
     (ka, ia), (kb, ib), penalty = system_pair(case)
     plan, discount = RandomnessPlan(17), Discount.exponential(0.95)
     args_a = (ka, ia, 40, 30, plan.scoped(3, 0))
