@@ -4,9 +4,11 @@ Chains double as test oracles: their per-step state distributions are exact
 matrix-vector transients, every reference distribution in an atom reduces to
 a finite discrete distribution (normals are pushed through the domain
 snapping the samplers also apply), and robustness follows from the exact
-one-sided distances. The same chain can be run through the statistical
-pipeline via :class:`ChainKernel`, which is what the convergence checks
-compare against.
+one-sided distances. A :class:`FiniteChain` is also a Markov kernel, so
+the same chain runs through the statistical pipeline, which is what the
+convergence checks compare against. The two routes share only the chain's
+data: the exact functions read its transition matrix, initial distribution,
+penalty table and state map, never its sampler.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .wasserstein import DivergenceReport, _observation_times, exact_one_sided_w
 
 __all__ = [
     "FiniteChain",
-    "ChainKernel",
     "load_chain",
     "transient_distributions",
     "exact_robustness",
@@ -45,10 +46,16 @@ __all__ = [
 
 
 class FiniteChain:
-    """Markov chain on finitely many values of a single variable."""
+    """Markov chain on finitely many values of a single variable, and its own kernel.
+
+    As a kernel, one step samples each run's next state from its row. A
+    block of steps runs in state-index space: the values are mapped to
+    listed state indices once, each step maps indices to indices, and the
+    indices are mapped back to values once.
+    """
 
     __slots__ = ("variable", "values", "transition", "initial", "penalty_values", "space",
-                 "penalty", "_order", "_sorted")
+                 "penalty", "_order", "_sorted", "_values", "_cdf")
 
     def __init__(
         self,
@@ -87,6 +94,14 @@ class FiniteChain:
         # values need not be listed in order, so states are found by sorted value
         self._order = np.argsort(vals)
         self._sorted = np.asarray(vals)[self._order]
+        # inverse-CDF sampling as Generator.choice does it, dividing each
+        # cumulative row by its last entry: a row summing to 1 - 1 ulp must
+        # still pick the same state as choice for every uniform draw. The
+        # rows are stored transposed, (S next, S current), so the runs'
+        # current states pick their rows with one column take
+        cdf = np.cumsum(P, axis=1)
+        self._cdf = np.ascontiguousarray((cdf / cdf[:, -1:]).T)
+        self._values = np.asarray(vals)
         self.penalty = Penalty(
             penalty_name, (variable,), lambda rows, tau: rho[self.state_index(rows[0])]
         )
@@ -127,30 +142,6 @@ class FiniteChain:
         states = np.broadcast_to(np.asarray(self.values)[:, None], shape)
         return pen.project(self.space.rows(states, pen.variables), tau)
 
-
-class ChainKernel:
-    """Simulation view of a chain: one step samples each run's next state from its row.
-
-    A block of steps runs in state-index space: the values are mapped to
-    listed state indices once, each step maps indices to indices, and the
-    indices are mapped back to values once.
-    """
-
-    def __init__(self, chain: FiniteChain):
-        self.chain = chain
-        self._values = np.asarray(chain.values)
-        # inverse-CDF sampling as Generator.choice does it, dividing each
-        # cumulative row by its last entry: a row summing to 1 - 1 ulp must
-        # still pick the same state as choice for every uniform draw. The
-        # rows are stored transposed, (S next, S current), so the runs'
-        # current states pick their rows with one column take
-        cdf = np.cumsum(chain.transition, axis=1)
-        self._cdf = np.ascontiguousarray((cdf / cdf[:, -1:]).T)
-
-    @property
-    def space(self) -> DataSpace:
-        return self.chain.space
-
     def noise(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """One uniform draw per step, the one ``Generator.choice`` would consume."""
         rng.random(out=out)
@@ -160,7 +151,7 @@ class ChainKernel:
         index = np.empty((len(noise), runs), dtype=np.intp)
         cdf = np.empty((len(self._cdf), runs))
         cut = np.empty(cdf.shape, dtype=bool)
-        state = self.chain.state_index(values[0])
+        state = self.state_index(values[0])
         for u, nxt in zip(noise, index):
             # unchecked here: the take back to values checks every index row
             self._cdf.take(state, axis=1, out=cdf, mode="clip")

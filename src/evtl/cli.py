@@ -10,8 +10,9 @@ Five subcommands, all driven by the same flat configuration:
 
 Outputs are deterministic: same arguments, same bytes. ``--workers`` is
 accepted for compatibility and has no effect. Exit codes: 0 success,
-2 configuration or usage problem, 3 formula error, 4 numeric failure
-(overflow included) or out of memory.
+2 configuration or usage problem (a file that cannot be opened included,
+the formula file too), 3 formula error (formula text that is not UTF-8
+included), 4 numeric failure (overflow included) or out of memory.
 """
 
 from __future__ import annotations

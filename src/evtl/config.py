@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from .formulas import Discount
 from .spaces import DataState, Penalty
 from .simulation import MarkovKernel
-from .tanks import TankKernel, TankParams, initial_state, tank_penalties
+from .tanks import TankKernel, TankParams, tank_penalties
 from .wasserstein import _observation_times
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "build_model"]
@@ -191,11 +191,11 @@ def build_model(cfg: RunConfig) -> tuple[MarkovKernel, DataState, dict[str, Pena
             kernel = TankKernel(cfg.tanks, cfg.scenario)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        return kernel, initial_state(cfg.tanks, kernel.space), tank_penalties(cfg.tanks)
+        return kernel, kernel.initial_state(), tank_penalties(cfg.tanks)
     if cfg.model == "chain":
         if cfg.chain_file is None:
             raise ConfigError("model 'chain' needs chain.file")
-        from .chains import ChainKernel, load_chain
+        from .chains import load_chain
 
         try:
             chain = load_chain(cfg.chain_file)
@@ -204,5 +204,5 @@ def build_model(cfg: RunConfig) -> tuple[MarkovKernel, DataState, dict[str, Pena
             raise ConfigError(f"cannot read chain file: {exc}") from None
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        return ChainKernel(chain), initial, {chain.penalty.name: chain.penalty}
+        return chain, initial, {chain.penalty.name: chain.penalty}
     raise ConfigError(f"unknown model {cfg.model!r}")

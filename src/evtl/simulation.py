@@ -214,12 +214,18 @@ class EvolutionEstimate:
         return ((t0, values[:, t0 : t0 + width]) for t0 in range(0, self.steps + 1, width))
 
 
-def _run_noise(kernel: MarkovKernel, plan: RandomnessPlan, steps: int, runs: range) -> np.ndarray:
-    """(len(runs), steps) noise; row j holds the draws of run runs[j], from stream (0, run)."""
+def _check_runs(kernel: MarkovKernel, initial: DataState, steps: int, runs: int) -> None:
+    """Reject runs that cannot be simulated; every entry point calls it before it draws."""
+    if initial.space != kernel.space:
+        raise ValueError("initial state space differs from kernel space")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if not runs:
+    if runs < 1:
         raise ValueError("need at least one run")
+
+
+def _run_noise(kernel: MarkovKernel, plan: RandomnessPlan, steps: int, runs: range) -> np.ndarray:
+    """(len(runs), steps) noise; row j holds the draws of run runs[j], from stream (0, run)."""
     noise = np.empty((len(runs), steps))
     for row, rng in zip(noise, plan.substreams((0,), runs)):
         kernel.noise(rng, row)
@@ -237,8 +243,6 @@ def _paths(
     taken. A run's states depend only on its own row, so any batching of
     runs, and any width, gives the same bits.
     """
-    if initial.space != kernel.space:
-        raise ValueError("initial state space differs from kernel space")
     runs, steps = noise.shape
     width = min(width, steps + 1)
     block = np.empty((kernel.space.dim, width, runs))
@@ -271,6 +275,7 @@ class Simulation:
         """The estimate's blocks bit for bit, from noise drawn now; each valid until the next."""
         if width < 1:
             raise ValueError("block width must be >= 1")
+        _check_runs(self.kernel, self.initial, self.steps, self.runs)
         noise = _run_noise(self.kernel, self.plan, self.steps, range(self.runs))
         return _paths(self.kernel, self.initial, noise, width)
 
@@ -299,8 +304,7 @@ def simulate(
     rng: np.random.Generator,
 ) -> EvolutionEstimate:
     """Roll the kernel forward ``steps`` times from ``initial``, as a one-run estimate."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    _check_runs(kernel, initial, steps, 1)
     noise = np.empty((1, steps))
     kernel.noise(rng, noise[0])
     return _collect(kernel, initial, noise)
@@ -318,6 +322,7 @@ def estimate(
     Run j always uses stream ``(0, j)`` of the plan, so the first N runs of
     any larger estimate equal the N-run estimate.
     """
+    _check_runs(kernel, initial, steps, runs)
     return _collect(kernel, initial, _run_noise(kernel, plan, steps, range(runs)))
 
 
@@ -340,8 +345,7 @@ def run_moments(
     streams as :func:`estimate`. Each block of runs is summed per step in run
     order, and the block sums are added to the total in block order.
     """
-    if runs < 1:
-        raise ValueError("need at least one run")
+    _check_runs(kernel, initial, steps, runs)
     total = np.zeros((steps + 1, kernel.space.dim))
     # the run sum can overflow where no step does, near bounds of 1e308
     with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .spaces import DataSpace, DataState, Interval, Penalty
 
-__all__ = ["TankParams", "TankKernel", "tank_space", "tank_penalties", "initial_state"]
+__all__ = ["TankParams", "TankKernel", "tank_space", "tank_penalties"]
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,6 @@ def tank_space(params: TankParams) -> DataSpace:
     )
 
 
-def initial_state(params: TankParams, space: DataSpace | None = None) -> DataState:
-    """Plant at rest: every level at the bottom, every flow shut."""
-    space = space or tank_space(params)
-    m = params.level_min
-    return space.state(l1=m, l2=m, l3=m, q1=0.0, q2=0.0, q0=0.0)
-
-
 class TankKernel:
     """Transition of the plant under scenario 1 or 2, stepped a block at a time."""
 
@@ -111,7 +104,9 @@ class TankKernel:
         return self._space
 
     def initial_state(self) -> DataState:
-        return initial_state(self.params, self._space)
+        """Plant at rest: every level at the bottom, every flow shut."""
+        m = self.params.level_min
+        return self._space.state(l1=m, l2=m, l3=m, q1=0.0, q2=0.0, q0=0.0)
 
     def noise(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """One standard normal draw per step, for the stochastic inflow."""

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from evtl.chains import (
-    ChainKernel,
     FiniteChain,
     distinguishing_formula,
     exact_divergence,
@@ -38,7 +37,7 @@ from evtl.monitor import evaluate, until_combine
 from evtl.simulation import RandomnessPlan, estimate, run_moments
 from evtl.spaces import DataSpace, Interval, Penalty, SampleSet, identity_penalty, penalty_gap
 from evtl.stats import error_report
-from evtl.tanks import TankKernel, TankParams, initial_state
+from evtl.tanks import TankKernel, TankParams
 from evtl.wasserstein import exact_one_sided_wasserstein, one_sided_wasserstein
 
 from conftest import record_criterion, two_state_chain
@@ -146,9 +145,7 @@ def test_criterion_3_statistical_converges_to_exact():
             k = horizon(formula)
             errors = []
             for n in (100, 1000, 10_000):
-                est = estimate(
-                    ChainKernel(chain), chain.initial_state(), k, 2 * n, RandomnessPlan(33)
-                )
+                est = estimate(chain, chain.initial_state(), k, 2 * n, RandomnessPlan(33))
                 stat = evaluate(est, formula, n, RandomnessPlan(33)).value
                 errors.append(abs(stat - exact))
             assert errors[-1] < 0.03, f"{name}: error {errors[-1]:.4f} at N=1e4"
@@ -293,7 +290,7 @@ def test_criterion_5_invariant_suites():
 
 def test_criterion_6_tank_study_reproduction():
     params = TankParams()
-    start = initial_state(params)
+    start = TankKernel(params).initial_state()
     label = "tank plant: in-domain, settles to [9,11], stderr halves, z within bands"
     with criterion(6, label, 300.0):
         for scenario in (1, 2):

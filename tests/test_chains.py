@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from evtl.chains import (
-    ChainKernel,
     FiniteChain,
     _reference_weights,
     _snapped_weights,
@@ -29,7 +28,7 @@ from evtl.formulas import (
     eventually,
 )
 from evtl.monitor import evaluate
-from evtl.simulation import RandomnessPlan, estimate, simulate
+from evtl.simulation import MarkovKernel, RandomnessPlan, estimate, simulate
 from evtl.spaces import DataSpace, Interval, Penalty, SampleSet
 from evtl.wasserstein import exact_one_sided_wasserstein
 
@@ -97,10 +96,15 @@ def test_transients_match_matrix_power():
     assert np.all(got >= 0) and got.sum(axis=1) == pytest.approx(np.ones(8))
 
 
+def test_a_loaded_chain_is_its_own_kernel():
+    drift = load_chain(str(REPO / "chains" / "drift.json"))
+    assert isinstance(drift, MarkovKernel) and drift.space.names == ("x",)
+
+
 def test_kernel_follows_deterministic_transitions():
     # 0 -> 1 -> 0 -> ... deterministically
     flip = FiniteChain("x", [0.0, 1.0], np.array([[0.0, 1.0], [1.0, 0.0]]), [1, 0], [0, 1])
-    traj = simulate(ChainKernel(flip), flip.initial_state(), 6, RandomnessPlan(0).substream(0, 0))
+    traj = simulate(flip, flip.initial_state(), 6, RandomnessPlan(0).substream(0, 0))
     assert traj.values[:, 0, 0].tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
 
 
@@ -108,14 +112,13 @@ def test_kernel_batch_step_equals_one_row_steps():
     rng = np.random.default_rng(3)
     # values listed out of order, so the value-to-row lookup is exercised
     chain = random_chain(rng, 4, values=[0.75, 0.0, 1.0, 0.25])
-    kernel = ChainKernel(chain)
     values = rng.choice(chain.values, 50)[None, :]
     noise = rng.random((3, 50))
     batch = np.empty((1, 3, 50))
-    kernel.advance(values, noise, batch)
+    chain.advance(values, noise, batch)
     for j in range(50):
         one = np.empty((1, 3, 1))
-        kernel.advance(values[:, j : j + 1], noise[:, j : j + 1], one)
+        chain.advance(values[:, j : j + 1], noise[:, j : j + 1], one)
         assert np.array_equal(batch[:, :, j : j + 1], one)
 
 
@@ -124,14 +127,13 @@ def test_kernel_step_matches_generator_choice():
     rng = np.random.default_rng(8)
     for n_states in (1, 2, 5, 40):
         chain = random_chain(rng, n_states)
-        kernel = ChainKernel(chain)
         for i, value in enumerate(chain.values):
             for seed in range(20):
                 want = np.random.default_rng(seed).choice(n_states, p=chain.transition[i])
                 u = np.empty((1, 1))
-                kernel.noise(np.random.default_rng(seed), u[0])
+                chain.noise(np.random.default_rng(seed), u[0])
                 got = np.empty((1, 1, 1))
-                kernel.advance(np.array([[value]]), u, got)
+                chain.advance(np.array([[value]]), u, got)
                 assert got[0, 0, 0] == chain.values[want]
 
 
@@ -144,7 +146,7 @@ def test_kernel_normalises_the_cdf_like_choice():
     assert row.sum() == 0.9999999999999999
     assert np.cumsum(row).searchsorted(0.6, "right") == 1
     got = np.empty((1, 1, 1))
-    ChainKernel(drift).advance(np.array([[0.0]]), np.array([[0.6]]), got)
+    drift.advance(np.array([[0.0]]), np.array([[0.6]]), got)
     assert got[0, 0, 0] == drift.values[0]
 
 
@@ -184,10 +186,9 @@ def chain_blocks(draw):
 @given(case=chain_blocks())
 def test_kernel_block_equals_per_run_inverse_cdf(case):
     chain, starts, noise = case
-    kernel = ChainKernel(chain)
     values = np.array([[chain.values[i] for i in starts]])
     got = np.empty((1, *noise.shape))
-    kernel.advance(values, noise, got)
+    chain.advance(values, noise, got)
     # each run on its own, searching its row's normalised CDF as Generator.choice does
     for j, state in enumerate(starts):
         for t, u in enumerate(noise[:, j]):
@@ -198,7 +199,7 @@ def test_kernel_block_equals_per_run_inverse_cdf(case):
 
 def test_kernel_frequencies_approach_transients():
     chain = two_state_chain(0.3, 0.1)
-    est = estimate(ChainKernel(chain), chain.initial_state(), 10, 4000, RandomnessPlan(5))
+    est = estimate(chain, chain.initial_state(), 10, 4000, RandomnessPlan(5))
     exact = transient_distributions(chain, 10)
     freq_state1 = (est.column("x") == 1.0).mean(axis=1)
     assert freq_state1 == pytest.approx(exact[:, 1], abs=0.03)
@@ -326,7 +327,7 @@ def test_statistical_monitor_converges_to_exact():
         ),
     )
     exact = exact_robustness(chain, f, steps=6).values
-    est = estimate(ChainKernel(chain), chain.initial_state(), 6, 2 * 2000, RandomnessPlan(9))
+    est = estimate(chain, chain.initial_state(), 6, 2 * 2000, RandomnessPlan(9))
     stat = evaluate(est, f, 2000, RandomnessPlan(9)).values
     assert stat == pytest.approx(exact, abs=0.05)
 
@@ -341,7 +342,7 @@ def test_statistical_and_exact_series_give_one_verdict(threshold, negate, want):
     chain = two_state_chain(0.4, 0.15)
     atom = Target(PointMass((("x", 0.0),)), chain.penalty, threshold)
     f = Not(atom) if negate else atom
-    est = estimate(ChainKernel(chain), chain.initial_state(), 3, 20, RandomnessPlan(9))
+    est = estimate(chain, chain.initial_state(), 3, 20, RandomnessPlan(9))
     for series in (exact_robustness(chain, f, steps=3), evaluate(est, f, 10, RandomnessPlan(9))):
         assert series.value == (-threshold if negate else threshold)
         # 0.0 and -0.0 are both a tie

@@ -638,6 +638,14 @@ def test_running_out_of_memory_exits_4(formula, argv, tmp_path, capsys):
     assert err.startswith("error: out of memory: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_formula_path_that_cannot_be_opened_exits_2(kind, tmp_path, capsys):
+    # exit 3 is for formula text, including text that is not UTF-8; a path is read as a config is
+    path = tmp_path / "no-such.evtl" if kind == "missing" else tmp_path
+    code, stdout, err = run(capsys, "check", *CHAIN, "--steps", "2", "--formula", str(path))
+    assert code == 2 and stdout == "" and err.startswith("error:")
+
+
 def test_exit_code_messages_go_to_stderr(capsys):
     code, stdout, err = run(capsys, "simulate", *CHAIN)
     assert code == 2 and stdout == "" and err.startswith("error:")

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from evtl.chains import ChainKernel
+from evtl.chains import FiniteChain
 from evtl.config import ConfigError, RunConfig, build_model, load_config, parse_config
 from evtl.formulas import Discount
 from evtl.tanks import TankKernel
@@ -123,7 +123,7 @@ def test_build_tank_model():
 def test_build_chain_model():
     cfg = parse_config(f"model = chain\nchain.file = {REPO / 'chains' / 'drift.json'}")
     kernel, start, pens = build_model(cfg)
-    assert isinstance(kernel, ChainKernel)
+    assert isinstance(kernel, FiniteChain) and kernel.initial_state() == start
     assert start.values == (0.0,)
     assert list(pens) == ["rho"]
     with pytest.raises(ConfigError, match="chain.file"):

@@ -1,7 +1,8 @@
 """Every module under ``src/evtl`` uses each name it imports, and each private name it defines;
 ``formulas.fold`` is the one walk that matches on formula node kinds, ``formulas`` the one
 module that reads a node's children, and ``FiniteChain`` the one owner of the map from values
-to chain states. Only ``simulation`` reads a run's noise and paths: every other module
+to chain states, the one reader of its sampler; the exact chain route reads a chain's data
+and never its sampler. Only ``simulation`` reads a run's noise and paths: every other module
 reads states through ``blocks(width)``, at the one width rule ``simulation._block_width``.
 Numeric failures are raised where numbers are made, not around the callers."""
 
@@ -150,18 +151,38 @@ def test_only_formulas_reads_a_nodes_children():
     assert not readers, f"walk a formula with formulas.fold, not its fields: {readers}"
 
 
-# the calls that find a value among sorted states; in chains.py only FiniteChain makes them
-STATE_MAPS = {"argsort", "searchsorted"}
+# ``(name, statement)`` for each top-level statement of chains.py; a statement that defines
+# nothing is named ``<module>``
+CHAINS = [
+    (getattr(stmt, "name", "<module>"), stmt)
+    for stmt in ast.parse((SRC / "chains.py").read_text(encoding="utf-8")).body
+]
+
+
+def _chain_readers(names: set[str]) -> set[str]:
+    """Top-level statements of ``chains.py``, other than ``FiniteChain``, that read ``names``."""
+    return {name for name, stmt in CHAINS if name != "FiniteChain" and _reads(stmt) & names}
 
 
 def test_finite_chain_is_the_only_value_to_state_map():
-    tree = ast.parse((SRC / "chains.py").read_text(encoding="utf-8"))
-    outside = {
-        getattr(stmt, "name", "<module>")
-        for stmt in tree.body
-        if getattr(stmt, "name", None) != "FiniteChain" and _reads(stmt) & STATE_MAPS
-    }
+    # the calls that find a value among sorted states
+    outside = _chain_readers({"argsort", "searchsorted"})
     assert not outside, f"map values to states with FiniteChain.state_index: {sorted(outside)}"
+
+
+# the exact oracles: closed forms from a chain's transition, initial, penalty table and state map
+EXACT_ROUTE = [
+    "transient_distributions", "_snapped_weights", "_reference_weights", "exact_robustness",
+    "_profile", "exact_divergence", "distinguishing_formula",
+]
+
+
+def test_the_exact_chain_route_never_reads_the_sampler():
+    outside = _chain_readers({"_cdf", "_values"})
+    assert not outside, f"only FiniteChain reads its sampler's arrays: {sorted(outside)}"
+    defs = dict(CHAINS)
+    readers = [name for name in EXACT_ROUTE if _reads(defs[name]) & {"advance", "noise", "_cdf"}]
+    assert not readers, f"the exact route must not share the estimators' code: {readers}"
 
 
 # how a simulation draws and steps its runs; a scorer reads states through ``blocks(width)``

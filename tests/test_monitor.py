@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from evtl import simulation
-from evtl.chains import ChainKernel, load_chain
+from evtl.chains import load_chain
 from evtl.config import apply_setting, build_model, load_config
 from evtl.formulas import (
     Discount,
@@ -727,7 +727,7 @@ def chain_case():
     pen, x = chain.penalty, chain.variable
     twice = Target(ProductNormal(((x, 0.5, 0.09),)), pen, 0.4)
     f = Or(Until(twice, Hazard(PointMass(((x, 1.0),)), pen, 0.5), 0, 5), Not(twice))
-    return ChainKernel(chain), chain.initial_state(), f
+    return chain, chain.initial_state(), f
 
 
 def tank_case():

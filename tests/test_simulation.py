@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from evtl import simulation
 from evtl._seed_words import SeedWords
-from evtl.chains import ChainKernel, FiniteChain, load_chain, transient_distributions
+from evtl.chains import FiniteChain, load_chain, transient_distributions
 from evtl.simulation import (
     RandomnessPlan,
     Simulation,
@@ -176,7 +176,7 @@ def test_negative_stream_keys_are_rejected():
     "kernel, draw",
     [
         (TankKernel(TankParams(), 2), np.random.Generator.standard_normal),
-        (ChainKernel(two_state_chain(0.3, 0.6)), np.random.Generator.random),
+        (two_state_chain(0.3, 0.6), np.random.Generator.random),
     ],
 )
 def test_noise_fills_the_draws_of_one_stream(kernel, draw):
@@ -214,7 +214,7 @@ def assert_widths_agree(kernel, initial, runs=9, steps=20, seed=3):
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), width
 
 
-SHUFFLED = ChainKernel(load_chain(str(REPO / "tests" / "data" / "shuffled-chain.json")))
+SHUFFLED = load_chain(str(REPO / "tests" / "data" / "shuffled-chain.json"))
 
 
 @pytest.mark.parametrize(
@@ -222,7 +222,7 @@ SHUFFLED = ChainKernel(load_chain(str(REPO / "tests" / "data" / "shuffled-chain.
     [
         (TankKernel(TankParams(), 1), None),
         (TankKernel(TankParams(), 2), None),
-        (SHUFFLED, SHUFFLED.chain.initial_state()),
+        (SHUFFLED, SHUFFLED.initial_state()),
         (WalkKernel(step_std=0.3), WalkKernel().space.state(x=0.5)),
     ],
     ids=["tank-1", "tank-2", "chain", "walk"],
@@ -252,6 +252,35 @@ def test_simulation_checks_its_runs_and_steps_when_read():
         sim = Simulation(k, k.space.state(x=0.5), steps, runs, RandomnessPlan(1))
         with pytest.raises(ValueError, match=match):
             sim.blocks(4)
+
+
+class CountingKernel(WalkKernel):
+    """The walk, counting its ``noise`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.draws = 0
+
+    def noise(self, rng, out):
+        self.draws += 1
+        super().noise(rng, out)
+
+
+DRAWING_ENTRY_POINTS = {
+    "estimate": lambda k, x0: estimate(k, x0, 50, 20, RandomnessPlan(1)),
+    "run_moments": lambda k, x0: run_moments(k, x0, 50, 20, RandomnessPlan(1)),
+    "simulation-blocks": lambda k, x0: Simulation(k, x0, 50, 20, RandomnessPlan(1)).blocks(4),
+    "simulate": lambda k, x0: simulate(k, x0, 50, RandomnessPlan(1).substream(0, 0)),
+}
+
+
+@pytest.mark.parametrize("call", DRAWING_ENTRY_POINTS.values(), ids=DRAWING_ENTRY_POINTS)
+def test_a_mismatched_start_fails_before_any_noise_is_drawn(call):
+    k = CountingKernel()
+    start = DataSpace({"y": Interval(0.0, 1.0)}).state(y=0.5)
+    with pytest.raises(ValueError, match="^initial state space differs from kernel space$"):
+        call(k, start)
+    assert k.draws == 0
 
 
 @pytest.mark.parametrize("width", [0, -1])
@@ -357,7 +386,7 @@ def test_weak_convergence_on_uniform_chain():
     # a simulation starts from one state, here the random chain's most likely one
     start = np.eye(3)[np.argmax(chain.initial)]
     chain = FiniteChain("x", chain.values, chain.transition, start, chain.penalty_values)
-    est = estimate(ChainKernel(chain), chain.initial_state(), 5, 10_000, RandomnessPlan(77))
+    est = estimate(chain, chain.initial_state(), 5, 10_000, RandomnessPlan(77))
     exact = transient_distributions(chain, 5)
     for t in range(6):
         for s, v in enumerate(chain.values):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from evtl.simulation import RandomnessPlan, estimate
+from evtl.simulation import MarkovKernel, RandomnessPlan, estimate
 from evtl.spaces import DataState
-from evtl.tanks import TankKernel, TankParams, initial_state, tank_penalties, tank_space
+from evtl.tanks import TankKernel, TankParams, tank_penalties, tank_space
 
 
 def step(kernel, state, z=0.0):
@@ -58,10 +58,11 @@ def test_param_validation_rejects_non_finite(field, value):
 
 
 def test_space_and_initial_state(kernel):
+    assert isinstance(kernel, MarkovKernel)
     assert kernel.space.names == ("l1", "l2", "l3", "q1", "q2", "q0")
     s0 = kernel.initial_state()
     assert s0.values == (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    assert initial_state(TankParams(level_min=2.0)).values[:3] == (2.0, 2.0, 2.0)
+    assert TankKernel(TankParams(level_min=2.0)).initial_state().values[:3] == (2.0, 2.0, 2.0)
 
 
 def test_first_steps_from_empty_plant_frozen(kernel):
@@ -240,7 +241,8 @@ def test_penalties_measure_goal_distance():
     assert score(pens["rho2"], mk_state(space, l2=20.0)) == 1.0
     assert score(pens["rho3"], mk_state(space, l3=15.0)) == 0.5
     # projecting many states agrees with the formula written out per state
-    est = estimate(TankKernel(p, 1), initial_state(p), 5, 50, RandomnessPlan(0))
+    k = TankKernel(p, 1)
+    est = estimate(k, k.initial_state(), 5, 50, RandomnessPlan(0))
     samples = est.at(5)
     proj = pens["rho3"].project(samples.column("l3")[None], 5)
     expect = [min(1.0, abs(samples.state(i)["l3"] - 10.0) / 10.0) for i in range(50)]
@@ -270,7 +272,8 @@ def test_over_penalties_score_only_levels_above_the_goal():
 @pytest.mark.parametrize("scenario", [1, 2])
 def test_plant_settles_near_goal(scenario):
     p = TankParams()
-    est = estimate(TankKernel(p, scenario), initial_state(p), 150, 100, RandomnessPlan(42))
+    k = TankKernel(p, scenario)
+    est = estimate(k, k.initial_state(), 150, 100, RandomnessPlan(42))
     for var in ("l1", "l3"):
         late = est.column(var)[100:]
         assert 9.5 < late.mean() < 10.5
