@@ -9,6 +9,8 @@ bytes. ``stats-p2-two-blocks`` uses more reference runs than one
 The ``-left`` cases use formulas from ``tests/data`` whose untils have a
 left operand other than ``true``, so the left running minimum and both
 until modes are pinned; the ``-exp`` cases pin a decaying discount.
+``estimate-p1-chunks`` has more runs than one ``estimate`` chunk of 1024
+runs, so the rows of a run chunk boundary are pinned.
 ``estimate-p1-wide`` has three-digit run and time columns, and the
 ``-long`` cases four-digit time columns and series longer than one
 block of CSV rows. The ``-run2e32`` and ``-run2e64`` cases use run
@@ -62,6 +64,7 @@ CASES: dict[str, list[str]] = {
     "estimate-drift": ["estimate", *DRIFT, "--steps", "10", "--runs", "20"],
     "estimate-shuffled": ["estimate", *SHUFFLED, "--steps", "10", "--runs", "20"],
     "estimate-p1-wide": ["estimate", *P1, "--steps", "120", "--runs", "120"],
+    "estimate-p1-chunks": ["estimate", *P1, "--steps", "3", "--runs", "1100"],
     "distance-p1-p2": [
         "distance", *P1, "--against", P2[1], "--penalty", "rho3",
         "--steps", "20", "--runs", "30", "--ell", "2",
@@ -200,6 +203,10 @@ GOLDEN: dict[str, tuple[str, str]] = {
     ),
     "estimate-p1": (
         "5df5fa3b95c0637c1446a2a379287de7bbc44c6efb308ddeea6985a91075b5ae",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "estimate-p1-chunks": (
+        "b6d35f8483490f41facf0bb82b05b2067fff77a8fd40444c328be05e5837132e",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "estimate-p1-wide": (
