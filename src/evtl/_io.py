@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import sys
 from contextlib import ExitStack
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -151,8 +152,11 @@ def write_csv(dest, header: Sequence[str], formats: Sequence[str], blocks: Itera
     an empty cell and every other value as the format alone.
     The bytes are those of ``%`` on each value. Every line ends in ``\\n``;
     rows keep block order, then row order. At most :data:`BLOCK_ROWS` rows
-    at a time are formatted and written by one ``write``.
+    at a time are formatted and written by one ``write``. Nothing is written,
+    nor ``dest`` opened, before the first block is made.
     """
+    blocks = iter(blocks)
+    blocks = chain(list(islice(blocks, 1)), blocks)
     with ExitStack() as stack:
         if dest is None or hasattr(dest, "write"):
             fh = sys.stdout if dest is None else dest

@@ -3,7 +3,7 @@
 Five subcommands, all driven by the same flat configuration:
 
 * ``simulate``  one trajectory as CSV
-* ``estimate``  all runs as CSV, one row per (run, time)
+* ``estimate``  all runs as CSV, one row per (run, time), written a chunk of runs at a time
 * ``distance``  discounted one-sided divergence to a second system
 * ``check``     robustness series of a formula file, verdict as JSON
 * ``stats``     per-step moment statistics, optionally against a reference
@@ -28,7 +28,7 @@ from ._io import write_csv
 from .config import ConfigError, RunConfig, apply_setting, build_model, load_config
 from .monitor import check_formula, save_series
 from .parsing import FormulaError, load_formula
-from .simulation import EvolutionEstimate, RandomnessPlan, Simulation, estimate, run_moments
+from .simulation import RandomnessPlan, Simulation, estimate, run_moments
 from .simulation import save_estimate, save_trajectory, simulate
 from .stats import SWEEP_RUNS, error_report, save_error_report
 from .wasserstein import evolution_divergence
@@ -86,8 +86,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     cfg = _config(args)
     kernel, init, _ = build_model(cfg)
-    est = estimate(kernel, init, cfg.require_steps(), cfg.runs, RandomnessPlan(cfg.seed))
-    save_estimate(args.out, est)
+    plan = RandomnessPlan(cfg.seed)
+    save_estimate(args.out, Simulation(kernel, init, cfg.require_steps(), cfg.runs, plan))
     return 0
 
 
@@ -190,7 +190,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     est = estimate(kernel, init, steps, max(counts), plan)
     for n in counts:
         dest = f"{args.out[: -len('.csv')]}-n{n}.csv" if args.sweep else args.out
-        report = error_report(EvolutionEstimate(est.space, est.values[:, :n]), reference)
+        report = error_report(next(est.split(n)), reference)
         save_error_report(dest, report)
     return 0
 

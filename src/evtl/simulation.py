@@ -7,23 +7,23 @@ given one noise value per run and step. A step's states are a (dim, N)
 array, one contiguous row per variable, so a kernel updates each variable,
 or a group of like variables, for every run in one wide array operation,
 and it can keep its own per-block representation (a chain steps in state
-indices) between the steps of a block. Consumers read the states one block
-of time indices at a time; a scorer reads the ``blocks(width)`` of an
-:class:`EvolutionEstimate` or of a :class:`Simulation`, which steps again at
-each read and stores nothing; every reader sizes its blocks by
-:func:`_block_width`, and no width changes a bit. A kernel step raises
-``FloatingPointError`` on an overflow, an invalid operation or a division
-by zero under any error state; underflow to zero is a value. Everything
-stochastic flows through a :class:`RandomnessPlan`, which derives
-independent, reproducible generator streams from a single master seed and a
-structured purpose key. Run j of an estimate always draws from stream
-``(0, j)``, so a run's states do not depend on which runs share its batch.
+indices) between the steps of a block. A :class:`Simulation`, a range of
+runs, is the one place where runs are drawn and stepped: it steps again at
+each read and splits into chunks of consecutive runs. Readers take states a
+block of time indices at a time from the ``blocks(width)`` of a simulation or
+a stored :class:`EvolutionEstimate`, sized by :func:`_block_width`; no width
+or chunk changes a bit. A kernel step raises ``FloatingPointError`` on an
+overflow, an invalid operation or a division by zero under any error state;
+underflow to zero is a value. Everything stochastic flows through a
+:class:`RandomnessPlan`, which derives independent, reproducible generator
+streams from a single master seed and a structured purpose key. Run j always
+draws from stream ``(0, j)``, whichever runs share its batch.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable, Iterator, Protocol, runtime_checkable
 
@@ -213,15 +213,22 @@ class EvolutionEstimate:
         values = np.moveaxis(self.values, -1, 0)
         return ((t0, values[:, t0 : t0 + width]) for t0 in range(0, self.steps + 1, width))
 
+    def split(self, size: int) -> Iterator["EvolutionEstimate"]:
+        """Views of up to ``size`` consecutive runs each, in run order."""
+        runs = range(0, self.runs, size)
+        return (EvolutionEstimate(self.space, self.values[:, a : a + size]) for a in runs)
 
-def _check_runs(kernel: MarkovKernel, initial: DataState, steps: int, runs: int) -> None:
+
+def _check_runs(kernel: MarkovKernel, initial: DataState, steps: int, runs: range) -> None:
     """Reject runs that cannot be simulated; every entry point calls it before it draws."""
     if initial.space != kernel.space:
         raise ValueError("initial state space differs from kernel space")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if runs < 1:
+    if len(runs) < 1:
         raise ValueError("need at least one run")
+    if runs.start < 0:
+        raise ValueError("the first run must be >= 0")
 
 
 def _run_noise(kernel: MarkovKernel, plan: RandomnessPlan, steps: int, runs: range) -> np.ndarray:
@@ -259,13 +266,14 @@ def _paths(
 
 @dataclass(frozen=True)
 class Simulation:
-    """The runs of :func:`estimate` with the same arguments, stepped again at each read."""
+    """Runs ``first`` to ``first + runs - 1`` of a plan, stepped again at each read."""
 
     kernel: MarkovKernel
     initial: DataState
     steps: int
     runs: int
     plan: RandomnessPlan
+    first: int = 0
 
     @property
     def space(self) -> DataSpace:
@@ -275,9 +283,16 @@ class Simulation:
         """The estimate's blocks bit for bit, from noise drawn now; each valid until the next."""
         if width < 1:
             raise ValueError("block width must be >= 1")
-        _check_runs(self.kernel, self.initial, self.steps, self.runs)
-        noise = _run_noise(self.kernel, self.plan, self.steps, range(self.runs))
+        runs = range(self.first, self.first + self.runs)
+        _check_runs(self.kernel, self.initial, self.steps, runs)
+        noise = _run_noise(self.kernel, self.plan, self.steps, runs)
         return _paths(self.kernel, self.initial, noise, width)
+
+    def split(self, size: int) -> Iterator["Simulation"]:
+        """Simulations of up to ``size`` consecutive runs each, in run order."""
+        runs = range(self.first, self.first + self.runs)
+        _check_runs(self.kernel, self.initial, self.steps, runs)
+        return (replace(self, first=a, runs=min(size, runs.stop - a)) for a in runs[::size])
 
 
 _BLOCK_VALUES = 1 << 13  # run states per block, for every reader of runs
@@ -288,13 +303,13 @@ def _block_width(runs: int) -> int:
     return max(1, _BLOCK_VALUES // max(runs, 1))
 
 
-def _collect(kernel: MarkovKernel, initial: DataState, noise: np.ndarray) -> EvolutionEstimate:
-    """Every state of the runs whose noise is given, as an estimate."""
-    runs, steps = noise.shape
-    values = np.empty((steps + 1, runs, kernel.space.dim))
-    for t0, block in _paths(kernel, initial, noise, _block_width(runs)):
+def _collect(source: EvolutionEstimate | Simulation) -> EvolutionEstimate:
+    """Every state of a source's runs, as a stored estimate."""
+    blocks = source.blocks(_block_width(source.runs))  # a simulation checks its runs here
+    values = np.empty((source.steps + 1, source.runs, source.space.dim))
+    for t0, block in blocks:
         values[t0 : t0 + block.shape[1]] = block.transpose(1, 2, 0)
-    return EvolutionEstimate(kernel.space, values)
+    return EvolutionEstimate(source.space, values)
 
 
 def simulate(
@@ -304,10 +319,11 @@ def simulate(
     rng: np.random.Generator,
 ) -> EvolutionEstimate:
     """Roll the kernel forward ``steps`` times from ``initial``, as a one-run estimate."""
-    _check_runs(kernel, initial, steps, 1)
+    _check_runs(kernel, initial, steps, range(1))
     noise = np.empty((1, steps))
     kernel.noise(rng, noise[0])
-    return _collect(kernel, initial, noise)
+    [(_, block)] = _paths(kernel, initial, noise, steps + 1)
+    return EvolutionEstimate(kernel.space, block.transpose(1, 2, 0))
 
 
 def estimate(
@@ -322,13 +338,12 @@ def estimate(
     Run j always uses stream ``(0, j)`` of the plan, so the first N runs of
     any larger estimate equal the N-run estimate.
     """
-    _check_runs(kernel, initial, steps, runs)
-    return _collect(kernel, initial, _run_noise(kernel, plan, steps, range(runs)))
+    return _collect(Simulation(kernel, initial, steps, runs, plan))
 
 
-# fixed accumulation block for run_moments; the float fold order, and so the
-# last bits, depend on it
-_MOMENT_BLOCK = 1024
+# runs per chunk for every reader of whole runs; run_moments's float fold order,
+# and so its last bits, depend on it
+_RUN_CHUNK = 1024
 
 
 def run_moments(
@@ -342,16 +357,15 @@ def run_moments(
 
     Uses a running sum instead of materializing the estimate, so reference
     runs with very large N stay at constant memory. Uses the same ``(0, run)``
-    streams as :func:`estimate`. Each block of runs is summed per step in run
-    order, and the block sums are added to the total in block order.
+    streams as :func:`estimate`. Each chunk of runs is summed per step in run
+    order, and the chunk sums are added to the total in chunk order.
     """
-    _check_runs(kernel, initial, steps, runs)
+    chunks = Simulation(kernel, initial, steps, runs, plan).split(_RUN_CHUNK)
     total = np.zeros((steps + 1, kernel.space.dim))
     # the run sum can overflow where no step does, near bounds of 1e308
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for a in range(0, runs, _MOMENT_BLOCK):
-            noise = _run_noise(kernel, plan, steps, range(a, min(a + _MOMENT_BLOCK, runs)))
-            for t0, block in _paths(kernel, initial, noise, _block_width(len(noise))):
+        for chunk in chunks:
+            for t0, block in chunk.blocks(_block_width(chunk.runs)):
                 # an accumulation's last entry adds the runs one after another; a
                 # plain sum along the row would be pairwise and change the last bits
                 total[t0 : t0 + block.shape[1]] += np.add.accumulate(block, axis=2)[:, :, -1].T
@@ -366,20 +380,24 @@ def save_trajectory(dest, traj: EvolutionEstimate) -> None:
     write_csv(dest, ("time", *traj.space.names), ("%d", "%.17g"), [columns])
 
 
-def save_estimate(dest, est: EvolutionEstimate) -> None:
+def save_estimate(dest, source: EvolutionEstimate | Simulation) -> None:
     """CSV with run and time columns, rows ordered by (run, time).
 
-    Each block handed to the writer holds whole runs, as many as fit in
+    A simulation is stepped and written one chunk of runs at a time, so a
+    failure in a later chunk leaves the earlier chunks written. Each block
+    handed to the writer holds whole runs, as many as fit in
     :data:`~evtl._io.BLOCK_ROWS` rows and at least one.
     """
-    k = est.steps + 1
+    k = source.steps + 1
     per = max(1, BLOCK_ROWS // k)
-    time = np.tile(np.arange(k), per)
 
-    def blocks():
+    def blocks(est: EvolutionEstimate, first: int):
         for a in range(0, est.runs, per):
             values = est.values[:, a : a + per].swapaxes(0, 1).reshape(-1, est.space.dim)
-            runs = np.repeat(np.arange(a, a + len(values) // k), k)
-            yield np.stack([runs, time[: len(values)]], axis=1), values
+            rows = np.arange((first + a) * k, (first + a) * k + len(values))
+            yield np.stack(np.divmod(rows, k), axis=1), values  # run and time of each row
 
-    write_csv(dest, ("run", "time", *est.space.names), ("%d", "%.17g"), blocks())
+    # a chunk's estimate is freed with its generator, before the next chunk is simulated
+    chunks = enumerate(source.split(_RUN_CHUNK))
+    rows = (b for i, chunk in chunks for b in blocks(_collect(chunk), i * _RUN_CHUNK))
+    write_csv(dest, ("run", "time", *source.space.names), ("%d", "%.17g"), rows)

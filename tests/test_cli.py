@@ -427,6 +427,7 @@ def test_non_finite_tank_parameters_exit_2(setting, tmp_path, capsys):
         ("check", "tanks.pipe_area=1e308"),
         ("check", "tanks.area=1e-320"),
         ("stats", "tanks.l_m=-1e308"),
+        ("estimate", "tanks.gravity=1e308"),
     ],
 )
 def test_overflow_inside_the_engine_exits_4(command, setting, capsys):
@@ -439,6 +440,16 @@ def test_overflow_inside_the_engine_exits_4(command, setting, capsys):
     assert code == 4 and stdout == ""
     assert err.startswith("numeric error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_overflow_in_the_first_estimate_chunk_creates_no_file(tmp_path, capsys):
+    out = tmp_path / "estimate.csv"
+    code, stdout, err = run(
+        capsys, "estimate", "--config", str(REPO / "presets" / "three-tanks-scenario-1.cfg"),
+        "--steps", "5", "--runs", "4", "--set", "tanks.gravity=1e308", "--out", str(out),
+    )
+    assert code == 4 and stdout == "" and err.startswith("numeric error: ")
+    assert not out.exists()
 
 
 def test_discount_with_a_third_field_exits_2(capsys):

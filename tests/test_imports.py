@@ -2,8 +2,9 @@
 ``formulas.fold`` is the one walk that matches on formula node kinds, ``formulas`` the one
 module that reads a node's children, and ``FiniteChain`` the one owner of the map from values
 to chain states, the one reader of its sampler; the exact chain route reads a chain's data
-and never its sampler. Only ``simulation`` reads a run's noise and paths: every other module
-reads states through ``blocks(width)``, at the one width rule ``simulation._block_width``.
+and never its sampler. Only ``Simulation.blocks`` draws a run's noise and steps its paths, and
+``simulate`` steps its one run: every other reader takes states through ``blocks(width)``, at
+the one width rule ``simulation._block_width``.
 Numeric failures are raised where numbers are made, not around the callers."""
 
 import ast
@@ -185,18 +186,37 @@ def test_the_exact_chain_route_never_reads_the_sampler():
     assert not readers, f"the exact route must not share the estimators' code: {readers}"
 
 
-# how a simulation draws and steps its runs; a scorer reads states through ``blocks(width)``
-SIMULATION_INTERNALS = {"_run_noise", "_paths"}
+# how runs are drawn and stepped, and the functions that may read each; every other reader
+# takes states through ``blocks(width)``, and a range of runs is a ``Simulation``
+SIMULATION_INTERNALS = {
+    "_run_noise": {"simulation.Simulation.blocks"},
+    "_paths": {"simulation.Simulation.blocks", "simulation.simulate"},
+}
+
+
+def _functions(node: ast.AST, name: str):
+    """``(qualified name, definition)`` for each function under ``node``, methods included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(child, ast.ClassDef):
+                yield f"{name}.{child.name}", child
+            yield from _functions(child, f"{name}.{child.name}")
+        else:
+            yield from _functions(child, name)
 
 
 def test_only_simulation_draws_and_steps_runs():
-    readers = {
-        path.stem
-        for path in sorted(SRC.glob("*.py"))
-        if path.stem != "simulation"
-        and _reads(ast.parse(path.read_text(encoding="utf-8"))) & SIMULATION_INTERNALS
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    importers = {
+        module
+        for module, tree in trees.items()
+        if module != "simulation" and SIMULATION_INTERNALS.keys() & _reads(tree)
     }
-    assert not readers, f"read states as a Simulation's blocks(width): {sorted(readers)}"
+    assert not importers, f"read states as a Simulation's blocks(width): {sorted(importers)}"
+    functions = [item for module, tree in trees.items() for item in _functions(tree, module)]
+    for internal, allowed in SIMULATION_INTERNALS.items():
+        readers = {name for name, fn in functions if internal in _reads(fn)}
+        assert readers == allowed, f"{internal} is read by {sorted(readers)}"
 
 
 def _top_level(path: Path):

@@ -266,21 +266,44 @@ class CountingKernel(WalkKernel):
         super().noise(rng, out)
 
 
+MISMATCH = "^initial state space differs from kernel space$"
+# each entry point, given a start from another space, and the error it must raise
 DRAWING_ENTRY_POINTS = {
-    "estimate": lambda k, x0: estimate(k, x0, 50, 20, RandomnessPlan(1)),
-    "run_moments": lambda k, x0: run_moments(k, x0, 50, 20, RandomnessPlan(1)),
-    "simulation-blocks": lambda k, x0: Simulation(k, x0, 50, 20, RandomnessPlan(1)).blocks(4),
-    "simulate": lambda k, x0: simulate(k, x0, 50, RandomnessPlan(1).substream(0, 0)),
+    "estimate": (lambda k, x0: estimate(k, x0, 50, 20, RandomnessPlan(1)), MISMATCH),
+    "run_moments": (lambda k, x0: run_moments(k, x0, 50, 20, RandomnessPlan(1)), MISMATCH),
+    "simulation-blocks": (
+        lambda k, x0: Simulation(k, x0, 50, 20, RandomnessPlan(1)).blocks(4), MISMATCH
+    ),
+    "simulation-split": (
+        lambda k, x0: Simulation(k, x0, 50, 20, RandomnessPlan(1)).split(4), MISMATCH
+    ),
+    "simulate": (lambda k, x0: simulate(k, x0, 50, RandomnessPlan(1).substream(0, 0)), MISMATCH),
+    # a good start, but a first run whose stream key could only fail once the noise is sized
+    "simulation-negative-first": (
+        lambda k, _: Simulation(k, k.space.state(x=0.5), 50, 20, RandomnessPlan(1), -1).blocks(4),
+        "^the first run must be >= 0$",
+    ),
 }
 
 
-@pytest.mark.parametrize("call", DRAWING_ENTRY_POINTS.values(), ids=DRAWING_ENTRY_POINTS)
-def test_a_mismatched_start_fails_before_any_noise_is_drawn(call):
+@pytest.mark.parametrize("call, match", DRAWING_ENTRY_POINTS.values(), ids=DRAWING_ENTRY_POINTS)
+def test_a_mismatched_start_fails_before_any_noise_is_drawn(call, match):
     k = CountingKernel()
     start = DataSpace({"y": Interval(0.0, 1.0)}).state(y=0.5)
-    with pytest.raises(ValueError, match="^initial state space differs from kernel space$"):
+    with pytest.raises(ValueError, match=match):
         call(k, start)
     assert k.draws == 0
+
+
+def test_a_split_reads_the_runs_of_the_whole():
+    k = WalkKernel()
+    args = (k, k.space.state(x=0.5), 6, 7, RandomnessPlan(3))
+    whole = estimate(*args)
+    for source in (Simulation(*args), whole):
+        parts = [simulation._collect(part).values for part in source.split(3)]
+        # consecutive runs in run order, the last part shorter
+        assert [p.shape[1] for p in parts] == [3, 3, 1]
+        assert np.concatenate(parts, axis=1).tobytes() == whole.values.tobytes()
 
 
 @pytest.mark.parametrize("width", [0, -1])
@@ -330,9 +353,9 @@ def test_run_moments_match_materialized_estimate():
 
 
 def test_run_moments_fold_runs_in_order_within_blocks():
-    # more runs than one block, so the block sums meet in the totals; each
-    # block is folded run by run, then the block sums in block order
-    block = simulation._MOMENT_BLOCK
+    # more runs than one chunk, so the chunk sums meet in the totals; each
+    # chunk is folded run by run, then the chunk sums in chunk order
+    block = simulation._RUN_CHUNK
     runs, steps = block + 6, 3
     k = WalkKernel(step_std=0.3)
     d0 = k.space.state(x=0.5)
@@ -376,6 +399,34 @@ def test_estimate_csv_row_order(tmp_path):
     assert lines[0] == "run,time,x"
     heads = [tuple(l.split(",")[:2]) for l in lines[1:]]
     assert heads == [(str(j), str(i)) for j in range(3) for i in range(3)]
+
+
+class FailingKernel(CountingKernel):
+    """The walk, failing as it draws the noise of run ``fail_at``."""
+
+    def __init__(self, fail_at):
+        super().__init__()
+        self.fail_at = fail_at
+
+    def noise(self, rng, out):
+        if self.draws == self.fail_at:
+            raise FloatingPointError("overflow")
+        super().noise(rng, out)
+
+
+@pytest.mark.parametrize("fail_at", [0, 3, simulation._RUN_CHUNK])
+def test_a_failed_chunk_leaves_the_earlier_chunks_whole_runs(fail_at, tmp_path):
+    k = FailingKernel(fail_at)
+    chunk = simulation._RUN_CHUNK
+    path = tmp_path / "e.csv"
+    with pytest.raises(FloatingPointError):
+        save_estimate(str(path), Simulation(k, k.space.state(x=0.5), 2, chunk + 5, RandomnessPlan(0)))
+    if fail_at < chunk:  # the first chunk fails before the file is opened
+        assert not path.exists()
+    else:
+        lines = path.read_text().splitlines()
+        assert lines[0] == "run,time,x" and len(lines) == 1 + 3 * chunk
+        assert lines[-1].startswith(f"{chunk - 1},2,")
 
 
 def test_weak_convergence_on_uniform_chain():
