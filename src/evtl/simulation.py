@@ -215,8 +215,8 @@ class EvolutionEstimate:
 
     def split(self, size: int) -> Iterator["EvolutionEstimate"]:
         """Views of up to ``size`` consecutive runs each, in run order."""
-        runs = range(0, self.runs, size)
-        return (EvolutionEstimate(self.space, self.values[:, a : a + size]) for a in runs)
+        starts = range(0, self.runs, size)
+        return (EvolutionEstimate(self.space, self.values[:, a : a + size]) for a in starts)
 
 
 def _check_runs(kernel: MarkovKernel, initial: DataState, steps: int, runs: range) -> None:

@@ -198,9 +198,10 @@ def _functions(node: ast.AST, name: str):
     """``(qualified name, definition)`` for each function under ``node``, methods included."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualified = f"{name}.{child.name}"
             if not isinstance(child, ast.ClassDef):
-                yield f"{name}.{child.name}", child
-            yield from _functions(child, f"{name}.{child.name}")
+                yield qualified, child
+            yield from _functions(child, qualified)
         else:
             yield from _functions(child, name)
 

@@ -355,8 +355,8 @@ def test_run_moments_match_materialized_estimate():
 def test_run_moments_fold_runs_in_order_within_blocks():
     # more runs than one chunk, so the chunk sums meet in the totals; each
     # chunk is folded run by run, then the chunk sums in chunk order
-    block = simulation._RUN_CHUNK
-    runs, steps = block + 6, 3
+    chunk = simulation._RUN_CHUNK
+    runs, steps = chunk + 6, 3
     k = WalkKernel(step_std=0.3)
     d0 = k.space.state(x=0.5)
     plan = RandomnessPlan(21)
@@ -365,8 +365,8 @@ def test_run_moments_fold_runs_in_order_within_blocks():
     folds = []
     for i in range(steps + 1):
         total = 0.0
-        for a in range(0, runs, block):
-            part = xs[i, a : a + block].tolist()
+        for a in range(0, runs, chunk):
+            part = xs[i, a : a + chunk].tolist()
             s = part[0]
             for x in part[1:]:
                 s += x
@@ -374,9 +374,9 @@ def test_run_moments_fold_runs_in_order_within_blocks():
             if a == 0:
                 folds.append(s)
         assert mean[i, 0] == total / runs
-    # numpy's pairwise sum of the first block differs from its run-order fold
+    # numpy's pairwise sum of the first chunk differs from its run-order fold
     # at some step, so a pairwise fold would fail the oracle above
-    assert any(np.sum(xs[i, :block]) != folds[i] for i in range(steps + 1))
+    assert any(np.sum(xs[i, :chunk]) != folds[i] for i in range(steps + 1))
 
 
 def test_trajectory_csv_format(tmp_path):
