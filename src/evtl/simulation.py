@@ -219,16 +219,17 @@ class EvolutionEstimate:
         return (EvolutionEstimate(self.space, self.values[:, a : a + size]) for a in starts)
 
 
-def _check_runs(kernel: MarkovKernel, initial: DataState, steps: int, runs: range) -> None:
-    """Reject runs that cannot be simulated; every entry point calls it before it draws."""
+def _check_runs(kernel: MarkovKernel, initial: DataState, steps: int, runs: int, first=0) -> range:
+    """The indices of runs that can be simulated; every entry point calls it before it draws."""
     if initial.space != kernel.space:
         raise ValueError("initial state space differs from kernel space")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if len(runs) < 1:
+    if runs < 1:
         raise ValueError("need at least one run")
-    if runs.start < 0:
+    if first < 0:
         raise ValueError("the first run must be >= 0")
+    return range(first, first + runs)
 
 
 def _run_noise(kernel: MarkovKernel, plan: RandomnessPlan, steps: int, runs: range) -> np.ndarray:
@@ -283,15 +284,13 @@ class Simulation:
         """The estimate's blocks bit for bit, from noise drawn now; each valid until the next."""
         if width < 1:
             raise ValueError("block width must be >= 1")
-        runs = range(self.first, self.first + self.runs)
-        _check_runs(self.kernel, self.initial, self.steps, runs)
+        runs = _check_runs(self.kernel, self.initial, self.steps, self.runs, self.first)
         noise = _run_noise(self.kernel, self.plan, self.steps, runs)
         return _paths(self.kernel, self.initial, noise, width)
 
     def split(self, size: int) -> Iterator["Simulation"]:
         """Simulations of up to ``size`` consecutive runs each, in run order."""
-        runs = range(self.first, self.first + self.runs)
-        _check_runs(self.kernel, self.initial, self.steps, runs)
+        runs = _check_runs(self.kernel, self.initial, self.steps, self.runs, self.first)
         return (replace(self, first=a, runs=min(size, runs.stop - a)) for a in runs[::size])
 
 
@@ -303,15 +302,6 @@ def _block_width(runs: int) -> int:
     return max(1, _BLOCK_VALUES // max(runs, 1))
 
 
-def _collect(source: EvolutionEstimate | Simulation) -> EvolutionEstimate:
-    """Every state of a source's runs, as a stored estimate."""
-    blocks = source.blocks(_block_width(source.runs))  # a simulation checks its runs here
-    values = np.empty((source.steps + 1, source.runs, source.space.dim))
-    for t0, block in blocks:
-        values[t0 : t0 + block.shape[1]] = block.transpose(1, 2, 0)
-    return EvolutionEstimate(source.space, values)
-
-
 def simulate(
     kernel: MarkovKernel,
     initial: DataState,
@@ -319,7 +309,7 @@ def simulate(
     rng: np.random.Generator,
 ) -> EvolutionEstimate:
     """Roll the kernel forward ``steps`` times from ``initial``, as a one-run estimate."""
-    _check_runs(kernel, initial, steps, range(1))
+    _check_runs(kernel, initial, steps, 1)
     noise = np.empty((1, steps))
     kernel.noise(rng, noise[0])
     [(_, block)] = _paths(kernel, initial, noise, steps + 1)
@@ -338,7 +328,11 @@ def estimate(
     Run j always uses stream ``(0, j)`` of the plan, so the first N runs of
     any larger estimate equal the N-run estimate.
     """
-    return _collect(Simulation(kernel, initial, steps, runs, plan))
+    blocks = Simulation(kernel, initial, steps, runs, plan).blocks(_block_width(runs))
+    values = np.empty((steps + 1, runs, kernel.space.dim))
+    for t0, block in blocks:
+        values[t0 : t0 + block.shape[1]] = block.transpose(1, 2, 0)
+    return EvolutionEstimate(kernel.space, values)
 
 
 # runs per chunk for every reader of whole runs; run_moments's float fold order,
@@ -360,11 +354,10 @@ def run_moments(
     streams as :func:`estimate`. Each chunk of runs is summed per step in run
     order, and the chunk sums are added to the total in chunk order.
     """
-    chunks = Simulation(kernel, initial, steps, runs, plan).split(_RUN_CHUNK)
     total = np.zeros((steps + 1, kernel.space.dim))
     # the run sum can overflow where no step does, near bounds of 1e308
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for chunk in chunks:
+        for chunk in Simulation(kernel, initial, steps, runs, plan).split(_RUN_CHUNK):
             for t0, block in chunk.blocks(_block_width(chunk.runs)):
                 # an accumulation's last entry adds the runs one after another; a
                 # plain sum along the row would be pairwise and change the last bits
@@ -381,23 +374,24 @@ def save_trajectory(dest, traj: EvolutionEstimate) -> None:
 
 
 def save_estimate(dest, source: EvolutionEstimate | Simulation) -> None:
-    """CSV with run and time columns, rows ordered by (run, time).
+    """CSV with run and time columns, rows ordered by (run, time), runs counted from 0.
 
-    A simulation is stepped and written one chunk of runs at a time, so a
-    failure in a later chunk leaves the earlier chunks written. Each block
-    handed to the writer holds whole runs, as many as fit in
-    :data:`~evtl._io.BLOCK_ROWS` rows and at least one.
+    The source is read one chunk of runs at a time, and a simulation steps a
+    chunk only once the chunk before it is written, so it holds one chunk's
+    states, and a failure in a later chunk leaves the earlier chunks written.
+    Each block handed to the writer is a copy of whole runs, as many as fit
+    in :data:`~evtl._io.BLOCK_ROWS` rows and at least one, so it keeps no chunk alive.
     """
     k = source.steps + 1
     per = max(1, BLOCK_ROWS // k)
 
-    def blocks(est: EvolutionEstimate, first: int):
-        for a in range(0, est.runs, per):
-            values = est.values[:, a : a + per].swapaxes(0, 1).reshape(-1, est.space.dim)
+    def blocks(chunk: EvolutionEstimate | Simulation, first: int):
+        [(_, states)] = chunk.blocks(k)  # (dim, k, runs), freed when the chunk is written
+        for a in range(0, chunk.runs, per):
+            values = np.array(states[:, :, a : a + per].T, order="C").reshape(-1, chunk.space.dim)
             rows = np.arange((first + a) * k, (first + a) * k + len(values))
             yield np.stack(np.divmod(rows, k), axis=1), values  # run and time of each row
 
-    # a chunk's estimate is freed with its generator, before the next chunk is simulated
     chunks = enumerate(source.split(_RUN_CHUNK))
-    rows = (b for i, chunk in chunks for b in blocks(_collect(chunk), i * _RUN_CHUNK))
+    rows = (b for i, chunk in chunks for b in blocks(chunk, i * _RUN_CHUNK))
     write_csv(dest, ("run", "time", *source.space.names), ("%d", "%.17g"), rows)

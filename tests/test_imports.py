@@ -235,7 +235,7 @@ def _mentions(stmt: ast.AST) -> set[str]:
 
 # every reader of runs, stored or simulated, sizes its blocks by this rule
 BLOCK_READERS = {
-    "simulation._collect",
+    "simulation.estimate",
     "simulation.run_moments",
     "monitor.evaluate",
     "wasserstein.evolution_divergence",

@@ -2,8 +2,8 @@
 
 Each command runs in a fresh interpreter, which then reads its own peak
 resident size (``VmHWM``, Linux only). On a 2-vCPU Linux host (Python
-3.11, numpy 2.4) the peaks were 58.4 MB for ``check``, 45.8 for
-``estimate`` at 2000 runs and 46.3 at 10000, 39.2 for ``stats`` and 51.6
+3.11, numpy 2.4) the peaks were 58.4 MB for ``check``, 45.6 for
+``estimate`` at 2000 runs and 46.0 at 10000, 39.2 for ``stats`` and 51.6
 for ``distance``, 13-21% under the bounds.
 """
 

@@ -1,4 +1,6 @@
+import os
 import pickle
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from evtl import simulation
 from evtl._seed_words import SeedWords
 from evtl.chains import FiniteChain, load_chain, transient_distributions
 from evtl.simulation import (
+    EvolutionEstimate,
     RandomnessPlan,
     Simulation,
     estimate,
@@ -300,10 +303,10 @@ def test_a_split_reads_the_runs_of_the_whole():
     args = (k, k.space.state(x=0.5), 6, 7, RandomnessPlan(3))
     whole = estimate(*args)
     for source in (Simulation(*args), whole):
-        parts = [simulation._collect(part).values for part in source.split(3)]
+        parts = [np.array(block) for part in source.split(3) for _, block in part.blocks(7)]
         # consecutive runs in run order, the last part shorter
-        assert [p.shape[1] for p in parts] == [3, 3, 1]
-        assert np.concatenate(parts, axis=1).tobytes() == whole.values.tobytes()
+        assert [p.shape[2] for p in parts] == [3, 3, 1]
+        assert np.concatenate(parts, axis=2).tobytes() == np.moveaxis(whole.values, -1, 0).tobytes()
 
 
 @pytest.mark.parametrize("width", [0, -1])
@@ -420,13 +423,42 @@ def test_a_failed_chunk_leaves_the_earlier_chunks_whole_runs(fail_at, tmp_path):
     chunk = simulation._RUN_CHUNK
     path = tmp_path / "e.csv"
     with pytest.raises(FloatingPointError):
-        save_estimate(str(path), Simulation(k, k.space.state(x=0.5), 2, chunk + 5, RandomnessPlan(0)))
+        sim = Simulation(k, k.space.state(x=0.5), 2, chunk + 5, RandomnessPlan(0))
+        save_estimate(str(path), sim)
     if fail_at < chunk:  # the first chunk fails before the file is opened
         assert not path.exists()
     else:
         lines = path.read_text().splitlines()
         assert lines[0] == "run,time,x" and len(lines) == 1 + 3 * chunk
         assert lines[-1].startswith(f"{chunk - 1},2,")
+
+
+def test_estimate_csv_counts_the_sources_runs_from_zero(tmp_path):
+    k, plan = WalkKernel(), RandomnessPlan(4)
+    x0 = k.space.state(x=0.5)
+    later, stored = tmp_path / "later.csv", tmp_path / "stored.csv"
+    save_estimate(str(later), Simulation(k, x0, 2, 3, plan, first=5))
+    runs_5_to_7 = estimate(k, x0, 2, 8, plan).values[:, 5:]
+    save_estimate(str(stored), EvolutionEstimate(k.space, runs_5_to_7))
+    # runs 5..7 of the plan, numbered 0..2 in the file, as a stored estimate of them is
+    assert later.read_bytes() == stored.read_bytes()
+    assert later.read_text().splitlines()[-1].startswith("2,2,")
+
+
+def test_long_runs_are_written_with_one_chunk_alive(monkeypatch):
+    # past BLOCK_ROWS steps a writer block is one run; it must not view its chunk's states,
+    # or the writer's last block keeps that chunk alive while the next one is stepped
+    monkeypatch.setattr(simulation, "_RUN_CHUNK", 4)
+    k = WalkKernel()
+    peaks = []
+    for runs in (4, 12):
+        tracemalloc.start()
+        sim = Simulation(k, k.space.state(x=0.5), 10_000, runs, RandomnessPlan(0))
+        save_estimate(os.devnull, sim)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # a chunk's states are 320 kB, so a second chunk alive would show
+    assert peaks[1] < peaks[0] + 200_000, peaks
 
 
 def test_weak_convergence_on_uniform_chain():
