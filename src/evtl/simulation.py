@@ -11,13 +11,14 @@ indices) between the steps of a block. A :class:`Simulation`, a range of
 runs, is the one place where runs are drawn and stepped: it steps again at
 each read and splits into chunks of consecutive runs. Readers take states a
 block of time indices at a time from the ``blocks(width)`` of a simulation or
-a stored :class:`EvolutionEstimate`, sized by :func:`_block_width`; no width
-or chunk changes a bit. A kernel step raises ``FloatingPointError`` on an
-overflow, an invalid operation or a division by zero under any error state;
-underflow to zero is a value. Everything stochastic flows through a
-:class:`RandomnessPlan`, which derives independent, reproducible generator
-streams from a single master seed and a structured purpose key. Run j always
-draws from stream ``(0, j)``, whichever runs share its batch.
+a stored :class:`EvolutionEstimate`, sized by :func:`_block_width` (the CSV
+writer reads every step of a chunk at once); no width or chunk changes a
+bit. A kernel step raises ``FloatingPointError`` on an overflow, an invalid
+operation or a division by zero under any error state; underflow to zero is
+a value. Everything stochastic flows through a :class:`RandomnessPlan`,
+which derives independent, reproducible generator streams from a single
+master seed and a structured purpose key. Run j always draws from stream
+``(0, j)``, whichever runs share its batch.
 """
 
 from __future__ import annotations
