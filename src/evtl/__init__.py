@@ -21,7 +21,6 @@ from .simulation import (
     RandomnessPlan,
     Simulation,
     estimate,
-    simulate,
 )
 from .formulas import (
     Discount,
@@ -63,7 +62,6 @@ __all__ = [
     "RandomnessPlan",
     "Simulation",
     "estimate",
-    "simulate",
     "Discount",
     "EmpiricalRef",
     "Hazard",

@@ -29,7 +29,7 @@ from .config import ConfigError, RunConfig, apply_setting, build_model, load_con
 from .monitor import check_formula, save_series
 from .parsing import FormulaError, load_formula
 from .simulation import EvolutionEstimate, RandomnessPlan, Simulation, estimate, run_moments
-from .simulation import save_estimate, save_trajectory, simulate
+from .simulation import save_estimate, save_trajectory
 from .stats import SWEEP_RUNS, error_report, save_error_report
 from .wasserstein import evolution_divergence
 
@@ -77,9 +77,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.run < 0:
         raise ConfigError(f"--run must be >= 0, got {args.run}")
     kernel, init, _ = build_model(cfg)
-    plan = RandomnessPlan(cfg.seed)
-    traj = simulate(kernel, init, cfg.require_steps(), plan.substream(0, args.run))
-    save_trajectory(args.out, traj)
+    run = Simulation(kernel, init, cfg.require_steps(), 1, RandomnessPlan(cfg.seed), first=args.run)
+    save_trajectory(args.out, run)
     return 0
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "RandomnessPlan",
     "EvolutionEstimate",
     "Simulation",
-    "simulate",
     "estimate",
     "run_moments",
     "save_trajectory",
@@ -220,19 +219,6 @@ class EvolutionEstimate:
         return (EvolutionEstimate(self.space, self.values[:, a : a + size]) for a in starts)
 
 
-def _check_runs(kernel: MarkovKernel, initial: DataState, steps: int, runs: int, first=0) -> range:
-    """The indices of runs that can be simulated; every entry point calls it before it draws."""
-    if initial.space != kernel.space:
-        raise ValueError("initial state space differs from kernel space")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if runs < 1:
-        raise ValueError("need at least one run")
-    if first < 0:
-        raise ValueError("the first run must be >= 0")
-    return range(first, first + runs)
-
-
 def _run_noise(kernel: MarkovKernel, plan: RandomnessPlan, steps: int, runs: range) -> np.ndarray:
     """(len(runs), steps) noise; row j holds the draws of run runs[j], from stream (0, run)."""
     noise = np.empty((len(runs), steps))
@@ -268,7 +254,7 @@ def _paths(
 
 @dataclass(frozen=True)
 class Simulation:
-    """Runs ``first`` to ``first + runs - 1`` of a plan, stepped again at each read."""
+    """Runs ``first`` to ``first + runs - 1`` of a plan; checked when built, stepped per read."""
 
     kernel: MarkovKernel
     initial: DataState
@@ -276,6 +262,16 @@ class Simulation:
     runs: int
     plan: RandomnessPlan
     first: int = 0
+
+    def __post_init__(self) -> None:
+        if self.initial.space != self.kernel.space:
+            raise ValueError("initial state space differs from kernel space")
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
+        if self.runs < 1:
+            raise ValueError("need at least one run")
+        if self.first < 0:
+            raise ValueError("the first run must be >= 0")
 
     @property
     def space(self) -> DataSpace:
@@ -285,14 +281,14 @@ class Simulation:
         """The estimate's blocks bit for bit, from noise drawn now; each valid until the next."""
         if width < 1:
             raise ValueError("block width must be >= 1")
-        runs = _check_runs(self.kernel, self.initial, self.steps, self.runs, self.first)
+        runs = range(self.first, self.first + self.runs)
         noise = _run_noise(self.kernel, self.plan, self.steps, runs)
         return _paths(self.kernel, self.initial, noise, width)
 
     def split(self, size: int) -> Iterator["Simulation"]:
         """Simulations of up to ``size`` consecutive runs each, in run order."""
-        runs = _check_runs(self.kernel, self.initial, self.steps, self.runs, self.first)
-        return (replace(self, first=a, runs=min(size, runs.stop - a)) for a in runs[::size])
+        starts = range(self.first, self.first + self.runs, size)
+        return (replace(self, first=a, runs=min(size, self.first + self.runs - a)) for a in starts)
 
 
 _BLOCK_VALUES = 1 << 13  # run states per block, for every reader of runs
@@ -301,20 +297,6 @@ _BLOCK_VALUES = 1 << 13  # run states per block, for every reader of runs
 def _block_width(runs: int) -> int:
     """Steps per block of a reader of ``runs`` runs; never changes a bit."""
     return max(1, _BLOCK_VALUES // max(runs, 1))
-
-
-def simulate(
-    kernel: MarkovKernel,
-    initial: DataState,
-    steps: int,
-    rng: np.random.Generator,
-) -> EvolutionEstimate:
-    """Roll the kernel forward ``steps`` times from ``initial``, as a one-run estimate."""
-    _check_runs(kernel, initial, steps, 1)
-    noise = np.empty((1, steps))
-    kernel.noise(rng, noise[0])
-    [(_, block)] = _paths(kernel, initial, noise, steps + 1)
-    return EvolutionEstimate(kernel.space, block.transpose(1, 2, 0))
 
 
 def estimate(
@@ -366,12 +348,13 @@ def run_moments(
         return total / runs
 
 
-def save_trajectory(dest, traj: EvolutionEstimate) -> None:
-    """CSV of a one-run estimate: a time column, then one column per variable."""
-    if traj.runs != 1:
-        raise ValueError(f"a trajectory is one run, got {traj.runs}")
-    columns = (np.arange(traj.steps + 1), traj.values[:, 0])
-    write_csv(dest, ("time", *traj.space.names), ("%d", "%.17g"), [columns])
+def save_trajectory(dest, source: EvolutionEstimate | Simulation) -> None:
+    """CSV of a one-run source: a time column, then one column per variable."""
+    if source.runs != 1:
+        raise ValueError(f"a trajectory is one run, got {source.runs}")
+    [(_, states)] = source.blocks(source.steps + 1)  # (dim, steps + 1, 1)
+    columns = (np.arange(source.steps + 1), states[:, :, 0].T)
+    write_csv(dest, ("time", *source.space.names), ("%d", "%.17g"), [columns])
 
 
 def save_estimate(dest, source: EvolutionEstimate | Simulation) -> None:

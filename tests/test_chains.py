@@ -28,7 +28,7 @@ from evtl.formulas import (
     eventually,
 )
 from evtl.monitor import evaluate
-from evtl.simulation import MarkovKernel, RandomnessPlan, estimate, simulate
+from evtl.simulation import MarkovKernel, RandomnessPlan, Simulation, estimate
 from evtl.spaces import DataSpace, Interval, Penalty, SampleSet
 from evtl.wasserstein import exact_one_sided_wasserstein
 
@@ -104,8 +104,9 @@ def test_a_loaded_chain_is_its_own_kernel():
 def test_kernel_follows_deterministic_transitions():
     # 0 -> 1 -> 0 -> ... deterministically
     flip = FiniteChain("x", [0.0, 1.0], np.array([[0.0, 1.0], [1.0, 0.0]]), [1, 0], [0, 1])
-    traj = simulate(flip, flip.initial_state(), 6, RandomnessPlan(0).substream(0, 0))
-    assert traj.values[:, 0, 0].tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+    run = Simulation(flip, flip.initial_state(), 6, 1, RandomnessPlan(0), first=3)
+    [(_, block)] = run.blocks(7)
+    assert block[0, :, 0].tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
 
 
 def test_kernel_batch_step_equals_one_row_steps():

@@ -190,7 +190,7 @@ def test_the_exact_chain_route_never_reads_the_sampler():
 # takes states through ``blocks(width)``, and a range of runs is a ``Simulation``
 SIMULATION_INTERNALS = {
     "_run_noise": {"simulation.Simulation.blocks"},
-    "_paths": {"simulation.Simulation.blocks", "simulation.simulate"},
+    "_paths": {"simulation.Simulation.blocks"},
 }
 
 

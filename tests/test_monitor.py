@@ -42,7 +42,7 @@ from evtl.simulation import (
     Simulation,
     estimate,
     run_moments,
-    simulate,
+    save_trajectory,
 )
 from evtl.spaces import DataSpace, FiniteSet, Interval, Penalty, SampleSet, identity_penalty
 from evtl.wasserstein import evolution_divergence, one_sided_wasserstein
@@ -845,7 +845,10 @@ def divide_by_zero_score(*_):
 
 
 OVERFLOW_CALLS = {
-    "simulate": lambda k, x0, f: simulate(k, x0, 5, np.random.default_rng(1)),
+    # the one-run source of `evtl simulate --run 3`
+    "simulate": lambda k, x0, f: save_trajectory(
+        io.StringIO(), Simulation(k, x0, 5, 1, RandomnessPlan(1), first=3)
+    ),
     "estimate": lambda k, x0, f: estimate(k, x0, 5, 8, RandomnessPlan(1)),
     "run_moments": lambda k, x0, f: run_moments(k, x0, 5, 8, RandomnessPlan(1)),
     "check_formula": lambda k, x0, f: check_formula(k, x0, f, 4, 2, RandomnessPlan(1), 5),

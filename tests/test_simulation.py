@@ -1,6 +1,7 @@
 import os
 import pickle
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from evtl.simulation import (
     run_moments,
     save_estimate,
     save_trajectory,
-    simulate,
 )
 from evtl.spaces import DataSpace, Interval
 from evtl.tanks import TankKernel, TankParams
@@ -49,13 +49,13 @@ class WalkKernel:
 
 
 def test_simulate_shapes_and_start():
+    # the one-run simulation `evtl simulate --run 4` writes
     k = WalkKernel()
     d0 = k.space.state(x=0.5)
-    traj = simulate(k, d0, 10, RandomnessPlan(1).substream(0, 0))
-    assert traj.steps == 10 and traj.runs == 1
-    assert traj.values.shape == (11, 1, 1)
-    assert traj.at(0).state(0) == d0
-    assert np.all(traj.values >= 0.0) and np.all(traj.values <= 1.0)
+    [(t0, block)] = Simulation(k, d0, 10, 1, RandomnessPlan(1), first=4).blocks(11)
+    assert t0 == 0 and block.shape == (1, 11, 1)
+    assert block[0, 0, 0] == 0.5
+    assert np.all(block >= 0.0) and np.all(block <= 1.0)
 
 
 def test_plan_streams_are_reproducible_and_distinct():
@@ -249,14 +249,6 @@ def test_simulation_blocks_equal_the_estimates_blocks(width):
             assert a.tobytes() == np.ascontiguousarray(b).tobytes()
 
 
-def test_simulation_checks_its_runs_and_steps_when_read():
-    k = WalkKernel()
-    for runs, steps, match in ((0, 5, "at least one run"), (3, -1, "steps must be")):
-        sim = Simulation(k, k.space.state(x=0.5), steps, runs, RandomnessPlan(1))
-        with pytest.raises(ValueError, match=match):
-            sim.blocks(4)
-
-
 class CountingKernel(WalkKernel):
     """The walk, counting its ``noise`` calls."""
 
@@ -280,8 +272,12 @@ DRAWING_ENTRY_POINTS = {
     "simulation-split": (
         lambda k, x0: Simulation(k, x0, 50, 20, RandomnessPlan(1)).split(4), MISMATCH
     ),
-    "simulate": (lambda k, x0: simulate(k, x0, 50, RandomnessPlan(1).substream(0, 0)), MISMATCH),
-    # a good start, but a first run whose stream key could only fail once the noise is sized
+    # the one-run source of `evtl simulate --run 3`
+    "simulate": (
+        lambda k, x0: save_trajectory(None, Simulation(k, x0, 50, 1, RandomnessPlan(1), first=3)),
+        MISMATCH,
+    ),
+    # a good start, but a first run that has no stream key
     "simulation-negative-first": (
         lambda k, _: Simulation(k, k.space.state(x=0.5), 50, 20, RandomnessPlan(1), -1).blocks(4),
         "^the first run must be >= 0$",
@@ -295,6 +291,23 @@ def test_a_mismatched_start_fails_before_any_noise_is_drawn(call, match):
     start = DataSpace({"y": Interval(0.0, 1.0)}).state(y=0.5)
     with pytest.raises(ValueError, match=match):
         call(k, start)
+    assert k.draws == 0
+
+
+def test_simulation_checks_its_runs_and_steps_when_built():
+    k = CountingKernel()
+    fields = dict(kernel=k, initial=k.space.state(x=0.5), steps=5, runs=3, plan=RandomnessPlan(1))
+    for change, match in (
+        ({"initial": DataSpace({"y": Interval(0.0, 1.0)}).state(y=0.5)}, MISMATCH),
+        ({"steps": -1}, "^steps must be >= 0$"),
+        ({"runs": 0}, "^need at least one run$"),
+        ({"first": -1}, "^the first run must be >= 0$"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            Simulation(**{**fields, **change})
+        # a split rebuilds each part, so it cannot make one either
+        with pytest.raises(ValueError, match=match):
+            replace(Simulation(**fields), **change)
     assert k.draws == 0
 
 
@@ -332,8 +345,14 @@ def test_estimate_rows_are_runs():
     est = estimate(k, d0, 6, 5, plan)
     # row j of each per-step sample set is run j resimulated independently
     for j in range(5):
-        traj = simulate(k, d0, 6, plan.substream(0, j))
-        np.testing.assert_array_equal(est.values[:, j, :], traj.values[:, 0, :])
+        [(_, block)] = Simulation(k, d0, 6, 1, plan, first=j).blocks(7)
+        np.testing.assert_array_equal(est.values[:, j, 0], block[0, :, 0])
+        # stepped by hand from stream (0, j)
+        x, path = 0.5, [0.5]
+        for z in plan.substream(0, j).standard_normal(6):
+            x = min(max(x + 0.1 * z, 0.0), 1.0)
+            path.append(x)
+        assert est.values[:, j, 0].tolist() == path
 
 
 def test_estimate_prefix_property():
@@ -384,13 +403,19 @@ def test_run_moments_fold_runs_in_order_within_blocks():
 
 def test_trajectory_csv_format(tmp_path):
     k = WalkKernel()
-    traj = simulate(k, k.space.state(x=0.0), 2, RandomnessPlan(0).substream(0, 0))
+    args = (k, k.space.state(x=0.0), 2, 1, RandomnessPlan(0))
     path = tmp_path / "t.csv"
-    save_trajectory(str(path), traj)
+    save_trajectory(str(path), Simulation(*args))
     lines = path.read_text().splitlines()
     assert lines[0] == "time,x"
     assert lines[1] == "0,0"
     assert len(lines) == 4
+    # a stored one-run estimate writes the same bytes; a source of two runs is no trajectory
+    stored = tmp_path / "s.csv"
+    save_trajectory(str(stored), estimate(*args))
+    assert stored.read_bytes() == path.read_bytes()
+    with pytest.raises(ValueError, match="a trajectory is one run, got 2"):
+        save_trajectory(str(stored), Simulation(k, k.space.state(x=0.0), 2, 2, RandomnessPlan(0)))
 
 
 def test_estimate_csv_row_order(tmp_path):
