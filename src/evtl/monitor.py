@@ -94,8 +94,8 @@ class RobustnessSeries:
 
     @property
     def satisfied(self) -> bool | None:
-        """Sign verdict at time 0; None when the robustness is 0.0 or -0.0."""
-        return None if self.value == 0.0 else self.value > 0.0
+        """Sign verdict at time 0; None at a robustness of 0.0 or -0.0, or an unreliable index 0."""
+        return None if self.value == 0.0 or self.reliable_steps == 0 else self.value > 0.0
 
     @property
     def reliable_steps(self) -> int:

@@ -125,6 +125,20 @@ def test_check_reports_verdict(tmp_path, capsys):
     assert len(lines) == 5
 
 
+def test_check_below_the_horizon_has_no_verdict(tmp_path, capsys):
+    # 3 steps of a 50-step property: index 0 is unreliable, so the verdict is null
+    series = tmp_path / "series.csv"
+    preset = str(REPO / "presets" / "three-tanks-scenario-1.cfg")
+    prop = str(REPO / "properties" / "settle-on-goal.evtl")
+    argv = ("check", "--config", preset, "--formula", prop, "--steps", "3")
+    code, stdout, _ = run(capsys, *argv, "--out", str(series))
+    doc = json.loads(stdout)
+    assert code == 0 and doc["reliable_steps"] == 0 and doc["satisfied"] is None
+    assert doc["robustness"] != 0.0
+    rows = [line.split(",") for line in series.read_text().splitlines()[1:]]
+    assert [r[2] for r in rows] == ["0"] * 4 and float(rows[0][1]) == doc["robustness"]
+
+
 def test_check_is_deterministic(tmp_path, capsys):
     f = tmp_path / "prop.evtl"
     f.write_text("G[0,4] !hazard(point(x=1.0), rho, 0.6)\n")

@@ -672,6 +672,14 @@ def test_reliability_window():
     assert RobustnessSeries(np.zeros(3), formula_horizon=9).reliable_steps == 0
 
 
+@pytest.mark.parametrize("steps, want", [(3, True), (2, None), (0, None)])
+def test_verdict_is_none_when_index_0_is_unreliable(steps, want):
+    # a horizon of 3: below 3 steps, index 0's window does not fit
+    s = RobustnessSeries(np.full(steps + 1, 0.5), formula_horizon=3)
+    assert (s.reliable_steps > 0, s.value, s.satisfied) == (want is not None, 0.5, want)
+    assert RobustnessSeries(np.full(3, -0.5), formula_horizon=3).satisfied is None
+
+
 def test_check_formula_defaults_steps_to_horizon(unit):
     space, pen = unit
     f = eventually(0, 5, Target(PointMass((("x", 1.0),)), pen, 0.4))
