@@ -176,7 +176,7 @@ def load_chain(path: str) -> FiniteChain:
     "initial": [...], "penalty": [...], "penalty_name": str?}``. A document
     of another shape raises ``ValueError``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         # integers read as floats, so one too large for a float becomes inf
         doc = json.load(fh, parse_int=float)
     if not isinstance(doc, dict):

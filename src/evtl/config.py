@@ -174,7 +174,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
 
 def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None

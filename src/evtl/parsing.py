@@ -306,13 +306,13 @@ def load_formula(
     penalties: Mapping[str, Penalty],
     space: DataSpace | None = None,
 ) -> Formula:
-    """Parse a UTF-8 formula file (``#`` comments allowed)."""
+    """Parse a UTF-8 formula file, a leading BOM skipped (``#`` comments allowed)."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        head = _universal_newlines(data[: exc.start].decode("utf-8"))
+        head = _universal_newlines(exc.object[: exc.start].decode("utf-8"))
         raise FormulaError(f"{path} is not UTF-8: {exc}", *_at(head, len(head))) from None
     return parse_formula(_universal_newlines(text), penalties, space)
 

@@ -286,7 +286,7 @@ def load_samples(path: str) -> SampleSet:
 
     The space is inferred: its domains are the per-column sample ranges.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline().strip()
         if not header:
             raise ValueError(f"{path}: empty sample file")

@@ -598,6 +598,47 @@ def test_malformed_input_files_exit_without_traceback(kind, text, want, tmp_path
     assert code == want and stdout == "" and "Traceback" not in err
 
 
+PRESET = REPO / "presets" / "three-tanks-scenario-1.cfg"
+SETTLE = REPO / "properties" / "settle-on-goal.evtl"
+
+
+@pytest.mark.parametrize(
+    "kind, text, code",
+    [
+        ("config", PRESET.read_bytes(), 0),
+        ("config", b"seed = 1\nnot a setting\n", 2),
+        ("formula", SETTLE.read_bytes(), 0),
+        ("formula", b"true &&\n  @\n", 3),
+        ("formula", b"# caf\xe9\ntrue\n", 3),
+        ("chain", Path(DRIFT).read_bytes(), 0),
+        ("chain", b'{"variable": "x",\n "values": [0, }', 2),
+        ("samples", (REPO / "tests" / "data" / "levels-near-goal.csv").read_bytes(), 0),
+        ("samples", b"l3,l1\n10.5,9.5\n10.5,abc\n", 3),
+    ],
+    ids=[
+        "config", "config-bad-line", "formula", "formula-bad-character", "formula-latin1",
+        "chain", "chain-bad-json", "samples", "samples-bad-value",
+    ],
+)
+def test_input_files_read_the_same_after_a_utf8_bom(kind, text, code, tmp_path, capsys):
+    # an error's position counts from the first character after the BOM
+    path = tmp_path / "input"
+    prop = tmp_path / "prop.evtl"
+    prop.write_text(f'F[0,2] target(empirical("{path}"), rho3, 0.3)\n')
+    common = ["--steps", "3", "--runs", "4", "--ell", "1"]
+    argv = {
+        "config": ["check", "--config", str(path), "--formula", str(SETTLE)],
+        "formula": ["check", "--config", str(PRESET), "--formula", str(path)],
+        "chain": ["simulate", "--set", "model=chain", "--set", f"chain.file={path}"],
+        "samples": ["check", "--config", str(PRESET), "--formula", str(prop)],
+    }[kind] + common
+    results = []
+    for data in (text, b"\xef\xbb\xbf" + text):
+        path.write_bytes(data)
+        results.append(run(capsys, *argv))
+    assert results[0] == results[1] and results[0][0] == code
+
+
 def test_ragged_chain_file_names_the_file_and_field(tmp_path, capsys):
     chain = tmp_path / "ragged.json"
     chain.write_text(_drift_with(transition=[[0.6, 0.4], [1.0]]))
