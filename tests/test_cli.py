@@ -41,6 +41,21 @@ def test_simulate_run_index_selects_stream(tmp_path, capsys):
     assert a.read_bytes() != b.read_bytes()
 
 
+@pytest.mark.parametrize("j", [0, 3])
+@pytest.mark.parametrize(
+    "model",
+    [["--config", str(REPO / "presets" / "three-tanks-scenario-1.cfg")], CHAIN],
+    ids=["preset1", "drift"],
+)
+def test_simulate_run_is_that_run_of_estimate(model, j, capsys):
+    _, traj, _ = run(capsys, "simulate", *model, "--steps", "12", "--run", str(j))
+    _, est, _ = run(capsys, "estimate", *model, "--steps", "12", "--runs", str(j + 1))
+    header, *rows = est.splitlines()
+    want = [r.partition(",")[2] for r in rows if r.startswith(f"{j},")]
+    assert len(want) == 13
+    assert traj.splitlines() == [header.partition(",")[2], *want]
+
+
 def test_simulate_to_stdout(capsys):
     code, stdout, _ = run(capsys, "simulate", *CHAIN, "--steps", "2")
     assert code == 0
