@@ -12,6 +12,8 @@ from evtl.cli import build_parser, main
 REPO = Path(__file__).resolve().parents[1]
 DRIFT = str(REPO / "chains" / "drift.json")
 CHAIN = ["--set", "model=chain", "--set", f"chain.file={DRIFT}"]
+PRESET = REPO / "presets" / "three-tanks-scenario-1.cfg"
+SETTLE = REPO / "properties" / "settle-on-goal.evtl"
 
 
 def run(capsys, *argv):
@@ -44,7 +46,7 @@ def test_simulate_run_index_selects_stream(tmp_path, capsys):
 @pytest.mark.parametrize("j", [0, 3])
 @pytest.mark.parametrize(
     "model",
-    [["--config", str(REPO / "presets" / "three-tanks-scenario-1.cfg")], CHAIN],
+    [["--config", str(PRESET)], CHAIN],
     ids=["preset1", "drift"],
 )
 def test_simulate_run_is_that_run_of_estimate(model, j, capsys):
@@ -143,9 +145,7 @@ def test_check_reports_verdict(tmp_path, capsys):
 def test_check_below_the_horizon_has_no_verdict(tmp_path, capsys):
     # 3 steps of a 50-step property: index 0 is unreliable, so the verdict is null
     series = tmp_path / "series.csv"
-    preset = str(REPO / "presets" / "three-tanks-scenario-1.cfg")
-    prop = str(REPO / "properties" / "settle-on-goal.evtl")
-    argv = ("check", "--config", preset, "--formula", prop, "--steps", "3")
+    argv = ("check", "--config", str(PRESET), "--formula", str(SETTLE), "--steps", "3")
     code, stdout, _ = run(capsys, *argv, "--out", str(series))
     doc = json.loads(stdout)
     assert code == 0 and doc["reliable_steps"] == 0 and doc["satisfied"] is None
@@ -611,10 +611,6 @@ def test_malformed_input_files_exit_without_traceback(kind, text, want, tmp_path
     argv += ["--formula", str(path if kind == "formula" else prop), "--steps", "2"]
     code, stdout, err = run(capsys, *argv)
     assert code == want and stdout == "" and "Traceback" not in err
-
-
-PRESET = REPO / "presets" / "three-tanks-scenario-1.cfg"
-SETTLE = REPO / "properties" / "settle-on-goal.evtl"
 
 
 @pytest.mark.parametrize(
