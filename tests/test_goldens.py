@@ -21,6 +21,11 @@ that sum to 1 - 1 ulp, so the kernel's value-to-state mapping is pinned.
 ``distance-p1-p2-blocks`` compares 100 runs against 1000 over 41 steps,
 so each system is read as six blocks of up to eight time indices, three
 of which hold no observed time.
+``stats-drift-one-step-block`` folds 1100 reference runs of 9 time indices,
+so its first chunk of 1024 runs is read as blocks of 8 and 1 time indices,
+and its last block holds one value per run; the drift chain's values are
+halves, so its sums are exact and ``tests/test_simulation.py`` pins the
+run order of that fold.
 ``check-drift`` and ``check-drift-exp`` run 40 steps of a 600-step
 formula, so index 0 is unreliable and their verdict is null.
 ``check-p1-empirical`` reads a formula whose atoms resample a
@@ -127,6 +132,9 @@ CASES: dict[str, list[str]] = {
         "stats", *P2, "--steps", "10", "--runs", "20", "--reference-runs", "1500",
     ],
     "stats-drift": ["stats", *DRIFT, "--steps", "8", "--runs", "30", "--reference-runs", "50"],
+    "stats-drift-one-step-block": [
+        "stats", *DRIFT, "--steps", "8", "--runs", "30", "--reference-runs", "1100",
+    ],
 }
 
 # name -> (sha256 of the --out file, sha256 of stdout)
@@ -257,6 +265,10 @@ GOLDEN: dict[str, tuple[str, str]] = {
     ),
     "stats-drift": (
         "0a4996f54c063465a40bc7e96c4884a54e223e0c443b2af0b2d4e0d469e71afd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "stats-drift-one-step-block": (
+        "51d50a7cf7b192e05c4ba6da22959124426d669aef1b9dafb86885058ebe86d8",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "stats-p1": (
