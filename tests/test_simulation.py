@@ -374,11 +374,14 @@ def test_run_moments_match_materialized_estimate():
     np.testing.assert_allclose(mean, est.values.mean(axis=1), atol=1e-12)
 
 
-def test_run_moments_fold_runs_in_order_within_blocks():
+@pytest.mark.parametrize("steps", [3, 8])
+def test_run_moments_fold_runs_in_order_within_blocks(steps):
     # more runs than one chunk, so the chunk sums meet in the totals; each
-    # chunk is folded run by run, then the chunk sums in chunk order
+    # chunk is folded run by run, then the chunk sums in chunk order. A chunk
+    # of 1024 runs is read 8 steps a block, so 8 steps end in a block of one
+    # value per run, where numpy would sum a run-major copy pairwise
     chunk = simulation._RUN_CHUNK
-    runs, steps = chunk + 6, 3
+    runs = chunk + 6
     k = WalkKernel(step_std=0.3)
     d0 = k.space.state(x=0.5)
     plan = RandomnessPlan(21)
@@ -397,8 +400,9 @@ def test_run_moments_fold_runs_in_order_within_blocks():
                 folds.append(s)
         assert mean[i, 0] == total / runs
     # numpy's pairwise sum of the first chunk differs from its run-order fold
-    # at some step, so a pairwise fold would fail the oracle above
-    assert any(np.sum(xs[i, :chunk]) != folds[i] for i in range(steps + 1))
+    # at the last step, so a pairwise fold of the last block would fail the
+    # oracle above
+    assert np.sum(xs[steps, :chunk]) != folds[steps]
 
 
 def test_trajectory_csv_format(tmp_path):
