@@ -337,14 +337,22 @@ def run_moments(
     streams as :func:`estimate`. Each chunk of runs is summed per step in run
     order, and the chunk sums are added to the total in chunk order.
     """
-    total = np.zeros((steps + 1, kernel.space.dim))
+    dim = kernel.space.dim
+    total = np.zeros((steps + 1, dim))
     # the run sum can overflow where no step does, near bounds of 1e308
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for chunk in Simulation(kernel, initial, steps, runs, plan).split(_RUN_CHUNK):
-            for t0, block in chunk.blocks(_block_width(chunk.runs)):
-                # an accumulation's last entry adds the runs one after another; a
-                # plain sum along the row would be pairwise and change the last bits
-                total[t0 : t0 + block.shape[1]] += np.add.accumulate(block, axis=2)[:, :, -1].T
+            width = _block_width(chunk.runs)
+            # one row per run, a spare zero column, then the block's (dim, w) values:
+            # a reduce over the rows adds the runs one after another, column by
+            # column, where numpy would sum a lone column pairwise. It starts from
+            # 0.0, so a sum of -0.0 comes out 0.0, as adding it to the total does
+            rows = np.zeros((chunk.runs, 1 + dim * min(width, steps + 1)))
+            for t0, block in chunk.blocks(width):
+                w = block.shape[1]
+                cols = rows[:, : 1 + dim * w]
+                cols[:, 1:].reshape(-1, dim, w)[...] = block.transpose(2, 0, 1)
+                total[t0 : t0 + w] += np.add.reduce(cols, axis=0)[1:].reshape(dim, w).T
         return total / runs
 
 

@@ -120,39 +120,55 @@ class TankKernel:
         # ``values`` is read in full before the block is written, as may be
         # needed when it is the block's last state
         scratch = np.empty((2, *values.shape))
+        # level differences and pipe flows, rows [12, 23], reused by every step
+        d, pipe = np.empty((2, 2, values.shape[1]))
         for i, (z, dst) in enumerate(zip(noise, out.swapaxes(0, 1))):
             nxt = scratch[i % 2]
             levels, flows = values[:3], values[3:]
             q1, q2, q0 = flows
 
-            # signed Torricelli flows through both pipes at once, rows [q12, q23]
-            d = levels[:2] - levels[1:]
-            q12, q23 = np.copysign(self._pipe * np.sqrt(self._two_g * np.abs(d)), d)
+            # signed Torricelli flows through both pipes at once
+            np.subtract(levels[:2], levels[1:], out=d)
+            np.abs(d, out=pipe)
+            pipe *= self._two_g
+            np.sqrt(pipe, out=pipe)
+            pipe *= self._pipe
+            np.copysign(pipe, d, out=pipe)
+            q12, q23 = pipe
 
             # each tank's net inflow, scaled onto its level
             lv = nxt[:3]
             np.subtract(q1, q12, out=nxt[0])
             np.subtract(q12, q23, out=nxt[1])
-            np.subtract(q2 + q23, q0, out=nxt[2])
+            np.add(q2, q23, out=nxt[2])
+            nxt[2] -= q0
             lv *= self._scale
             lv += levels
             # min(hi, max(lo, x)) in place, keeping Python's choice between
             # equal values, so that signed zeros and NaN come out as a scalar
-            # clamp gives them
+            # clamp gives them; the masks are mostly false, so they stay
             np.copyto(lv, lo, where=~(lv > lo))
             np.copyto(lv, hi, where=~(lv < hi))
 
-            # controllers read the pre-update levels l1, l3 and step q1, q0; the
-            # final clamp into [0, flow_max] also bounds each controller branch
-            lc, q, qs = levels[::2], flows[::2], self._qstep
-            nxt[3::2] = np.where(lc > self._hi_band, q + qs, np.where(lc < self._lo_band, q - qs, q))
+            # controllers read the pre-update levels l1, l3 and step q1, q0 by
+            # sign * step, sign in {-1, 0, +1}: q + (+-1 * qs) is q +- qs exactly,
+            # and q + +-0.0 is q but for -0.0, which the flow clamp makes 0.0
+            lc, ctl = levels[::2], nxt[3::2]
+            np.subtract(lc > self._hi_band, lc < self._lo_band, out=ctl, dtype=np.float64)
+            ctl *= self._qstep
+            ctl += flows[::2]
             if self.scenario == 1:
-                nxt[4] = self.params.inflow_mean + self._inflow_std * z
+                np.multiply(z, self._inflow_std, out=nxt[4])
+                nxt[4] += self.params.inflow_mean
             else:
-                nxt[4] = q2 + z
+                np.add(q2, z, out=nxt[4])
+            # min(qmax, max(0.0, x)) without masks: fmax takes 0.0 for NaN, and
+            # adding 0.0 makes a -0.0 that either bound leaves 0.0, so no
+            # branch depends on how fmax orders signed zeros
             fl = nxt[3:]
-            np.copyto(fl, 0.0, where=~(fl > 0.0))
-            np.copyto(fl, qmax, where=~(fl < qmax))
+            np.fmax(fl, 0.0, out=fl)
+            fl += 0.0
+            np.fmin(fl, qmax, out=fl)
             dst[...] = nxt
             values = nxt
 
