@@ -146,7 +146,7 @@ class TankKernel:
             lv += levels
             # min(hi, max(lo, x)) in place, keeping Python's choice between
             # equal values, so that signed zeros and NaN come out as a scalar
-            # clamp gives them; the masks are mostly false, so they stay
+            # clamp gives them; these masks are mostly false, so they cost little
             np.copyto(lv, lo, where=~(lv > lo))
             np.copyto(lv, hi, where=~(lv < hi))
 
@@ -163,8 +163,8 @@ class TankKernel:
             else:
                 np.add(q2, z, out=nxt[4])
             # min(qmax, max(0.0, x)) without masks: fmax takes 0.0 for NaN, and
-            # adding 0.0 makes a -0.0 that either bound leaves 0.0, so no
-            # branch depends on how fmax orders signed zeros
+            # adding 0.0 turns the -0.0 it may keep into 0.0, whichever zero
+            # numpy's fmax returns for equal zeros
             fl = nxt[3:]
             np.fmax(fl, 0.0, out=fl)
             fl += 0.0

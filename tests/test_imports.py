@@ -2,9 +2,9 @@
 ``formulas.fold`` is the one walk that matches on formula node kinds, ``formulas`` the one
 module that reads a node's children, and ``FiniteChain`` the one owner of the map from values
 to chain states, the one reader of its sampler; the exact chain route reads a chain's data
-and never its sampler. Only ``Simulation.blocks`` draws a run's noise and steps its paths, and
-``simulate`` steps its one run: every other reader takes states through ``blocks(width)``, at
-the one width rule ``simulation._block_width``.
+and never its sampler. Only ``Simulation.blocks`` draws a run's noise and steps its paths:
+every other reader takes states through ``blocks(width)``, at the one width rule
+``simulation._block_width``.
 Numeric failures are raised where numbers are made, not around the callers, and the tank
 step writes through a mask only in its level clamp."""
 
@@ -281,16 +281,13 @@ def test_numeric_failures_are_raised_where_numbers_are_made():
     assert sites == ERRSTATE_SITES, f"raise numeric failures where they happen: {sorted(sites)}"
 
 
-def _tank_advance() -> ast.FunctionDef:
-    tree = ast.parse((SRC / "tanks.py").read_text(encoding="utf-8"))
-    return dict(_functions(tree, "tanks"))["tanks.TankKernel.advance"]
-
-
 def test_the_tank_step_masks_only_its_level_clamp():
     # a mixed mask mispredicts a branch per value: the controller is a sign times
     # the step and the flow clamp is fmax and fmin; only the level clamp, whose
     # masks are mostly false, writes the level rows ``lv`` through a mask
-    calls = [n for n in ast.walk(_tank_advance()) if isinstance(n, ast.Call)]
+    tree = ast.parse((SRC / "tanks.py").read_text(encoding="utf-8"))
+    advance = dict(_functions(tree, "tanks"))["tanks.TankKernel.advance"]
+    calls = [n for n in ast.walk(advance) if isinstance(n, ast.Call)]
     wheres = [c.lineno for c in calls if getattr(c.func, "attr", None) == "where"]
     assert not wheres, f"TankKernel.advance calls np.where on lines {wheres}"
     masked = [
