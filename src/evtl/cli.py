@@ -183,10 +183,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         raise ConfigError("--sweep needs --out ending in .csv to derive per-N file names")
     reference = None
     if args.reference_runs is not None:
-        reference = run_moments(kernel, init, steps, args.reference_runs, plan.scoped(2))
+        reference_runs = Simulation(kernel, init, steps, args.reference_runs, plan.scoped(2))
+        reference = run_moments(reference_runs)
     # the first n runs of an estimate are the n-run estimate, so the runs are simulated once
     counts = SWEEP_RUNS if args.sweep else (cfg.runs,)
-    est = estimate(kernel, init, steps, max(counts), plan)
+    est = estimate(Simulation(kernel, init, steps, max(counts), plan))
     for n in counts:
         dest = f"{args.out[: -len('.csv')]}-n{n}.csv" if args.sweep else args.out
         report = error_report(EvolutionEstimate(est.space, est.values[:, :n]), reference)

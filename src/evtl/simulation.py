@@ -17,8 +17,7 @@ bit. A kernel step raises ``FloatingPointError`` on an overflow, an invalid
 operation or a division by zero under any error state; underflow to zero is
 a value. Everything stochastic flows through a :class:`RandomnessPlan`,
 which derives independent, reproducible generator streams from a single
-master seed and a structured purpose key. Run j always draws from stream
-``(0, j)``, whichever runs share its batch.
+master seed and a structured purpose key.
 """
 
 from __future__ import annotations
@@ -215,6 +214,8 @@ class EvolutionEstimate:
 
     def split(self, size: int) -> Iterator["EvolutionEstimate"]:
         """Views of up to ``size`` consecutive runs each, in run order."""
+        if size < 1:
+            raise ValueError("split size must be >= 1")
         starts = range(0, self.runs, size)
         return (EvolutionEstimate(self.space, self.values[:, a : a + size]) for a in starts)
 
@@ -254,7 +255,11 @@ def _paths(
 
 @dataclass(frozen=True)
 class Simulation:
-    """Runs ``first`` to ``first + runs - 1`` of a plan; checked when built, stepped per read."""
+    """Runs ``first`` to ``first + runs - 1`` of a plan; checked when built, stepped per read.
+
+    Run j always draws from stream ``(0, j)`` of the plan, whichever runs share
+    its batch, so the first N runs of any larger simulation are the N-run one.
+    """
 
     kernel: MarkovKernel
     initial: DataState
@@ -287,6 +292,8 @@ class Simulation:
 
     def split(self, size: int) -> Iterator["Simulation"]:
         """Simulations of up to ``size`` consecutive runs each, in run order."""
+        if size < 1:
+            raise ValueError("split size must be >= 1")
         starts = range(self.first, self.first + self.runs, size)
         return (replace(self, first=a, runs=min(size, self.first + self.runs - a)) for a in starts)
 
@@ -299,23 +306,12 @@ def _block_width(runs: int) -> int:
     return max(1, _BLOCK_VALUES // max(runs, 1))
 
 
-def estimate(
-    kernel: MarkovKernel,
-    initial: DataState,
-    steps: int,
-    runs: int,
-    plan: RandomnessPlan,
-) -> EvolutionEstimate:
-    """Simulate ``runs`` independent trajectories and collect them per step.
-
-    Run j always uses stream ``(0, j)`` of the plan, so the first N runs of
-    any larger estimate equal the N-run estimate.
-    """
-    blocks = Simulation(kernel, initial, steps, runs, plan).blocks(_block_width(runs))
-    values = np.empty((steps + 1, runs, kernel.space.dim))
-    for t0, block in blocks:
+def estimate(source: EvolutionEstimate | Simulation) -> EvolutionEstimate:
+    """A source's states at every step, stored in one array; row j is the source's j-th run."""
+    values = np.empty((source.steps + 1, source.runs, source.space.dim))
+    for t0, block in source.blocks(_block_width(source.runs)):
         values[t0 : t0 + block.shape[1]] = block.transpose(1, 2, 0)
-    return EvolutionEstimate(kernel.space, values)
+    return EvolutionEstimate(source.space, values)
 
 
 # runs per chunk for every reader of whole runs; run_moments's float fold order,
@@ -323,25 +319,19 @@ def estimate(
 _RUN_CHUNK = 1024
 
 
-def run_moments(
-    kernel: MarkovKernel,
-    initial: DataState,
-    steps: int,
-    runs: int,
-    plan: RandomnessPlan,
-) -> np.ndarray:
-    """Streaming per-step mean over ``runs`` trajectories, as a (steps+1, dim) array.
+def run_moments(source: EvolutionEstimate | Simulation) -> np.ndarray:
+    """Streaming per-step mean over a source's runs, as a (steps+1, dim) array.
 
     Uses a running sum instead of materializing the estimate, so reference
-    runs with very large N stay at constant memory. Uses the same ``(0, run)``
-    streams as :func:`estimate`. Each chunk of runs is summed per step in run
-    order, and the chunk sums are added to the total in chunk order.
+    runs with very large N stay at constant memory. Each chunk of runs is
+    summed per step in run order, and the chunk sums are added to the total
+    in chunk order.
     """
-    dim = kernel.space.dim
+    steps, dim = source.steps, source.space.dim
     total = np.zeros((steps + 1, dim))
     # the run sum can overflow where no step does, near bounds of 1e308
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for chunk in Simulation(kernel, initial, steps, runs, plan).split(_RUN_CHUNK):
+        for chunk in source.split(_RUN_CHUNK):
             width = _block_width(chunk.runs)
             # one row per run, a spare zero column, then the block's (dim, w) values:
             # a reduce over the rows adds the runs one after another, column by
@@ -353,7 +343,7 @@ def run_moments(
                 cols = rows[:, : 1 + dim * w]
                 cols[:, 1:].reshape(-1, dim, w)[...] = block.transpose(2, 0, 1)
                 total[t0 : t0 + w] += np.add.reduce(cols, axis=0)[1:].reshape(dim, w).T
-        return total / runs
+        return total / source.runs
 
 
 def save_trajectory(dest, source: EvolutionEstimate | Simulation) -> None:

@@ -34,7 +34,7 @@ from evtl.formulas import (
     horizon,
 )
 from evtl.monitor import evaluate, until_combine
-from evtl.simulation import RandomnessPlan, estimate, run_moments
+from evtl.simulation import RandomnessPlan, Simulation, estimate, run_moments
 from evtl.spaces import DataSpace, Interval, Penalty, SampleSet, identity_penalty, penalty_gap
 from evtl.stats import error_report
 from evtl.tanks import TankKernel, TankParams
@@ -145,7 +145,8 @@ def test_criterion_3_statistical_converges_to_exact():
             k = horizon(formula)
             errors = []
             for n in (100, 1000, 10_000):
-                est = estimate(chain, chain.initial_state(), k, 2 * n, RandomnessPlan(33))
+                runs = Simulation(chain, chain.initial_state(), k, 2 * n, RandomnessPlan(33))
+                est = estimate(runs)
                 stat = evaluate(est, formula, n, RandomnessPlan(33)).value
                 errors.append(abs(stat - exact))
             assert errors[-1] < 0.03, f"{name}: error {errors[-1]:.4f} at N=1e4"
@@ -294,18 +295,19 @@ def test_criterion_6_tank_study_reproduction():
     label = "tank plant: in-domain, settles to [9,11], stderr halves, z within bands"
     with criterion(6, label, 300.0):
         for scenario in (1, 2):
-            est = estimate(TankKernel(params, scenario), start, 600, 200, RandomnessPlan(42))
+            runs = Simulation(TankKernel(params, scenario), start, 600, 200, RandomnessPlan(42))
+            est = estimate(runs)
             for i, var in enumerate(est.space.names):
                 dom = est.space.domains[i]
                 col = est.column(var)
                 assert np.all(col >= dom.lo) and np.all(col <= dom.hi), f"{var} out of domain"
 
-        est1k = estimate(TankKernel(params, 1), start, 150, 1000, RandomnessPlan(42))
+        est1k = estimate(Simulation(TankKernel(params, 1), start, 150, 1000, RandomnessPlan(42)))
         for var in ("l1", "l2", "l3"):
             mean = est1k.column(var)[100:151].mean()
             assert 9.0 < mean < 11.0, f"{var} settles at {mean:.2f}"
 
-        est4k = estimate(TankKernel(params, 1), start, 150, 4000, RandomnessPlan(42))
+        est4k = estimate(Simulation(TankKernel(params, 1), start, 150, 4000, RandomnessPlan(42)))
         rep1k, rep4k = error_report(est1k), error_report(est4k)
         level_cols = [est1k.space.names.index(v) for v in ("l1", "l2", "l3")]
         ratio = rep1k.stderr[50:, level_cols] / rep4k.stderr[50:, level_cols]
@@ -313,7 +315,7 @@ def test_criterion_6_tank_study_reproduction():
         assert 1.8 <= med <= 2.2, f"stderr ratio {med:.2f} not a halving"
 
         ref_mean = run_moments(
-            TankKernel(params, 1), start, 150, 100_000, RandomnessPlan(42).scoped(2)
+            Simulation(TankKernel(params, 1), start, 150, 100_000, RandomnessPlan(42).scoped(2))
         )
         scored = error_report(est1k, ref_mean)
         # pooled over (time, variable): per-variable fractions swing hard

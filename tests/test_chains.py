@@ -200,7 +200,7 @@ def test_kernel_block_equals_per_run_inverse_cdf(case):
 
 def test_kernel_frequencies_approach_transients():
     chain = two_state_chain(0.3, 0.1)
-    est = estimate(chain, chain.initial_state(), 10, 4000, RandomnessPlan(5))
+    est = estimate(Simulation(chain, chain.initial_state(), 10, 4000, RandomnessPlan(5)))
     exact = transient_distributions(chain, 10)
     freq_state1 = (est.column("x") == 1.0).mean(axis=1)
     assert freq_state1 == pytest.approx(exact[:, 1], abs=0.03)
@@ -328,7 +328,7 @@ def test_statistical_monitor_converges_to_exact():
         ),
     )
     exact = exact_robustness(chain, f, steps=6).values
-    est = estimate(chain, chain.initial_state(), 6, 2 * 2000, RandomnessPlan(9))
+    est = estimate(Simulation(chain, chain.initial_state(), 6, 2 * 2000, RandomnessPlan(9)))
     stat = evaluate(est, f, 2000, RandomnessPlan(9)).values
     assert stat == pytest.approx(exact, abs=0.05)
 
@@ -343,7 +343,7 @@ def test_statistical_and_exact_series_give_one_verdict(threshold, negate, want):
     chain = two_state_chain(0.4, 0.15)
     atom = Target(PointMass((("x", 0.0),)), chain.penalty, threshold)
     f = Not(atom) if negate else atom
-    est = estimate(chain, chain.initial_state(), 3, 20, RandomnessPlan(9))
+    est = estimate(Simulation(chain, chain.initial_state(), 3, 20, RandomnessPlan(9)))
     for series in (exact_robustness(chain, f, steps=3), evaluate(est, f, 10, RandomnessPlan(9))):
         assert series.value == (-threshold if negate else threshold)
         # 0.0 and -0.0 are both a tie

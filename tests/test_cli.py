@@ -364,9 +364,7 @@ def test_stats_sweep_simulates_once(tmp_path, capsys, monkeypatch):
 
     runs = []
     real = cli_mod.estimate
-    monkeypatch.setattr(
-        cli_mod, "estimate", lambda k, x0, s, n, plan: runs.append(n) or real(k, x0, s, n, plan)
-    )
+    monkeypatch.setattr(cli_mod, "estimate", lambda sim: runs.append(sim.runs) or real(sim))
     args = (
         "stats", "--config", str(REPO / "presets" / "three-tanks-scenario-2.cfg"),
         "--steps", "5", "--reference-runs", "300",

@@ -4,7 +4,8 @@ module that reads a node's children, and ``FiniteChain`` the one owner of the ma
 to chain states, the one reader of its sampler; the exact chain route reads a chain's data
 and never its sampler. Only ``Simulation.blocks`` draws a run's noise and steps its paths:
 every other reader takes states through ``blocks(width)``, at the one width rule
-``simulation._block_width``.
+``simulation._block_width``, and only the CLI and ``monitor.check_formula`` build a
+``Simulation``.
 Numeric failures are raised where numbers are made, not around the callers, and the tank
 step writes through a mask only in its level clamp."""
 
@@ -261,24 +262,42 @@ ERRSTATE_SITES = {
 }
 
 
-def _errstate_sites(node: ast.AST, name: str):
-    """Qualified names of the definitions under ``node`` that name ``errstate`` or ``seterr``."""
+def _sites(node: ast.AST, name: str, found):
+    """Qualified names of the definitions under ``node`` that hold a node ``found`` accepts;
+    a node outside any definition is in ``<module>``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _errstate_sites(child, f"{name}.{child.name}")
+            yield from _sites(child, f"{name}.{child.name}", found)
             continue
-        if {"errstate", "seterr"} & {getattr(child, "attr", getattr(child, "id", None))}:
+        if found(child):
             yield name
-        yield from _errstate_sites(child, name)
+        yield from _sites(child, name, found)
+
+
+def _sites_in_src(found) -> set[str]:
+    return {
+        site
+        for path in sorted(SRC.glob("*.py"))
+        for site in _sites(ast.parse(path.read_text(encoding="utf-8")), path.stem, found)
+    }
+
+
+def _named(node: ast.AST) -> str | None:
+    return getattr(node, "attr", getattr(node, "id", None))
 
 
 def test_numeric_failures_are_raised_where_numbers_are_made():
-    sites = {
-        site
-        for path in sorted(SRC.glob("*.py"))
-        for site in _errstate_sites(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    }
+    sites = _sites_in_src(lambda node: _named(node) in {"errstate", "seterr"})
     assert sites == ERRSTATE_SITES, f"raise numeric failures where they happen: {sorted(sites)}"
+
+
+def test_only_the_cli_and_check_formula_build_a_simulation():
+    # every other reader takes the runs it reads as a source; ``replace`` of one is no build
+    builders = _sites_in_src(
+        lambda node: isinstance(node, ast.Call) and _named(node.func) == "Simulation"
+    )
+    outside = {site for site in builders if not site.startswith("cli.")}
+    assert outside <= {"monitor.check_formula"}, f"take a Simulation, do not build one: {outside}"
 
 
 def test_the_tank_step_masks_only_its_level_clamp():

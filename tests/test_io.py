@@ -22,7 +22,7 @@ from hypothesis.extra import numpy as hnp
 
 from evtl._io import _FLOAT_CANVAS, BLOCK_ROWS, _tables, write_csv
 from evtl.config import RunConfig, build_model, load_config
-from evtl.simulation import EvolutionEstimate, RandomnessPlan, estimate, save_estimate
+from evtl.simulation import EvolutionEstimate, RandomnessPlan, Simulation, estimate, save_estimate
 from evtl.spaces import DataSpace, Interval
 from evtl.stats import ErrorReport, save_error_report
 
@@ -312,7 +312,7 @@ def oracle_estimate(est: EvolutionEstimate) -> str:
 def test_estimate_csv_equals_the_per_value_oracle(cfg):
     kernel, init, _ = build_model(cfg)
     # 23 runs of 61 rows: blocks of whole runs, the last one shorter
-    est = estimate(kernel, init, 60, 23, RandomnessPlan(7))
+    est = estimate(Simulation(kernel, init, 60, 23, RandomnessPlan(7)))
     buf = io.StringIO()
     save_estimate(buf, est)
     assert buf.getvalue() == oracle_estimate(est)

@@ -83,7 +83,7 @@ def unit():
 def hold_estimate(space, value=0.5, steps=6, runs=40):
     kernel = HoldKernel(space)
     start = space.state(x=value)
-    return estimate(kernel, start, steps, runs, RandomnessPlan(7))
+    return estimate(Simulation(kernel, start, steps, runs, RandomnessPlan(7)))
 
 
 # --- until combinator, frozen by hand --------------------------------------
@@ -386,7 +386,7 @@ def stochastic_setup(steps=8, runs=60):
     kernel = WalkKernel()
     space = kernel.space
     pen = identity_penalty(space, "x", name="px")
-    est = estimate(kernel, space.state(x=0.5), steps, runs, RandomnessPlan(11))
+    est = estimate(Simulation(kernel, space.state(x=0.5), steps, runs, RandomnessPlan(11)))
     a = Target(ProductNormal((("x", 0.4, 0.05),)), pen, 0.6)
     b = Hazard(ProductNormal((("x", 0.9, 0.01),)), pen, 0.3)
     return est, a, b
@@ -685,7 +685,7 @@ def test_check_formula_defaults_steps_to_horizon(unit):
     f = eventually(0, 5, Target(PointMass((("x", 1.0),)), pen, 0.4))
     res = check_formula(HoldKernel(space), space.state(x=0.5), f, 10, 3, RandomnessPlan(1))
     assert res.steps == horizon(f) == 5
-    est = estimate(HoldKernel(space), space.state(x=0.5), 5, 30, RandomnessPlan(1))
+    est = estimate(Simulation(HoldKernel(space), space.state(x=0.5), 5, 30, RandomnessPlan(1)))
     assert np.array_equal(res.values, evaluate(est, f, 10, RandomnessPlan(1)).values)
     assert res.reliable_steps == 1
     assert res.value == 0.4
@@ -790,7 +790,7 @@ STREAM_CASES = {
 def test_streamed_check_equals_evaluate_on_the_stored_estimate(case, ell, width, monkeypatch):
     kernel, initial, formula = STREAM_CASES[case]()
     base_runs, steps, plan, discount = 8, 20, RandomnessPlan(13), Discount.exponential(0.9)
-    est = estimate(kernel, initial, steps, ell * base_runs, plan)
+    est = estimate(Simulation(kernel, initial, steps, ell * base_runs, plan))
     want = evaluate(est, formula, base_runs, plan, discount)
     # width time indices per block: 4 does not divide the 21 indices, 64 holds them all
     monkeypatch.setattr(simulation, "_BLOCK_VALUES", width * ell * base_runs)
@@ -857,8 +857,8 @@ OVERFLOW_CALLS = {
     "simulate": lambda k, x0, f: save_trajectory(
         io.StringIO(), Simulation(k, x0, 5, 1, RandomnessPlan(1), first=3)
     ),
-    "estimate": lambda k, x0, f: estimate(k, x0, 5, 8, RandomnessPlan(1)),
-    "run_moments": lambda k, x0, f: run_moments(k, x0, 5, 8, RandomnessPlan(1)),
+    "estimate": lambda k, x0, f: estimate(Simulation(k, x0, 5, 8, RandomnessPlan(1))),
+    "run_moments": lambda k, x0, f: run_moments(Simulation(k, x0, 5, 8, RandomnessPlan(1))),
     "check_formula": lambda k, x0, f: check_formula(k, x0, f, 4, 2, RandomnessPlan(1), 5),
     # a Simulation read outside check_formula, under the caller's error state
     "evaluate-simulation": lambda k, x0, f: evaluate(

@@ -12,7 +12,6 @@ from evtl import simulation
 from evtl._seed_words import SeedWords
 from evtl.chains import FiniteChain, load_chain, transient_distributions
 from evtl.simulation import (
-    EvolutionEstimate,
     RandomnessPlan,
     Simulation,
     estimate,
@@ -237,8 +236,8 @@ def test_paths_block_width_does_not_change_bits(kernel, initial):
 @pytest.mark.parametrize("width", [1, 3, 21])
 def test_simulation_blocks_equal_the_estimates_blocks(width):
     kernel = TankKernel(TankParams(), 1)
-    args = (kernel, kernel.initial_state(), 20, 7, RandomnessPlan(11))
-    sim, est = Simulation(*args), estimate(*args)
+    sim = Simulation(kernel, kernel.initial_state(), 20, 7, RandomnessPlan(11))
+    est = estimate(sim)
     assert (sim.space, sim.steps, sim.runs) == (est.space, est.steps, est.runs)
     # a second read simulates again and gives the same bits
     for _ in range(2):
@@ -264,8 +263,11 @@ class CountingKernel(WalkKernel):
 MISMATCH = "^initial state space differs from kernel space$"
 # each entry point, given a start from another space, and the error it must raise
 DRAWING_ENTRY_POINTS = {
-    "estimate": (lambda k, x0: estimate(k, x0, 50, 20, RandomnessPlan(1)), MISMATCH),
-    "run_moments": (lambda k, x0: run_moments(k, x0, 50, 20, RandomnessPlan(1)), MISMATCH),
+    # a reader fails in the constructor of the source it is given
+    "estimate": (lambda k, x0: estimate(Simulation(k, x0, 50, 20, RandomnessPlan(1))), MISMATCH),
+    "run_moments": (
+        lambda k, x0: run_moments(Simulation(k, x0, 50, 20, RandomnessPlan(1))), MISMATCH
+    ),
     "simulation-blocks": (
         lambda k, x0: Simulation(k, x0, 50, 20, RandomnessPlan(1)).blocks(4), MISMATCH
     ),
@@ -313,23 +315,37 @@ def test_simulation_checks_its_runs_and_steps_when_built():
 
 def test_a_split_reads_the_runs_of_the_whole():
     k = WalkKernel()
-    args = (k, k.space.state(x=0.5), 6, 7, RandomnessPlan(3))
-    whole = estimate(*args)
-    for source in (Simulation(*args), whole):
+    sim = Simulation(k, k.space.state(x=0.5), 6, 7, RandomnessPlan(3))
+    whole = estimate(sim)
+    for source in (sim, whole):
         parts = [np.array(block) for part in source.split(3) for _, block in part.blocks(7)]
         # consecutive runs in run order, the last part shorter
         assert [p.shape[2] for p in parts] == [3, 3, 1]
         assert np.concatenate(parts, axis=2).tobytes() == np.moveaxis(whole.values, -1, 0).tobytes()
 
 
+# the two kinds of run source, from the arguments of a Simulation
+SOURCES = {"Simulation": Simulation, "estimate": lambda *args: estimate(Simulation(*args))}
+
+
 @pytest.mark.parametrize("width", [0, -1])
-@pytest.mark.parametrize("source", [Simulation, estimate])
+@pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES)
 def test_blocks_need_a_width_of_at_least_one(source, width):
     k = WalkKernel()
     evolution = source(k, k.space.state(x=0.5), 5, 3, RandomnessPlan(1))
     # raised when the blocks are asked for, before any is read
     with pytest.raises(ValueError, match="block width must be >= 1"):
         evolution.blocks(width)
+
+
+@pytest.mark.parametrize("size", [0, -2])
+@pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES)
+def test_split_needs_a_size_of_at_least_one(source, size):
+    k = WalkKernel()
+    evolution = source(k, k.space.state(x=0.5), 5, 3, RandomnessPlan(1))
+    # raised when the parts are asked for, not an empty or a range() error
+    with pytest.raises(ValueError, match="^split size must be >= 1$"):
+        evolution.split(size)
 
 
 def test_paths_with_no_steps_yield_the_initial_block():
@@ -342,7 +358,7 @@ def test_estimate_rows_are_runs():
     k = WalkKernel()
     d0 = k.space.state(x=0.5)
     plan = RandomnessPlan(11)
-    est = estimate(k, d0, 6, 5, plan)
+    est = estimate(Simulation(k, d0, 6, 5, plan))
     # row j of each per-step sample set is run j resimulated independently
     for j in range(5):
         [(_, block)] = Simulation(k, d0, 6, 1, plan, first=j).blocks(7)
@@ -360,8 +376,8 @@ def test_estimate_prefix_property():
     k = WalkKernel()
     d0 = k.space.state(x=0.5)
     plan = RandomnessPlan(5)
-    small = estimate(k, d0, 4, 6, plan)
-    large = estimate(k, d0, 4, 18, plan)
+    small = estimate(Simulation(k, d0, 4, 6, plan))
+    large = estimate(Simulation(k, d0, 4, 18, plan))
     np.testing.assert_array_equal(large.values[:, :6, :], small.values)
 
 
@@ -369,24 +385,30 @@ def test_run_moments_match_materialized_estimate():
     k = WalkKernel()
     d0 = k.space.state(x=0.5)
     plan = RandomnessPlan(9)
-    est = estimate(k, d0, 12, 40, plan)
-    mean = run_moments(k, d0, 12, 40, plan)
+    sim = Simulation(k, d0, 12, 40, plan)
+    est = estimate(sim)
+    mean = run_moments(sim)
     np.testing.assert_allclose(mean, est.values.mean(axis=1), atol=1e-12)
 
 
 @pytest.mark.parametrize("steps", [3, 8])
-def test_run_moments_fold_runs_in_order_within_blocks(steps):
+@pytest.mark.parametrize("stored", [False, True], ids=["simulation", "stored"])
+def test_run_moments_fold_runs_in_order_within_blocks(stored, steps):
     # more runs than one chunk, so the chunk sums meet in the totals; each
     # chunk is folded run by run, then the chunk sums in chunk order. A chunk
     # of 1024 runs is read 8 steps a block, so 8 steps end in a block of one
-    # value per run, where numpy would sum a run-major copy pairwise
+    # value per run, where numpy would sum a run-major copy pairwise. A stored
+    # estimate of the runs is split and read the same way: the oracle's exact
+    # compare holds both sources to the same bits
     chunk = simulation._RUN_CHUNK
     runs = chunk + 6
     k = WalkKernel(step_std=0.3)
     d0 = k.space.state(x=0.5)
     plan = RandomnessPlan(21)
-    mean = run_moments(k, d0, steps, runs, plan)
-    xs = estimate(k, d0, steps, runs, plan).values[:, :, 0]
+    sim = Simulation(k, d0, steps, runs, plan)
+    est = estimate(sim)
+    mean = run_moments(est if stored else sim)
+    xs = est.values[:, :, 0]
     folds = []
     for i in range(steps + 1):
         total = 0.0
@@ -407,16 +429,16 @@ def test_run_moments_fold_runs_in_order_within_blocks(steps):
 
 def test_trajectory_csv_format(tmp_path):
     k = WalkKernel()
-    args = (k, k.space.state(x=0.0), 2, 1, RandomnessPlan(0))
+    sim = Simulation(k, k.space.state(x=0.0), 2, 1, RandomnessPlan(0))
     path = tmp_path / "t.csv"
-    save_trajectory(str(path), Simulation(*args))
+    save_trajectory(str(path), sim)
     lines = path.read_text().splitlines()
     assert lines[0] == "time,x"
     assert lines[1] == "0,0"
     assert len(lines) == 4
     # a stored one-run estimate writes the same bytes; a source of two runs is no trajectory
     stored = tmp_path / "s.csv"
-    save_trajectory(str(stored), estimate(*args))
+    save_trajectory(str(stored), estimate(sim))
     assert stored.read_bytes() == path.read_bytes()
     with pytest.raises(ValueError, match="a trajectory is one run, got 2"):
         save_trajectory(str(stored), Simulation(k, k.space.state(x=0.0), 2, 2, RandomnessPlan(0)))
@@ -424,7 +446,7 @@ def test_trajectory_csv_format(tmp_path):
 
 def test_estimate_csv_row_order(tmp_path):
     k = WalkKernel()
-    est = estimate(k, k.space.state(x=0.0), 2, 3, RandomnessPlan(0))
+    est = estimate(Simulation(k, k.space.state(x=0.0), 2, 3, RandomnessPlan(0)))
     path = tmp_path / "e.csv"
     save_estimate(str(path), est)
     lines = path.read_text().splitlines()
@@ -466,9 +488,13 @@ def test_estimate_csv_counts_the_sources_runs_from_zero(tmp_path):
     k, plan = WalkKernel(), RandomnessPlan(4)
     x0 = k.space.state(x=0.5)
     later, stored = tmp_path / "later.csv", tmp_path / "stored.csv"
-    save_estimate(str(later), Simulation(k, x0, 2, 3, plan, first=5))
-    runs_5_to_7 = estimate(k, x0, 2, 8, plan).values[:, 5:]
-    save_estimate(str(stored), EvolutionEstimate(k.space, runs_5_to_7))
+    runs_5_to_7 = Simulation(k, x0, 2, 3, plan, first=5)
+    save_estimate(str(later), runs_5_to_7)
+    est = estimate(runs_5_to_7)
+    # its rows are runs 5..7 of the larger estimate, counted from 0
+    want = estimate(Simulation(k, x0, 2, 8, plan)).values[:, 5:]
+    assert est.values.tobytes() == np.ascontiguousarray(want).tobytes()
+    save_estimate(str(stored), est)
     # runs 5..7 of the plan, numbered 0..2 in the file, as a stored estimate of them is
     assert later.read_bytes() == stored.read_bytes()
     assert later.read_text().splitlines()[-1].startswith("2,2,")
@@ -498,7 +524,7 @@ def test_weak_convergence_on_uniform_chain():
     # a simulation starts from one state, here the random chain's most likely one
     start = np.eye(3)[np.argmax(chain.initial)]
     chain = FiniteChain("x", chain.values, chain.transition, start, chain.penalty_values)
-    est = estimate(chain, chain.initial_state(), 5, 10_000, RandomnessPlan(77))
+    est = estimate(Simulation(chain, chain.initial_state(), 5, 10_000, RandomnessPlan(77)))
     exact = transient_distributions(chain, 5)
     for t in range(6):
         for s, v in enumerate(chain.values):

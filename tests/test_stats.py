@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from evtl.simulation import EvolutionEstimate, RandomnessPlan, estimate, run_moments
+from evtl.simulation import EvolutionEstimate, RandomnessPlan, Simulation, estimate, run_moments
 from evtl.spaces import DataSpace, Interval
 from evtl.stats import SWEEP_RUNS, error_report, save_error_report
 
@@ -55,17 +55,17 @@ def test_fraction_within_requires_defined_scores():
 def test_report_matches_streaming_moments():
     kernel = WalkKernel()
     start = kernel.space.state(x=0.5)
-    est = estimate(kernel, start, 5, 300, RandomnessPlan(1))
-    rep = error_report(est)
-    s_mean = run_moments(kernel, start, 5, 300, RandomnessPlan(1))
+    sim = Simulation(kernel, start, 5, 300, RandomnessPlan(1))
+    rep = error_report(estimate(sim))
+    s_mean = run_moments(sim)
     assert rep.mean == pytest.approx(s_mean, abs=1e-12)
 
 
 def test_stderr_shrinks_with_run_count():
     kernel = WalkKernel()
     start = kernel.space.state(x=0.5)
-    small = error_report(estimate(kernel, start, 4, 500, RandomnessPlan(2)))
-    large = error_report(estimate(kernel, start, 4, 2000, RandomnessPlan(2)))
+    small = error_report(estimate(Simulation(kernel, start, 4, 500, RandomnessPlan(2))))
+    large = error_report(estimate(Simulation(kernel, start, 4, 2000, RandomnessPlan(2))))
     # 4x the runs should halve the standard error, up to sampling noise
     ratio = small.stderr[1:] / large.stderr[1:]
     assert np.median(ratio) == pytest.approx(2.0, rel=0.2)

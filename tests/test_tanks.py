@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from evtl.simulation import MarkovKernel, RandomnessPlan, estimate
+from evtl.simulation import MarkovKernel, RandomnessPlan, Simulation, estimate
 from evtl.spaces import DataState
 from evtl.tanks import TankKernel, TankParams, tank_penalties, tank_space
 
@@ -261,7 +261,7 @@ def test_penalties_measure_goal_distance():
     assert score(pens["rho3"], mk_state(space, l3=15.0)) == 0.5
     # projecting many states agrees with the formula written out per state
     k = TankKernel(p, 1)
-    est = estimate(k, k.initial_state(), 5, 50, RandomnessPlan(0))
+    est = estimate(Simulation(k, k.initial_state(), 5, 50, RandomnessPlan(0)))
     samples = est.at(5)
     proj = pens["rho3"].project(samples.column("l3")[None], 5)
     expect = [min(1.0, abs(samples.state(i)["l3"] - 10.0) / 10.0) for i in range(50)]
@@ -292,7 +292,7 @@ def test_over_penalties_score_only_levels_above_the_goal():
 def test_plant_settles_near_goal(scenario):
     p = TankParams()
     k = TankKernel(p, scenario)
-    est = estimate(k, k.initial_state(), 150, 100, RandomnessPlan(42))
+    est = estimate(Simulation(k, k.initial_state(), 150, 100, RandomnessPlan(42)))
     for var in ("l1", "l3"):
         late = est.column(var)[100:]
         assert 9.5 < late.mean() < 10.5

@@ -207,8 +207,8 @@ def test_evolution_divergence_profile(unit_space, unit_penalty):
     slow, fast = WalkKernel(0.05), WalkKernel(0.2)
     d0 = slow.space.state(x=0.0)
     plan = RandomnessPlan(6)
-    est_a = estimate(slow, d0, 10, 100, plan.scoped(0))
-    est_b = estimate(fast, d0, 10, 200, plan.scoped(1))
+    est_a = estimate(Simulation(slow, d0, 10, 100, plan.scoped(0)))
+    est_b = estimate(Simulation(fast, d0, 10, 200, plan.scoped(1)))
     rep = evolution_divergence(est_a, est_b, unit_penalty)
     assert rep.times == tuple(range(11))
     assert len(rep.values) == 11
@@ -225,8 +225,8 @@ def test_evolution_divergence_discount_scales(unit_space, unit_penalty):
     k = WalkKernel(0.1)
     d0 = k.space.state(x=0.0)
     plan = RandomnessPlan(8)
-    est_a = estimate(k, d0, 6, 50, plan.scoped(0))
-    est_b = estimate(WalkKernel(0.3), d0, 6, 50, plan.scoped(1))
+    est_a = estimate(Simulation(k, d0, 6, 50, plan.scoped(0)))
+    est_b = estimate(Simulation(WalkKernel(0.3), d0, 6, 50, plan.scoped(1)))
     flat = evolution_divergence(est_a, est_b, unit_penalty)
     decayed = evolution_divergence(est_a, est_b, unit_penalty, Discount.exponential(0.5))
     for t, (u, v) in enumerate(zip(flat.values, decayed.values)):
@@ -239,8 +239,8 @@ def test_evolution_divergence_times_subset(unit_space, unit_penalty):
     k = WalkKernel(0.1)
     d0 = k.space.state(x=0.5)
     plan = RandomnessPlan(9)
-    est_a = estimate(k, d0, 8, 20, plan.scoped(0))
-    est_b = estimate(k, d0, 8, 20, plan.scoped(1))
+    est_a = estimate(Simulation(k, d0, 8, 20, plan.scoped(0)))
+    est_b = estimate(Simulation(k, d0, 8, 20, plan.scoped(1)))
     rep = evolution_divergence(est_a, est_b, unit_penalty, times=(8, 0, 4, 4))
     assert rep.times == (0, 4, 8)
     for times, match in (((0, 99), "outside 0..8"), ((3, -2), "negative"), ((), "no obs")):
@@ -271,10 +271,9 @@ def test_divergence_of_simulations_equals_the_stored_route(case, block_values, m
     monkeypatch.setattr(simulation, "_BLOCK_VALUES", block_values)
     (ka, ia), (kb, ib), penalty = system_pair(case)
     plan, discount = RandomnessPlan(17), Discount.exponential(0.95)
-    args_a = (ka, ia, 40, 30, plan.scoped(3, 0))
-    args_b = (kb, ib, 40, 90, plan.scoped(3, 1))
-    est_a, est_b = estimate(*args_a), estimate(*args_b)
-    sim_a, sim_b = Simulation(*args_a), Simulation(*args_b)
+    sim_a = Simulation(ka, ia, 40, 30, plan.scoped(3, 0))
+    sim_b = Simulation(kb, ib, 40, 90, plan.scoped(3, 1))
+    est_a, est_b = estimate(sim_a), estimate(sim_b)
     for times in (None, (0, 3, 17, 18, 19, 40)):
         observed = range(41) if times is None else times
         # one one-row comparison per time, scaled by its factor
