@@ -1,4 +1,5 @@
-"""Shared output plumbing: one batched CSV writer for every output file.
+"""Shared file plumbing: one batched CSV writer for every output file, and
+the line ends of every text file read (:func:`universal_newlines`).
 
 Cells are formatted as arrays into the bytes of Python's ``%`` on each value.
 The kernel's domain: ``%.17g`` of zero or of a finite x with 1e-4 <= |x| <
@@ -168,3 +169,8 @@ def write_csv(dest, header: Sequence[str], formats: Sequence[str], blocks: Itera
             cols = [c[:, None] if c.ndim == 1 else c for c in map(np.asarray, columns)]
             for a in range(0, len(cols[0]), BLOCK_ROWS):
                 emit(_rows([c[a : a + BLOCK_ROWS] for c in cols], formats))
+
+
+def universal_newlines(text: str) -> str:
+    """Line ends CRLF and CR read as LF, as a text-mode ``open`` reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -28,7 +28,7 @@ from ._io import write_csv
 from .config import ConfigError, RunConfig, apply_setting, build_model, load_config
 from .monitor import check_formula, save_series
 from .parsing import FormulaError, load_formula
-from .simulation import EvolutionEstimate, RandomnessPlan, Simulation, estimate, run_moments
+from .simulation import RandomnessPlan, Simulation, estimate, run_moments
 from .simulation import save_estimate, save_trajectory
 from .stats import SWEEP_RUNS, error_report, save_error_report
 from .wasserstein import evolution_divergence
@@ -190,7 +190,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     est = estimate(Simulation(kernel, init, steps, max(counts), plan))
     for n in counts:
         dest = f"{args.out[: -len('.csv')]}-n{n}.csv" if args.sweep else args.out
-        report = error_report(EvolutionEstimate(est.space, est.values[:, :n]), reference)
+        report = error_report(next(est.split(n)), reference)
         save_error_report(dest, report)
     return 0
 

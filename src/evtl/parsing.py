@@ -28,6 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
+from ._io import universal_newlines
 from .spaces import DataSpace, Penalty
 from .formulas import (
     EmpiricalRef,
@@ -312,11 +313,6 @@ def load_formula(
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        head = _universal_newlines(exc.object[: exc.start].decode("utf-8"))
+        head = universal_newlines(exc.object[: exc.start].decode("utf-8"))
         raise FormulaError(f"{path} is not UTF-8: {exc}", *_at(head, len(head))) from None
-    return parse_formula(_universal_newlines(text), penalties, space)
-
-
-def _universal_newlines(text: str) -> str:
-    """Line ends CRLF and CR read as LF, as a text-mode ``open`` reads them."""
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    return parse_formula(universal_newlines(text), penalties, space)

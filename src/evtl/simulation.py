@@ -175,8 +175,8 @@ class EvolutionEstimate:
 
     Stored as a (steps+1, runs, dim) array; ``at(i)`` views step i as a
     :class:`SampleSet` without copying. Row order is the run index, which the
-    monitor relies on when a hazard atom reads only the first N runs
-    (``values[t0:t1, :N]``).
+    monitor relies on when a hazard atom reads only the first N runs of each
+    of its ``blocks(width)`` (``block[:, :, :N]``).
     """
 
     __slots__ = ("space", "values")
@@ -185,6 +185,10 @@ class EvolutionEstimate:
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[2] != space.dim:
             raise ValueError(f"expected (steps+1, runs, {space.dim}) array, got {arr.shape}")
+        if arr.shape[0] < 1:
+            raise ValueError("steps must be >= 0")
+        if arr.shape[1] < 1:
+            raise ValueError("need at least one run")
         self.space = space
         self.values = arr
 

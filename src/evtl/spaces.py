@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._io import write_csv
+from ._io import universal_newlines, write_csv
 
 __all__ = [
     "Interval",
@@ -286,26 +286,33 @@ def load_samples(path: str) -> SampleSet:
 
     The space is inferred: its domains are the per-column sample ranges.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise ValueError(f"{path}: empty sample file")
-        names = [c.strip() for c in header.split(",")]
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(names):
-                raise ValueError(f"{path}:{lineno}: expected {len(names)} columns")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not np.isfinite(row).all():
-                raise ValueError(f"{path}:{lineno}: sample values must be finite")
-            rows.append(row)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = universal_newlines(exc.object[: exc.start].decode("utf-8")).count("\n") + 1
+        raise ValueError(f"{path}:{line}: {exc}") from None
+    header, *lines = universal_newlines(text).split("\n")
+    header = header.strip()
+    if not header:
+        raise ValueError(f"{path}: empty sample file")
+    names = [c.strip() for c in header.split(",")]
+    rows = []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(names):
+            raise ValueError(f"{path}:{lineno}: expected {len(names)} columns")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not np.isfinite(row).all():
+            raise ValueError(f"{path}:{lineno}: sample values must be finite")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no sample rows")
     data = np.asarray(rows, dtype=np.float64)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv
-from .simulation import EvolutionEstimate
+from .simulation import EvolutionEstimate, Simulation, _block_width
 
 __all__ = ["SWEEP_RUNS", "ErrorReport", "error_report", "save_error_report"]
 
@@ -59,20 +59,22 @@ class ErrorReport:
 
 
 def error_report(
-    est: EvolutionEstimate,
+    source: EvolutionEstimate | Simulation,
     reference_mean: np.ndarray | None = None,
 ) -> ErrorReport:
-    """Moment statistics of an estimate, optionally scored against a reference.
+    """Moment statistics of a source's runs, optionally scored against a reference.
 
     The reference is a (steps+1, dim) array of means from an independent,
     much larger run; z-scores measure how many standard errors each mean
-    sits from it.
+    sits from it. Each block is reduced in the stored (w, runs, dim) layout.
     """
-    n = est.runs
+    n = source.runs
     if n < 2:
         raise ValueError("need at least two runs")
-    mean = est.values.mean(axis=1)
-    std = est.values.std(axis=1, ddof=1)
+    mean, std = np.empty((2, source.steps + 1, source.space.dim))
+    for t0, block in source.blocks(_block_width(n)):
+        b = np.ascontiguousarray(block.transpose(1, 2, 0))  # numpy's sum order follows the layout
+        mean[t0 : t0 + len(b)], std[t0 : t0 + len(b)] = b.mean(axis=1), b.std(axis=1, ddof=1)
     stderr = std / np.sqrt(n)
     z = np.full_like(mean, np.nan)
     if reference_mean is not None:
@@ -81,7 +83,7 @@ def error_report(
             raise ValueError(f"reference shape {ref.shape} != {mean.shape}")
         ok = std > np.abs(mean) * 1e-12
         z[ok] = (mean[ok] - ref[ok]) / stderr[ok]
-    return ErrorReport(est.space.names, mean, std, stderr, z)
+    return ErrorReport(source.space.names, mean, std, stderr, z)
 
 
 def save_error_report(dest, report: ErrorReport) -> None:

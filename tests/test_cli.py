@@ -685,6 +685,20 @@ def test_bad_sample_value_names_its_line(value, want, tmp_path, capsys):
     assert f"{csv}:3: " in err and want in err
 
 
+def test_non_utf8_sample_byte_names_its_line_past_the_first_8k(tmp_path, capsys):
+    # a text-mode read decodes 8192 bytes at a time and places a bad byte inside
+    # its chunk; this one is at file offset 15004, on line 3002
+    csv = tmp_path / "ref.csv"
+    csv.write_bytes(b"x\n" + b"0.25\n" * 3000 + b"0.\xe95\n0.75\n")
+    prop = tmp_path / "prop.evtl"
+    prop.write_text(f'F[0,3] target(empirical("{csv}"), rho, 0.4)\n')
+    code, stdout, err = run(
+        capsys, "check", *CHAIN, "--formula", str(prop), "--runs", "10", "--ell", "1"
+    )
+    assert code == 3 and stdout == "" and err.count("\n") == 1
+    assert f"{csv}:3002: " in err and "byte 0xe9 in position 15004" in err
+
+
 # 2**47 float64 values are 1 PiB, more than a 47-bit user address space holds,
 # so the allocation fails at once and no memory is touched
 _PIB = str(2**47)

@@ -223,3 +223,48 @@ def test_any_formula_token_mutation_fails_cleanly_or_checks_in_range(mutant, tmp
     code = main(argv)
     out, err = capsys.readouterr()
     assert not failed_badly("check", code, out, err, written), (text, code, err, out[-200:])
+
+
+LEVELS = (REPO / "tests" / "data" / "levels-near-goal.csv").read_bytes()
+HEADER, *ROWS = LEVELS.splitlines(keepends=True)
+# levels-near-goal.csv changed one way each: rows missing, ragged or not finite samples,
+# blank lines and other line ends, bytes that are not UTF-8, a BOM, and odd column names
+SAMPLE_MUTANTS = {
+    "empty": b"",
+    "blank-header": b"\n" + LEVELS,
+    "header-only": HEADER,
+    "header-no-newline": HEADER.rstrip(),
+    "blank-rows-only": HEADER + b"\n  \n\n",
+    "ragged-short": HEADER + ROWS[0] + b"10.5\n" + b"".join(ROWS[1:]),
+    "ragged-long": HEADER + ROWS[0] + b"10.5,9.5,1.0\n" + b"".join(ROWS[1:]),
+    "nan": HEADER + b"nan,9.5\n" + b"".join(ROWS),
+    "inf": HEADER + b"".join(ROWS) + b"10.5,-inf\n",
+    "overflow": HEADER + b"1e999,9.5\n" + b"".join(ROWS),
+    "word": HEADER + ROWS[0] + b"ten,9.5\n" + b"".join(ROWS[1:]),
+    "empty-cell": HEADER + b",9.5\n" + b"".join(ROWS),
+    "blank-lines": HEADER + b"\n" + b"\n   \n".join(ROWS) + b"\n\n",
+    "crlf": LEVELS.replace(b"\n", b"\r\n"),
+    "cr": LEVELS.replace(b"\n", b"\r"),
+    "non-utf8-row": HEADER + ROWS[0] + b"10.\xe9,9.5\n" + b"".join(ROWS[1:]),
+    "non-utf8-header": b"l3,l\xff1\n" + b"".join(ROWS),
+    "bom": b"\xef\xbb\xbf" + LEVELS,
+    "double-bom": b"\xef\xbb\xbf\xef\xbb\xbf" + LEVELS,
+    "duplicate-columns": b"l3,l3\n" + b"".join(ROWS),
+    "unknown-column": b"l3,l9\n" + b"".join(ROWS),
+    "blank-column-name": b"l3,\n" + b"".join(ROWS),
+    "one-column": b"l3\n" + b"".join(r.split(b",")[0] + b"\n" for r in ROWS),
+}
+
+
+@pytest.mark.parametrize("text", SAMPLE_MUTANTS.values(), ids=SAMPLE_MUTANTS)
+def test_any_sample_file_fails_cleanly_or_checks_in_range(text, tmp_path, capsys):
+    samples = tmp_path / "levels.csv"
+    samples.write_bytes(text)
+    prop = tmp_path / "prop.evtl"
+    prop.write_text(f'F[0,2] target(empirical("{samples}"), rho3, 0.3)\n', encoding="utf-8")
+    written = tmp_path / "out.csv"
+    argv = ["check", "--config", PRESET, "--formula", str(prop),
+            "--steps", "3", "--runs", "4", "--ell", "1", "--out", str(written)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 3) and not failed_badly("check", code, out, err, written), (code, err)

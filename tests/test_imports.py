@@ -4,8 +4,8 @@ module that reads a node's children, and ``FiniteChain`` the one owner of the ma
 to chain states, the one reader of its sampler; the exact chain route reads a chain's data
 and never its sampler. Only ``Simulation.blocks`` draws a run's noise and steps its paths:
 every other reader takes states through ``blocks(width)``, at the one width rule
-``simulation._block_width``, and only the CLI and ``monitor.check_formula`` build a
-``Simulation``.
+``simulation._block_width``, only the CLI and ``monitor.check_formula`` build a
+``Simulation``, and only ``simulation`` builds an ``EvolutionEstimate``.
 Numeric failures are raised where numbers are made, not around the callers, and the tank
 step writes through a mask only in its level clamp."""
 
@@ -241,6 +241,7 @@ BLOCK_READERS = {
     "simulation.run_moments",
     "monitor.evaluate",
     "wasserstein.evolution_divergence",
+    "stats.error_report",
 }
 
 
@@ -249,8 +250,9 @@ def test_simulation_owns_the_one_block_width_rule():
     owners = {name for name, stmt in statements if "_BLOCK_VALUES" in _mentions(stmt)}
     assert owners == {"simulation._BLOCK_VALUES", "simulation._block_width"}, owners
     readers = {name for name, stmt in statements if "_block_width" in _reads(stmt)}
-    # monitor and wasserstein also import it at module level
-    assert readers - {"monitor.<module>", "wasserstein.<module>"} == BLOCK_READERS, readers
+    # monitor, stats and wasserstein also import it at module level
+    imports = {"monitor.<module>", "stats.<module>", "wasserstein.<module>"}
+    assert readers - imports == BLOCK_READERS, readers
 
 
 # where numbers are made (a kernel step, a penalty score, the reference run sum), and the CLI
@@ -298,6 +300,16 @@ def test_only_the_cli_and_check_formula_build_a_simulation():
     )
     outside = {site for site in builders if not site.startswith("cli.")}
     assert outside <= {"monitor.check_formula"}, f"take a Simulation, do not build one: {outside}"
+
+
+def test_only_simulation_builds_a_stored_estimate():
+    # the (steps+1, runs, dim) layout is one module's; a reader takes a stored
+    # estimate's runs through ``split`` and ``blocks``, as it takes a Simulation's
+    builders = _sites_in_src(
+        lambda node: isinstance(node, ast.Call) and _named(node.func) == "EvolutionEstimate"
+    )
+    outside = {site for site in builders if not site.startswith("simulation.")}
+    assert not outside, f"take an estimate's runs with split(n), do not build one: {outside}"
 
 
 def test_the_tank_step_masks_only_its_level_clamp():

@@ -12,6 +12,7 @@ from evtl import simulation
 from evtl._seed_words import SeedWords
 from evtl.chains import FiniteChain, load_chain, transient_distributions
 from evtl.simulation import (
+    EvolutionEstimate,
     RandomnessPlan,
     Simulation,
     estimate,
@@ -346,6 +347,15 @@ def test_split_needs_a_size_of_at_least_one(source, size):
     # raised when the parts are asked for, not an empty or a range() error
     with pytest.raises(ValueError, match="^split size must be >= 1$"):
         evolution.split(size)
+
+
+@pytest.mark.parametrize(
+    "shape, message", [((3, 0, 1), "need at least one run"), ((0, 4, 1), "steps must be >= 0")]
+)
+def test_a_stored_estimate_needs_a_step_and_a_run(shape, message):
+    # a Simulation's floors, checked when the estimate is built, not by its first reader
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EvolutionEstimate(WalkKernel().space, np.empty(shape))
 
 
 def test_paths_with_no_steps_yield_the_initial_block():

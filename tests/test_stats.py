@@ -1,13 +1,17 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from evtl.config import build_model, load_config
 from evtl.simulation import EvolutionEstimate, RandomnessPlan, Simulation, estimate, run_moments
 from evtl.spaces import DataSpace, Interval
 from evtl.stats import SWEEP_RUNS, error_report, save_error_report
 
 from test_simulation import WalkKernel
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def fixed_estimate(rows):
@@ -59,6 +63,31 @@ def test_report_matches_streaming_moments():
     rep = error_report(estimate(sim))
     s_mean = run_moments(sim)
     assert rep.mean == pytest.approx(s_mean, abs=1e-12)
+
+
+def _system(name: str):
+    """A dim-1 walk, or the six-variable scenario-2 tank system."""
+    if name == "walk":
+        kernel = WalkKernel()
+        return kernel, kernel.space.state(x=0.5)
+    cfg = load_config(str(REPO / "presets" / "three-tanks-scenario-2.cfg"))
+    kernel, initial, _ = build_model(cfg)
+    return kernel, initial
+
+
+# (runs, first n read, steps): one block or several, a whole source or its first n runs
+# as the stats sweep reads them, and a last block that is shorter than the others
+@pytest.mark.parametrize("runs, n, steps", [(300, 300, 40), (300, 120, 40), (1100, 1024, 12)])
+@pytest.mark.parametrize("system", ["walk", "tanks"])
+def test_report_of_a_simulation_is_the_report_of_its_estimate(system, runs, n, steps):
+    sim = Simulation(*_system(system), steps, runs, RandomnessPlan(6))
+    est = estimate(sim)
+    # the moments over the stored runs, as numpy reduces a (steps+1, n, dim) array
+    stored = est.values[:, :n]
+    for source in (sim, est):
+        rep = error_report(next(source.split(n)))
+        assert rep.mean.tobytes() == stored.mean(axis=1).tobytes()
+        assert rep.std.tobytes() == stored.std(axis=1, ddof=1).tobytes()
 
 
 def test_stderr_shrinks_with_run_count():
