@@ -1,5 +1,5 @@
-"""Shared file plumbing: one batched CSV writer for every output file, and
-the line ends of every text file read (:func:`universal_newlines`).
+"""Shared file plumbing: :func:`read_text` reads every input file (LF, CRLF and CR the only
+line ends, a byte that is not UTF-8 named by ``path:line``), one CSV writer every output.
 
 Cells are formatted as arrays into the bytes of Python's ``%`` on each value.
 The kernel's domain: ``%.17g`` of zero or of a finite x with 1e-4 <= |x| <
@@ -16,6 +16,7 @@ import functools
 import sys
 from contextlib import ExitStack
 from itertools import chain, islice
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -171,6 +172,27 @@ def write_csv(dest, header: Sequence[str], formats: Sequence[str], blocks: Itera
                 emit(_rows([c[a : a + BLOCK_ROWS] for c in cols], formats))
 
 
-def universal_newlines(text: str) -> str:
-    """Line ends CRLF and CR read as LF, as a text-mode ``open`` reads them."""
+class DecodeError(ValueError):
+    """A byte that is not UTF-8, at 1-based ``line`` and ``col`` of its file."""
+
+    def __init__(self, path: str, line: int, col: int, reason: str):
+        super().__init__(f"{path}:{line}: {reason}")
+        self.line, self.col, self.reason = line, col, reason
+
+
+def line_col(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``text[offset]``; LF is the only line end."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _lf(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_text(path: str) -> str:
+    """A UTF-8 file's text, a leading BOM skipped, CRLF and CR read as LF."""
+    try:
+        return _lf(Path(path).read_bytes().decode("utf-8-sig"))
+    except UnicodeDecodeError as exc:
+        head = _lf(exc.object[: exc.start].decode("utf-8"))
+        raise DecodeError(path, *line_col(head, len(head)), str(exc)) from None

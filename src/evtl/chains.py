@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._io import read_text
 from .spaces import DataSpace, DataState, FiniteSet, Penalty, SampleSet
 from .formulas import (
     Discount,
@@ -176,9 +177,11 @@ def load_chain(path: str) -> FiniteChain:
     "initial": [...], "penalty": [...], "penalty_name": str?}``. A document
     of another shape raises ``ValueError``.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    try:
         # integers read as floats, so one too large for a float becomes inf
-        doc = json.load(fh, parse_int=float)
+        doc = json.loads(read_text(path), parse_int=float)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a chain file holds one JSON object")
     doc = {"penalty_name": "rho", **doc}

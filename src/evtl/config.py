@@ -1,8 +1,8 @@
 """Flat key/value run configuration.
 
-Config files are lines of ``key = value`` with ``#`` comments. Dotted keys
-group parameters: ``tanks.*`` feeds the tank plant, ``chain.file`` points at
-a chain description. Example::
+Config files are lines of ``key = value``; a ``#`` comment runs to the end of its line,
+past a form feed or U+2028, as LF, CRLF and CR are the only line ends. Dotted keys group
+parameters: ``tanks.*`` feeds the tank plant, ``chain.file`` names a chain file. Example::
 
     model = three-tanks
     scenario = 2
@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field, replace
 
+from ._io import DecodeError, read_text
 from .formulas import Discount
 from .spaces import DataState, Penalty
 from .simulation import MarkovKernel
@@ -158,7 +159,7 @@ def apply_setting(cfg: RunConfig, key: str, value: str) -> RunConfig:
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     cfg = base or RunConfig()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -174,12 +175,11 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
 
 def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+        return parse_config(read_text(path), base)
+    except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-    try:
-        return parse_config(text, base)
+    except DecodeError as exc:
+        raise ConfigError(str(exc)) from None
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 

@@ -18,8 +18,8 @@ order of ``_BINARY`` read backwards; the unary temporal operators parse like
 ``#`` starts a line comment; whitespace (newlines included) is free. The
 second parameter of every ``normal`` entry is a variance. Macros expand at
 parse time, so parsing ``a && b`` yields the same tree as ``!(!a || !b)``.
-Tokens carry their offset into the text; ``_at`` turns an offset into the
-line and column of every error, with LF as the only line end.
+Tokens carry their offset into the text; ``_io.line_col`` turns an offset
+into the line and column of every error, with LF as the only line end.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from ._io import universal_newlines
+from ._io import DecodeError, line_col, read_text
 from .spaces import DataSpace, Penalty
 from .formulas import (
     EmpiricalRef,
@@ -88,16 +88,11 @@ _PREFIX = {"F": eventually, "G": always}
 _MAX_DEPTH = 200
 
 
-def _at(text: str, offset: int) -> tuple[int, int]:
-    """1-based line and column of ``text[offset]``; LF is the only line end."""
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
-
-
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         if m.lastgroup == "bad":
-            raise FormulaError(f"unexpected character {m.group()!r}", *_at(text, m.start()))
+            raise FormulaError(f"unexpected character {m.group()!r}", *line_col(text, m.start()))
         if m.lastgroup != "ws":
             tokens.append(_Token(m.lastgroup, m.group(), m.start()))
     return tokens + [_Token("end", "", len(text))]
@@ -128,7 +123,7 @@ class _Parser:
         return tok
 
     def fail(self, message: str, tok: _Token | None = None):
-        raise FormulaError(message, *_at(self.text, (tok or self.cur).offset))
+        raise FormulaError(message, *line_col(self.text, (tok or self.cur).offset))
 
     def at(self, text: str) -> bool:
         return self.cur.text == text
@@ -308,11 +303,8 @@ def load_formula(
     space: DataSpace | None = None,
 ) -> Formula:
     """Parse a UTF-8 formula file, a leading BOM skipped (``#`` comments allowed)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
     try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        head = universal_newlines(exc.object[: exc.start].decode("utf-8"))
-        raise FormulaError(f"{path} is not UTF-8: {exc}", *_at(head, len(head))) from None
-    return parse_formula(universal_newlines(text), penalties, space)
+        text = read_text(path)
+    except DecodeError as exc:
+        raise FormulaError(f"{path} is not UTF-8: {exc.reason}", exc.line, exc.col) from None
+    return parse_formula(text, penalties, space)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._io import universal_newlines, write_csv
+from ._io import read_text, write_csv
 
 __all__ = [
     "Interval",
@@ -286,14 +286,7 @@ def load_samples(path: str) -> SampleSet:
 
     The space is inferred: its domains are the per-column sample ranges.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        line = universal_newlines(exc.object[: exc.start].decode("utf-8")).count("\n") + 1
-        raise ValueError(f"{path}:{line}: {exc}") from None
-    header, *lines = universal_newlines(text).split("\n")
+    header, *lines = read_text(path).split("\n")
     header = header.strip()
     if not header:
         raise ValueError(f"{path}: empty sample file")

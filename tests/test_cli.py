@@ -699,6 +699,48 @@ def test_non_utf8_sample_byte_names_its_line_past_the_first_8k(tmp_path, capsys)
     assert f"{csv}:3002: " in err and "byte 0xe9 in position 15004" in err
 
 
+def test_chain_json_error_names_the_file_and_position(tmp_path, capsys):
+    chain = tmp_path / "chain.json"
+    chain.write_text('{"variable": "x",\n "values": [0, }')
+    code, stdout, err = run(
+        capsys, "simulate", "--set", "model=chain", "--set", f"chain.file={chain}", "--steps", "2"
+    )
+    assert (code, stdout, err) == (2, "", f"error: {chain}:2:16: Expecting value\n")
+
+
+PAD = b"# pad\n" * 2000
+
+
+@pytest.mark.parametrize(
+    "kind, data, code",
+    [
+        ("config", PRESET.read_bytes() + PAD + b"# caf\xe9\n", 2),
+        ("formula", PAD + b"# caf\xe9\n" + SETTLE.read_bytes(), 3),
+        ("chain", b" " * 9000 + Path(DRIFT).read_bytes().replace(b'"rho"', b'"rh\xe9"'), 2),
+        ("samples", b"l3\n" + b"10.25\n" * 2000 + b"10.\xe95\n", 3),
+    ],
+    ids=["config", "formula", "chain", "samples"],
+)
+def test_a_bad_byte_past_the_first_8k_is_named_by_its_line(kind, data, code, tmp_path, capsys):
+    # each reader decodes the whole file at once, so the line is the bad byte's own
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    prop = tmp_path / "prop.evtl"
+    prop.write_text(f'F[0,2] target(empirical("{path}"), rho3, 0.3)\n')
+    argv = {
+        "config": ["check", "--config", str(path), "--formula", str(SETTLE)],
+        "formula": ["check", "--config", str(PRESET), "--formula", str(path)],
+        "chain": ["simulate", "--set", "model=chain", "--set", f"chain.file={path}"],
+        "samples": ["check", "--config", str(PRESET), "--formula", str(prop)],
+    }[kind] + ["--steps", "3", "--runs", "4", "--ell", "1"]
+    line = data[: data.index(b"\xe9")].count(b"\n") + 1
+    # a formula error puts its line and column first
+    where = f"{line}:6: {path} " if kind == "formula" else f"{path}:{line}: "
+    got, stdout, err = run(capsys, *argv)
+    assert (got, stdout, err.count("\n")) == (code, "", 1)
+    assert err.count(where) == 1 and "byte 0xe9" in err
+
+
 # 2**47 float64 values are 1 PiB, more than a 47-bit user address space holds,
 # so the allocation fails at once and no memory is touched
 _PIB = str(2**47)

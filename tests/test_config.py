@@ -101,6 +101,18 @@ def test_later_settings_override_earlier():
     assert layered.runs == 30 and layered.seed == 9
 
 
+# the line ends of str.splitlines that are not LF, CRLF or CR
+OTHER_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", OTHER_BREAKS, ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize("rest", ["steps = 7", "not a setting"])
+def test_a_comment_runs_to_the_end_of_its_line(brk, rest, tmp_path):
+    p = tmp_path / "one-line.cfg"
+    p.write_bytes(f"seed = 1 # a{brk}{rest}\n".encode("utf-8"))
+    assert load_config(str(p)) == RunConfig(seed=1)
+
+
 def test_load_config_wraps_path_in_errors(tmp_path):
     with pytest.raises(ConfigError, match="no-such.cfg"):
         load_config(str(tmp_path / "no-such.cfg"))

@@ -1,6 +1,6 @@
 """Every config key set to every value of a hostile palette, through the CLI,
-every field of a chain file mutated the same way, and formula files with
-tokens inserted, deleted and swapped.
+every field of a chain file mutated the same way and its bytes changed, and
+formula files with tokens inserted, deleted and swapped.
 
 Each call runs a small problem (5 steps, 4 runs, ratio 2) and then sets one
 key to one palette value, or checks a mutated copy of ``chains/drift.json``.
@@ -19,7 +19,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from evtl.cli import main
 
@@ -154,16 +154,31 @@ def shape_mutants() -> list[dict]:
     return mutants
 
 
-@pytest.mark.parametrize("field", [*CHAIN_FIELDS, "shape"])
+DRIFT_BYTES = (REPO / "chains" / "drift.json").read_bytes()
+# drift.json's bytes changed: a string that is not UTF-8, a truncated document,
+# other line ends, and BOMs
+BYTE_MUTANTS = [
+    DRIFT_BYTES.replace(b'"rho"', b'"rh\xe9"'),
+    DRIFT_BYTES[: len(DRIFT_BYTES) // 2],
+    DRIFT_BYTES.replace(b"\n", b"\r\n"),
+    DRIFT_BYTES.replace(b"\n", b"\r"),
+    b"\xef\xbb\xbf" + DRIFT_BYTES,
+    b"\xef\xbb\xbf\xef\xbb\xbf" + DRIFT_BYTES,
+]
+
+
+@pytest.mark.parametrize("field", [*CHAIN_FIELDS, "shape", "bytes"])
 def test_any_chain_file_fails_cleanly_or_checks_in_range(field, tmp_path, capsys):
     if field == "shape":
         mutants = shape_mutants()
+    elif field == "bytes":
+        mutants = BYTE_MUTANTS
     else:
         mutants = [{**DRIFT, field: value} for value in JSON_PALETTE]
     bad = []
     for i, doc in enumerate(mutants):
         path = tmp_path / f"chain-{i}.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8"))
         argv = ["check", "--set", "model=chain", "--set", f"chain.file={path}",
                 "--formula", str(REPO / "tests" / "data" / "until-left-chain.evtl"),
                 "--steps", "5", "--runs", "4", "--ell", "2", "--out", str(tmp_path / "out.csv")]
@@ -184,10 +199,13 @@ FORMULAS = {
 PIECE = re.compile(
     r"""\s+|#[^\n]*|\|\||&&|->|"[^"\n]*"|-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|\w+|."""
 )
-# tokens to insert besides a file's own: every keyword and operator, and hostile literals
+# tokens to insert besides a file's own: every keyword and operator, hostile literals,
+# line ends that only str.splitlines knows, and "\udce9", written as the lone byte 0xe9
 INSERTS = ["(", ")", "[", "]", ",", ";", "=", "!", "&&", "||", "->", "U", "F", "G", "true",
            "target", "hazard", "normal", "point", "empirical", '"missing.csv"', "x", "l1", "rho",
-           "-1", "0", "0.5", "2", "1e400", "nan", str(2**70), "%", "\u00e9"]
+           "-1", "0", "0.5", "2", "1e400", "nan", str(2**70), "%", "\u00e9", "\u2028", "\x0c",
+           "\udce9"]
+SETTLE = REPO / "properties" / "settle-on-goal.evtl"
 
 
 @st.composite
@@ -213,10 +231,12 @@ def token_mutants(draw):
 @settings(max_examples=250, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutant=token_mutants())
+@example(mutant=(SETTLE, "# caf\udce9\n" + SETTLE.read_text(encoding="utf-8")))
+@example(mutant=(SETTLE, "# a\u2028\x0ctrue\n" + SETTLE.read_text(encoding="utf-8")))
 def test_any_formula_token_mutation_fails_cleanly_or_checks_in_range(mutant, tmp_path, capsys):
     path, text = mutant
     prop = tmp_path / "mutant.evtl"
-    prop.write_text(text, encoding="utf-8")
+    prop.write_text(text, encoding="utf-8", errors="surrogateescape")
     written = tmp_path / "out.csv"
     argv = ["check", *FORMULAS[path], "--formula", str(prop),
             "--steps", "30", "--runs", "5", "--ell", "1", "--out", str(written)]

@@ -7,7 +7,8 @@ every other reader takes states through ``blocks(width)``, at the one width rule
 ``simulation._block_width``, only the CLI and ``monitor.check_formula`` build a
 ``Simulation``, and only ``simulation`` builds an ``EvolutionEstimate``.
 Numeric failures are raised where numbers are made, not around the callers, and the tank
-step writes through a mask only in its level clamp."""
+step writes through a mask only in its level clamp. Only ``_io`` opens or decodes a file:
+every input file is read by ``_io.read_text``."""
 
 import ast
 from pathlib import Path
@@ -310,6 +311,15 @@ def test_only_simulation_builds_a_stored_estimate():
     )
     outside = {site for site in builders if not site.startswith("simulation.")}
     assert not outside, f"take an estimate's runs with split(n), do not build one: {outside}"
+
+
+def test_only_io_opens_or_decodes_a_file():
+    # one decoder, one BOM rule and one line-end rule for every input file: _io.read_text
+    readers = _sites_in_src(
+        lambda node: isinstance(node, ast.Call) and _named(node.func) in {"open", "decode"}
+    )
+    outside = {site for site in readers if not site.startswith("_io.")}
+    assert not outside, f"read input files with _io.read_text: {sorted(outside)}"
 
 
 def test_the_tank_step_masks_only_its_level_clamp():
