@@ -177,7 +177,7 @@ def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
     try:
         return parse_config(read_text(path), base)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+        raise ConfigError(f"cannot read config {path!r}: {exc.strerror or exc}") from None
     except DecodeError as exc:
         raise ConfigError(str(exc)) from None
     except ConfigError as exc:

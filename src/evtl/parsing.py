@@ -260,8 +260,12 @@ class _Parser:
             path = tok.text[1:-1]
             try:
                 return EmpiricalRef(path=path)
-            except (OSError, ValueError) as exc:
-                self.fail(f"cannot load {path!r}: {exc}", tok)
+            except OSError as exc:
+                self.fail(f"cannot load {path!r}: {exc.strerror or exc}", tok)
+            except ValueError as exc:
+                # a sample file's own errors start with its path
+                named = str(exc).startswith(f"{path}:")
+                self.fail(f"cannot load {exc}" if named else f"cannot load {path!r}: {exc}", tok)
         self.fail(f"unknown distribution {head!r} (want normal, point or empirical)", head_tok)
 
     def normal_entry(self) -> tuple[str, float, float]:

@@ -685,6 +685,21 @@ def test_bad_sample_value_names_its_line(value, want, tmp_path, capsys):
     assert f"{csv}:3: " in err and want in err
 
 
+@pytest.mark.parametrize("kind", ["bad-cell", "missing"])
+def test_sample_file_error_names_its_path_once(kind, tmp_path, capsys):
+    csv = tmp_path / "ref.csv"
+    if kind == "bad-cell":
+        csv.write_text("x\n0.25\nabc\n0.75\n")
+    prop = tmp_path / "prop.evtl"
+    prop.write_text(f'F[0,3] target(empirical("{csv}"), rho, 0.4)\n')
+    code, stdout, err = run(
+        capsys, "check", *CHAIN, "--formula", str(prop), "--runs", "10", "--ell", "1"
+    )
+    assert code == 3 and stdout == "" and err.count(str(csv)) == 1
+    want = f"{csv}:3: could not convert" if kind == "bad-cell" else f"cannot load {str(csv)!r}: "
+    assert want in err
+
+
 def test_non_utf8_sample_byte_names_its_line_past_the_first_8k(tmp_path, capsys):
     # a text-mode read decodes 8192 bytes at a time and places a bad byte inside
     # its chunk; this one is at file offset 15004, on line 3002
@@ -775,6 +790,14 @@ def test_formula_path_that_cannot_be_opened_exits_2(kind, tmp_path, capsys):
     path = tmp_path / "no-such.evtl" if kind == "missing" else tmp_path
     code, stdout, err = run(capsys, "check", *CHAIN, "--steps", "2", "--formula", str(path))
     assert code == 2 and stdout == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_config_path_that_cannot_be_read_is_named_once(kind, tmp_path, capsys):
+    path = str(tmp_path / "no-such.cfg" if kind == "missing" else tmp_path)
+    code, stdout, err = run(capsys, "simulate", "--config", path, "--steps", "2")
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: cannot read config {path!r}: ") and err.count(path) == 1
 
 
 def test_exit_code_messages_go_to_stderr(capsys):

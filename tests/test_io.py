@@ -10,6 +10,7 @@ on its boundaries and in the cells it hands to ``%`` one at a time.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from evtl._io import _FLOAT_CANVAS, BLOCK_ROWS, _tables, write_csv
+from evtl._io import _POW10, BLOCK_ROWS, _exponent, _tables, write_csv
 from evtl.config import RunConfig, build_model, load_config
 from evtl.simulation import EvolutionEstimate, RandomnessPlan, Simulation, estimate, save_estimate
 from evtl.spaces import DataSpace, Interval
@@ -275,12 +276,25 @@ def test_exact_ties_round_to_even():
 
 
 def test_lookup_tables_equal_their_definitions():
-    groups, float_masks = _tables()
-    assert groups.view(np.uint8).tobytes() == "".join("%04d" % g for g in range(10**4)).encode()
+    tables = _tables()
+    text = ["%04d" % g for g in range(10**4)]
+    assert tables.groups.view(np.uint8).tobytes() == "".join(text).encode()
+    # digits of a significand up to the last non-zero one of group i+1 (digits 4i+2 .. 4i+5)
+    for i in range(4):
+        want = [4 * i + 1 + len(t.rstrip("0")) if g else 0 for g, t in enumerate(text)]
+        assert tables.sig[i].tolist() == want, i
+    # where the digits of an 8-digit %d canvas start, if in that group; a zero keeps one
+    assert tables.int_start[0].tolist() == [8 - len(str(g)) if g else 7 for g in range(10**4)]
+    assert tables.int_start[1].tolist() == [4 - len(str(g)) if g else 8 for g in range(10**4)]
+    scale, hi, lo = tables.scale
+    assert scale.tolist() == [float(f"1e{16 - x}") for x in range(-4, 21)]
+    assert np.array_equal(hi + lo, scale) and np.all(np.abs(lo) <= np.abs(hi) * 2.0**-26)
     # lay distinct letters where the digits go, so a wrong position shows
-    canvas = _FLOAT_CANVAS.copy()
     letters = b"ABCDEFGHIJKLMNOPQ"
-    canvas[6:23] = canvas[24:41] = np.frombuffer(letters, np.uint8)
+    assert tables.float_canvas.tobytes() == b"-0.000" + b"0" * 17 + b"." + b"0" * 16 + b","
+    canvas = tables.float_canvas.copy()
+    canvas[6:23] = np.frombuffer(letters, np.uint8)
+    canvas[24:40] = np.frombuffer(letters[1:], np.uint8)
     d = letters.decode()
     for x in range(-4, 17):
         for s in range(1, 18):
@@ -289,8 +303,79 @@ def test_lookup_tables_equal_their_definitions():
                     text = "0." + "0" * (-x - 1) + d[:s]
                 else:
                     text = d[: x + 1] + ("." + d[x + 1 : s] if s > x + 1 else "")
-                row = float_masks[((x + 4) * 17 + s - 1) * 2 + neg]
+                row = tables.float_masks[((x + 4) * 17 + s - 1) * 2 + neg]
                 assert canvas[row].tobytes().decode() == "-" * neg + text + ",", (x, s, neg)
+
+
+def test_exponent_from_bits_equals_the_power_table_rule():
+    # the oracle: the number of _POW10 entries at or below a, each the least double >= 10**k
+    def oracle(a):
+        return np.searchsorted(_POW10, a, side="right") - 5
+
+    powers = np.array([float(f"1e{k}") for k in range(-4, 18)]).view(np.int64)
+    near = (powers[:, None] + np.arange(-3, 4)).ravel().view(np.float64)
+    near = near[(near >= 1e-4) & (near < 1e17)]
+    rng = np.random.default_rng(11)
+    drawn = 10.0 ** rng.uniform(-4, 17, 10**6)
+    drawn = drawn[drawn < 1e17]
+    for a in (near, drawn):
+        assert np.array_equal(_exponent(a), oracle(a))
+    # and the oracle itself, in exact arithmetic, at the boundaries
+    exact = [max(k for k in range(-4, 17) if Fraction(a) >= Fraction(10) ** k) for a in near.tolist()]
+    assert oracle(near).tolist() == exact
+
+
+def _exponent_and_digits(text: str) -> tuple[int, str]:
+    """Decimal exponent and 17-digit significand of a ``%.17g`` text without an exponent."""
+    whole, _, frac = text.lstrip("-").partition(".")
+    digits = (whole + frac).lstrip("0").ljust(17, "0")
+    if whole != "0" or not frac:
+        return len(whole) - 1, digits
+    return len(frac.lstrip("0")) - len(frac) - 1, digits
+
+
+def _grid_value(x: int, s: int) -> float:
+    """The first double whose ``%.17g`` has exponent x and s significant digits."""
+    for m in range(10 ** (s - 1), 10**s):
+        value = float(f"{m}e{x - s + 1}")
+        x_got, digits = _exponent_and_digits("%.17g" % value)
+        if m % 10 and (x_got, len(digits.rstrip("0"))) == (x, s):
+            return value
+    raise AssertionError((x, s))
+
+
+def _fraction_value(rest: str) -> float:
+    """A double whose ``%.17g`` digits are d, then ``rest``, the last non-zero one after the point."""
+    s = 1 + len(rest.rstrip("0"))
+    for d, x in itertools.product("123456789", range(-4, s - 1)):
+        value = float(f"{d}.{rest}e{x}")
+        if _exponent_and_digits("%.17g" % value) == (x, (d + rest).ljust(17, "0")):
+            return value
+    raise AssertionError(rest)
+
+
+def test_digit_grid_equals_percent_cell_by_cell():
+    # every exponent, significant-digit count and sign of the kernel's domain: every mask row
+    grid = [sign * _grid_value(x, s) for x in range(-4, 17) for s in range(1, 18) for sign in (1, -1)]
+    # every entry of sig[0..2] deciding a cell: group i+1 is g, the last non-zero group, in
+    # the fraction; a non-zero sig[3] entry decides every cell it is in (the draws below)
+    last = [_fraction_value("0" * 4 * i + "%04d" % g) for i in range(3) for g in range(1, 10**4)]
+    rng = np.random.default_rng(5)
+    drawn = 10.0 ** rng.uniform(-4, 17, 200_000) * rng.choice([-1.0, 1.0], 200_000)
+    values = np.concatenate([grid, [0.0, -0.0], last, drawn[np.abs(drawn) < 1e17]])
+    buf = io.StringIO()
+    write_csv(buf, ["v"] * 8, ["%.17g"], [(np.pad(values, (0, -len(values) % 8)).reshape(-1, 8),)])
+    cells = buf.getvalue().replace("\n", ",").split(",")[8 : 8 + len(values)]
+    want = ["%.17g" % v for v in values.tolist()]
+    assert cells == want
+    rows, groups = set(), [set() for _ in range(4)]
+    for v, text in zip(values.tolist(), want):
+        x, digits = _exponent_and_digits(text)
+        rows.add((x, len(digits.rstrip("0")) or 1, math.copysign(1.0, v)))
+        for i, seen in enumerate(groups):
+            seen.add(int(digits[4 * i + 1 : 4 * i + 5]))
+    assert rows == {(x, s, sign) for x in range(-4, 17) for s in range(1, 18) for sign in (1.0, -1.0)}
+    assert all(seen == set(range(10**4)) for seen in groups)
 
 
 def oracle_estimate(est: EvolutionEstimate) -> str:
