@@ -50,7 +50,7 @@ class RunConfig:
     until_mode: str = "semantics"
     discount: Discount = field(default_factory=Discount)
     penalty: str | None = None
-    times: tuple[int, ...] | None = None
+    times: tuple[range, ...] | None = None  # obs-times, unexpanded until checked against steps
     chain_file: str | None = None
     tanks: TankParams = field(default_factory=TankParams)
 
@@ -74,21 +74,20 @@ _TANK_ALIASES = {
 _TANK_FIELDS = {f.name for f in dataclasses.fields(TankParams)}
 
 
-def _parse_times(text: str) -> tuple[int, ...]:
-    out: set[int] = set()
+def _parse_times(text: str) -> tuple[range, ...]:
+    out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         lo, sep, hi = part[1:].partition("-")  # a leading '-' is a sign
-        if sep:
-            lo, hi = int(part[0] + lo), int(hi)
-            if hi < lo:
-                raise ConfigError(f"bad time range {part!r}")
-            out.update(range(lo, hi + 1))
-        else:
-            out.add(int(part))
-    return _observation_times(out, None)
+        lo = int(part[0] + lo)
+        hi = int(hi) if sep else lo
+        if hi < lo:
+            raise ConfigError(f"bad time range {part!r}")
+        out.append(range(lo, hi + 1))
+    _observation_times([r.start for r in out], None)  # the earliest time starts a range
+    return tuple(out)
 
 
 def _positive_int(key: str, value: str, minimum: int = 1) -> int:

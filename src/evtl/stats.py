@@ -14,7 +14,7 @@ import numpy as np
 from ._io import write_csv
 from .simulation import EvolutionEstimate, Simulation, _block_width
 
-__all__ = ["SWEEP_RUNS", "ErrorReport", "error_report", "save_error_report"]
+__all__ = ["SWEEP_RUNS", "ErrorReport", "error_report", "error_reports", "save_error_report"]
 
 # run counts used for convergence sweeps
 SWEEP_RUNS = (100, 500, 1000, 5000, 10000)
@@ -59,31 +59,40 @@ class ErrorReport:
 
 
 def error_report(
-    source: EvolutionEstimate | Simulation,
-    reference_mean: np.ndarray | None = None,
+    source: EvolutionEstimate | Simulation, reference_mean: np.ndarray | None = None
 ) -> ErrorReport:
     """Moment statistics of a source's runs, optionally scored against a reference.
 
-    The reference is a (steps+1, dim) array of means from an independent,
-    much larger run; z-scores measure how many standard errors each mean
-    sits from it. Each block is reduced in the stored (w, runs, dim) layout.
+    The reference is a (steps+1, dim) array of means from an independent, much larger run;
+    z-scores measure how many standard errors each mean sits from it.
     """
-    n = source.runs
-    if n < 2:
-        raise ValueError("need at least two runs")
-    mean, std = np.empty((2, source.steps + 1, source.space.dim))
-    for t0, block in source.blocks(_block_width(n)):
-        b = np.ascontiguousarray(block.transpose(1, 2, 0))  # numpy's sum order follows the layout
-        mean[t0 : t0 + len(b)], std[t0 : t0 + len(b)] = b.mean(axis=1), b.std(axis=1, ddof=1)
-    stderr = std / np.sqrt(n)
+    return error_reports(source, (source.runs,), reference_mean)[0]
+
+
+def error_reports(
+    source: EvolutionEstimate | Simulation, counts: tuple[int, ...], reference_mean=None
+) -> list[ErrorReport]:
+    """The :func:`error_report` of the first n runs for each n in ``counts``, from one read."""
+    if not 2 <= min(counts) <= max(counts) <= source.runs:
+        raise ValueError(f"run counts {counts} outside 2..{source.runs}")
+    width, dim = _block_width(source.runs), source.space.dim
+    mean, std = np.empty((2, len(counts), source.steps + 1, dim))
+    buf = np.empty(min(width, source.steps + 1) * max(counts) * dim)
+    for t0, block in source.blocks(width):
+        w = block.shape[1]
+        for i, n in enumerate(counts):
+            b = buf[: w * n * dim].reshape(w, n, dim)  # the stored layout sets numpy's sum order
+            b[...] = block[:, :, :n].transpose(1, 2, 0)
+            mean[i, t0 : t0 + w], std[i, t0 : t0 + w] = b.mean(axis=1), b.std(axis=1, ddof=1)
+    stderr = std / np.sqrt(counts)[:, None, None]
     z = np.full_like(mean, np.nan)
     if reference_mean is not None:
         ref = np.asarray(reference_mean, dtype=np.float64)
-        if ref.shape != mean.shape:
-            raise ValueError(f"reference shape {ref.shape} != {mean.shape}")
+        if ref.shape != mean.shape[1:]:
+            raise ValueError(f"reference shape {ref.shape} != {mean.shape[1:]}")
         ok = std > np.abs(mean) * 1e-12
-        z[ok] = (mean[ok] - ref[ok]) / stderr[ok]
-    return ErrorReport(source.space.names, mean, std, stderr, z)
+        z[ok] = (mean - ref)[ok] / stderr[ok]
+    return [ErrorReport(source.space.names, *moments) for moments in zip(mean, std, stderr, z)]
 
 
 def save_error_report(dest, report: ErrorReport) -> None:

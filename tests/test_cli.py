@@ -361,17 +361,22 @@ def test_stats_sweep_checks_out_before_the_reference(out, capsys, monkeypatch):
 
 def test_stats_sweep_simulates_once(tmp_path, capsys, monkeypatch):
     import evtl.cli as cli_mod
+    import evtl.simulation as sim_mod
 
+    # the runs whose noise is drawn, one entry per simulated batch
     runs = []
-    real = cli_mod.estimate
-    monkeypatch.setattr(cli_mod, "estimate", lambda sim: runs.append(sim.runs) or real(sim))
+    real = sim_mod._run_noise
+    monkeypatch.setattr(
+        sim_mod, "_run_noise", lambda k, p, s, r: runs.append(len(r)) or real(k, p, s, r)
+    )
     args = (
         "stats", "--config", str(REPO / "presets" / "three-tanks-scenario-2.cfg"),
         "--steps", "5", "--reference-runs", "300",
     )
     sweep = tmp_path / "sweep.csv"
     assert run(capsys, *args, "--sweep", "--out", str(sweep))[0] == 0
-    assert runs == [max(cli_mod.SWEEP_RUNS)]
+    # the 300-run reference, then one simulation of the largest count for the whole sweep
+    assert runs == [300, max(cli_mod.SWEEP_RUNS)] == [300, 10000]
     for n in (100, 500):
         single = tmp_path / f"single-{n}.csv"
         assert run(capsys, *args, "--runs", str(n), "--out", str(single))[0] == 0
@@ -432,7 +437,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     def overflow(*args):
         raise FloatingPointError("overflow")
 
-    monkeypatch.setattr(cli_mod, "estimate", overflow)
+    monkeypatch.setattr(cli_mod, "error_report", overflow)
     assert run(capsys, "stats", *CHAIN, "--steps", "2", "--runs", "2")[0] == 4
 
 

@@ -60,7 +60,8 @@ def test_tank_aliases_and_field_names():
 
 def test_observation_times_parse():
     cfg = parse_config("obs-times = 0, 5, 10-12, 3")
-    assert cfg.times == (0, 3, 5, 10, 11, 12)
+    # kept as written, one range per item, and expanded only once checked against the steps
+    assert cfg.times == (range(0, 1), range(5, 6), range(10, 13), range(3, 4))
     with pytest.raises(ConfigError):
         parse_config("obs-times = 9-3")
     with pytest.raises(ConfigError):

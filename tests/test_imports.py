@@ -5,7 +5,8 @@ to chain states, the one reader of its sampler; the exact chain route reads a ch
 and never its sampler. Only ``Simulation.blocks`` draws a run's noise and steps its paths:
 every other reader takes states through ``blocks(width)``, at the one width rule
 ``simulation._block_width``, only the CLI and ``monitor.check_formula`` build a
-``Simulation``, and only ``simulation`` builds an ``EvolutionEstimate``.
+``Simulation``, and only ``simulation`` builds an ``EvolutionEstimate``. No command stores
+its runs: nothing under ``src/evtl`` calls ``estimate``.
 Numeric failures are raised where numbers are made, not around the callers, and the tank
 step writes through a mask only in its level clamp. Only ``_io`` opens or decodes a file:
 every input file is read by ``_io.read_text``."""
@@ -17,9 +18,10 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "evtl"
 
-# ``bench/run.py`` wraps these two in ``evtl.monitor`` to time them, and its own
-# tests require that they exist there, although ``monitor`` itself calls neither
-TRACED = {("monitor", "estimate"), ("monitor", "one_sided_wasserstein")}
+# ``bench/run.py`` wraps these names in ``evtl.monitor`` and ``evtl.cli`` to time them, and
+# its own tests require that they exist there, although neither module calls them; they go
+# when the benchmark reads the program's own spans (ROADMAP item 6b)
+TRACED = {("monitor", "estimate"), ("monitor", "one_sided_wasserstein"), ("cli", "estimate")}
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -242,7 +244,7 @@ BLOCK_READERS = {
     "simulation.run_moments",
     "monitor.evaluate",
     "wasserstein.evolution_divergence",
-    "stats.error_report",
+    "stats.error_reports",
 }
 
 
@@ -311,6 +313,14 @@ def test_only_simulation_builds_a_stored_estimate():
     )
     outside = {site for site in builders if not site.startswith("simulation.")}
     assert not outside, f"take an estimate's runs with split(n), do not build one: {outside}"
+
+
+def test_no_command_stores_its_runs():
+    # every reader takes a run source a block at a time; a stored estimate is library API
+    callers = _sites_in_src(
+        lambda node: isinstance(node, ast.Call) and _named(node.func) == "estimate"
+    )
+    assert not callers, f"read the runs as a Simulation's blocks, do not store them: {callers}"
 
 
 def test_only_io_opens_or_decodes_a_file():

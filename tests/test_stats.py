@@ -7,7 +7,7 @@ import pytest
 from evtl.config import build_model, load_config
 from evtl.simulation import EvolutionEstimate, RandomnessPlan, Simulation, estimate, run_moments
 from evtl.spaces import DataSpace, Interval
-from evtl.stats import SWEEP_RUNS, error_report, save_error_report
+from evtl.stats import SWEEP_RUNS, error_report, error_reports, save_error_report
 
 from test_simulation import WalkKernel
 
@@ -88,6 +88,35 @@ def test_report_of_a_simulation_is_the_report_of_its_estimate(system, runs, n, s
         rep = error_report(next(source.split(n)))
         assert rep.mean.tobytes() == stored.mean(axis=1).tobytes()
         assert rep.std.tobytes() == stored.std(axis=1, ddof=1).tobytes()
+
+
+# (runs, counts, steps): blocks of several steps, one block for the whole series, and
+# one-step blocks (8192 runs or more), where numpy sums a dim-1 column pairwise
+@pytest.mark.parametrize(
+    "runs, counts, steps",
+    [(1100, (2, 100, 1024, 1100), 40), (500, (3, 250, 500), 12), (9000, (2, 8192, 9000), 6)],
+)
+@pytest.mark.parametrize("system", ["walk", "tanks"])
+def test_each_count_is_the_report_of_that_many_stored_runs(system, runs, counts, steps):
+    sim = Simulation(*_system(system), steps, runs, RandomnessPlan(8))
+    est = estimate(sim)
+    reference = est.values.mean(axis=1) + 0.01
+    for source in (sim, est):
+        for n, rep in zip(counts, error_reports(source, counts, reference), strict=True):
+            want = error_report(next(est.split(n)), reference)
+            for got, expected in zip(vars(rep).values(), vars(want).values()):
+                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+            # and as numpy reduces the stored (steps+1, n, dim) array
+            assert rep.mean.tobytes() == est.values[:, :n].mean(axis=1).tobytes()
+            assert rep.std.tobytes() == est.values[:, :n].std(axis=1, ddof=1).tobytes()
+
+
+def test_error_reports_needs_two_to_all_runs():
+    sim = Simulation(WalkKernel(), WalkKernel().space.state(x=0.5), 3, 10, RandomnessPlan(0))
+    for counts in [(1,), (2, 1), (0, 5), (11,), (5, 11)]:
+        with pytest.raises(ValueError):
+            error_reports(sim, counts)
+    assert [r.mean.shape for r in error_reports(sim, (2, 10))] == [(4, 1), (4, 1)]
 
 
 def test_stderr_shrinks_with_run_count():
